@@ -27,15 +27,6 @@ from .bvp import (
     shoot_steady_state,
     solve_adjoint,
 )
-from .lab import (
-    PdeRun,
-    SweepResult,
-    brute_force_bangbang,
-    integrate_adjoint_with_events,
-    pde_time_stepper,
-    reserve_sweep,
-    stability_eigenvalues,
-)
 from .params import (
     ParameterError,
     ScaledParams,
@@ -74,6 +65,34 @@ from .synthesis import (
 )
 
 __version__ = "0.1.0"
+
+# The verification routes live in `lab`, the only module that imports
+# scipy; they load on first access so that the closed-form solves and
+# the commands built on them start without scipy.
+_LAB_NAMES = frozenset(
+    {
+        "PdeRun",
+        "SweepResult",
+        "brute_force_bangbang",
+        "integrate_adjoint_with_events",
+        "pde_time_stepper",
+        "reserve_sweep",
+        "stability_eigenvalues",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _LAB_NAMES:
+        from . import lab
+
+        return getattr(lab, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return list(__all__)
+
 
 __all__ = [
     "AdjointProfile",

@@ -35,17 +35,6 @@ def arccoth(y: float) -> float:
     return arctanh(1.0 / y)
 
 
-def arccosh(x: float) -> float:
-    """arccosh via log(x + sqrt(x^2 - 1)); arguments below 1 clamp to 1.
-
-    Roundoff can push an argument that is exactly 1 in exact arithmetic a
-    few ulp below it; the clamp makes those evaluate to 0.
-    """
-    if x < 1.0:
-        x = 1.0
-    return math.log(x + math.sqrt((x - 1.0) * (x + 1.0)))
-
-
 def sech(x: float) -> float:
     return 1.0 / math.cosh(x)
 

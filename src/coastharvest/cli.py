@@ -18,15 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .bvp import shoot_steady_state
-from .lab import (
-    brute_force_bangbang,
-    integrate_adjoint_with_events,
-    pde_time_stepper,
-    reserve_sweep,
-    stability_eigenvalues,
-)
 from .params import (
-    ParameterError,
     ScaledParams,
     UnscaledParams,
     to_scaled,
@@ -183,6 +175,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .lab import (
+        brute_force_bangbang,
+        integrate_adjoint_with_events,
+        pde_time_stepper,
+        reserve_sweep,
+        stability_eigenvalues,
+    )
+
     sp, _ = _gather(args)
     sol = optimal_policy(sp)
     checks: list[dict] = []
@@ -272,6 +272,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .lab import pde_time_stepper
+
     sp, _ = _gather(args)
     sol = optimal_policy(sp)
     run = pde_time_stepper(sol.policy, sp, dx=args.dx, dt=args.dt, t_max=args.tmax)
@@ -347,13 +349,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

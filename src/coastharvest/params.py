@@ -13,12 +13,18 @@ from dataclasses import dataclass
 
 
 class ParameterError(ValueError):
-    """Raised when a parameter set violates its positivity constraints."""
+    """Raised when a parameter set violates its finiteness or positivity constraints."""
+
+
+def _require_finite(obj, names: tuple[str, ...]) -> None:
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ParameterError(f"{name} must be finite, got {getattr(obj, name)!r}")
 
 
 @dataclass(frozen=True)
 class UnscaledParams:
-    """Physical inputs. All strictly positive except Q, which may be zero."""
+    """Physical inputs. All finite and strictly positive except Q, which may be zero."""
 
     D: float
     R: float
@@ -28,6 +34,7 @@ class UnscaledParams:
     L: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("D", "R", "mu", "Hbar", "Q", "L"))
         for name in ("D", "R", "mu", "Hbar", "L"):
             if not getattr(self, name) > 0.0:
                 raise ParameterError(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -49,6 +56,7 @@ class ScaledParams:
     hbar: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("l", "q", "hbar"))
         if not self.l > 0.0:
             raise ParameterError(f"l must be positive, got {self.l!r}")
         if not self.hbar > 0.0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -28,6 +29,9 @@ class HarvestPolicy:
         object.__setattr__(self, "rates", rates)
         if len(bp) < 2:
             raise ParameterError("need at least two breakpoints")
+        for name, values in (("breakpoints", bp), ("rates", rates)):
+            if not all(math.isfinite(v) for v in values):
+                raise ParameterError(f"{name} must be finite, got {values!r}")
         if len(rates) != len(bp) - 1:
             raise ParameterError(
                 f"{len(bp)} breakpoints require {len(bp) - 1} rates, got {len(rates)}"

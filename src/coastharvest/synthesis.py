@@ -191,9 +191,9 @@ def unscaled_reserve_boundary(p: UnscaledParams) -> Optional[float]:
         return None
     lo, hi = half_length_domain(p)
     pad = 1e-14 * (hi - lo)
-    lam = bisect_root(
-        lambda s: half_length_function(s, p) - p.L / 2.0, lo + pad, hi - pad
-    )
+    # the domain is open at hi, and on a narrow domain hi - pad rounds to hi
+    top = min(hi - pad, math.nextafter(hi, lo))
+    lam = bisect_root(lambda s: half_length_function(s, p) - p.L / 2.0, lo + pad, top)
     r = (p.Q - p.mu) / (p.Q + p.Hbar)
     s1 = math.sqrt(p.D / (p.Hbar + p.mu))
     return p.L / 2.0 - s1 * _coast_distance_term(lam, lo, r)

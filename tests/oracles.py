@@ -18,6 +18,7 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 mp.mp.dps = 40
 
@@ -247,8 +248,9 @@ def neumann_objective(h, q) -> mp.mpf:
 # The no-reserve policy is optimal exactly when the adjoint orbit that
 # turns around at the midpoint never reaches the switch line.  At the
 # threshold the turning orbit grazes the line, so we chase the graze
-# itself: for each l, bisect the launch level until the orbit's closest
+# itself: for each l, find the launch level at which the orbit's closest
 # approach to the line is zero, then ask where that grazing orbit turns.
+# Both roots are of continuous functions, so Brent's method finds them.
 # Orbits below the graze level never leave the full-effort phase, so the
 # integration can stay in that phase and no event straddles the line.
 
@@ -284,18 +286,11 @@ def full_effort_orbit(lambda0, l, q, hbar):
     return turn, float(approach)
 
 
-def grazing_level(l, q, hbar, iters=50):
+def grazing_level(l, q, hbar):
     """Launch level whose orbit just touches the switch line."""
     lo = 1e-6
     hi = (hbar + q) / (math.sqrt(1.0 + hbar) * l)  # center level; orbits launched below it turn
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        _, approach = full_effort_orbit(mid, l, q, hbar)
-        if approach > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brentq(lambda lam0: full_effort_orbit(lam0, l, q, hbar)[1], lo, hi, rtol=1e-15)
 
 
 def threshold_length(q, hbar, bracket=(2.0, 3.0), tol=5e-8):
@@ -306,13 +301,6 @@ def threshold_length(q, hbar, bracket=(2.0, 3.0), tol=5e-8):
         return turn - l / 2.0
 
     lo, hi = bracket
-    elo, ehi = excess(lo), excess(hi)
-    if not elo > 0.0 > ehi:
+    if not excess(lo) > 0.0 > excess(hi):
         raise ValueError("bracket does not straddle the threshold")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brentq(excess, lo, hi, xtol=tol)

@@ -72,8 +72,8 @@ def test_criterion_1_hitting_time_matches_event_integration():
 def test_criterion_2_threshold_length_matches_grazing_search():
     """Closed-form minimum length vs an integration-only threshold search.
 
-    The oracle knows nothing of the closed form: it bisects on the
-    launch level for a grazing orbit and on the domain length for the
+    The oracle knows nothing of the closed form: it solves for the
+    launch level of a grazing orbit and for the domain length of the
     turn-at-midpoint condition, using only the adjoint vector field.
     """
     start = time.perf_counter()

@@ -257,6 +257,12 @@ class TestParameterHandling:
         assert code == 2
         assert "--hbar" in err
 
+    def test_nonfinite_parameter_is_a_parameter_error(self, capsys):
+        code, out, err = run(capsys, "solve", "--l", "4", "--q", "nan", "--hbar", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: q must be finite, got nan\n"
+
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 2

@@ -46,6 +46,12 @@ class TestToScaled:
         with pytest.raises(ParameterError):
             up(**{field: bad})
 
+    @pytest.mark.parametrize("field", ["D", "R", "mu", "Hbar", "Q", "L"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_inputs_are_rejected(self, field, bad):
+        with pytest.raises(ParameterError, match=f"^{field} must be finite"):
+            up(**{field: bad})
+
     def test_negative_weight_is_rejected_but_zero_is_allowed(self):
         with pytest.raises(ParameterError):
             up(Q=-0.1)
@@ -61,6 +67,14 @@ class TestScaledParams:
         with pytest.raises(ParameterError):
             ScaledParams(l=2.0, q=-1.0, hbar=1.0)
         assert ScaledParams(l=2.0, q=0.0, hbar=1.0).q == 0.0
+
+    @pytest.mark.parametrize("field", ["l", "q", "hbar"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_inputs_are_rejected(self, field, bad):
+        kw = dict(l=2.0, q=2.0, hbar=1.0)
+        kw[field] = bad
+        with pytest.raises(ParameterError, match=f"^{field} must be finite"):
+            ScaledParams(**kw)
 
 
 class TestLengthConversion:

@@ -1,5 +1,7 @@
 """Piecewise-constant policy construction and evaluation."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,6 +30,16 @@ class TestValidation:
     def test_rates_must_be_nonnegative(self):
         with pytest.raises(ParameterError):
             HarvestPolicy(breakpoints=(-1.0, 1.0), rates=(-0.5,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_breakpoints_must_be_finite(self, bad):
+        with pytest.raises(ParameterError, match="^breakpoints must be finite"):
+            HarvestPolicy(breakpoints=(-1.0, bad, 1.0), rates=(1.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rates_must_be_finite(self, bad):
+        with pytest.raises(ParameterError, match="^rates must be finite"):
+            HarvestPolicy(breakpoints=(-1.0, 0.0, 1.0), rates=(1.0, bad))
 
     def test_needs_two_breakpoints(self):
         with pytest.raises(ParameterError):

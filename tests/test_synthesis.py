@@ -21,6 +21,7 @@ from coastharvest import (
     optimal_policy,
     solve_adjoint,
     switch_location,
+    to_scaled,
     unscaled_min_length,
     unscaled_reserve_boundary,
 )
@@ -83,6 +84,15 @@ class TestUnscaledMinLength:
         assert unscaled_min_length(p) == pytest.approx(
             min_length(ScaledParams(l=1.0, q=2.0, hbar=1.0)), rel=1e-14
         )
+
+    @pytest.mark.parametrize("ratio", [1.05, 1.1, 1.2, 1.3])
+    @pytest.mark.parametrize("D, mu, Hbar, L", [(1.0, 1.0, 1.0, 10.0), (2.0, 0.5, 1.5, 12.0)])
+    def test_narrow_domain_near_unit_weight_matches_the_scaled_route(self, ratio, D, mu, Hbar, L):
+        # Q/mu near 1 makes the bisection domain narrower than 0.011, where
+        # a pad relative to its width is below half an ulp of its upper end
+        p = UnscaledParams(D=D, R=1.0, mu=mu, Hbar=Hbar, Q=ratio * mu, L=L)
+        want = optimal_policy(to_scaled(p)).reserve_halfwidth * p.length_unit
+        assert unscaled_reserve_boundary(p) == pytest.approx(want, rel=1e-12)
 
     def test_matches_the_high_precision_evaluator(self):
         p = UnscaledParams(D=2.0, R=1.0, mu=1.0, Hbar=1.0, Q=2.0, L=8.0)
@@ -149,6 +159,15 @@ class TestUnscaledReserveBoundary:
         got = unscaled_reserve_boundary(p)
         assert got == pytest.approx(expected, rel=1e-8)
         assert 0.0 < got < p.L / 2.0
+
+    @pytest.mark.parametrize("ratio", [1.05, 1.1, 1.2, 1.3])
+    @pytest.mark.parametrize("D, mu, Hbar, L", [(1.0, 1.0, 1.0, 10.0), (2.0, 0.5, 1.5, 12.0)])
+    def test_narrow_domain_near_unit_weight_matches_the_scaled_route(self, ratio, D, mu, Hbar, L):
+        # Q/mu near 1 makes the bisection domain narrower than 0.011, where
+        # a pad relative to its width is below half an ulp of its upper end
+        p = UnscaledParams(D=D, R=1.0, mu=mu, Hbar=Hbar, Q=ratio * mu, L=L)
+        want = optimal_policy(to_scaled(p)).reserve_halfwidth * p.length_unit
+        assert unscaled_reserve_boundary(p) == pytest.approx(want, rel=1e-12)
 
     def test_matches_the_high_precision_evaluator(self):
         p = UnscaledParams(D=2.0, R=1.0, mu=1.0, Hbar=1.0, Q=2.0, L=8.0)
