@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._specfun import bisect_root
 from .analytic import SegmentSolution
 from .params import ParameterError
 from .policy import HarvestPolicy
@@ -106,7 +105,12 @@ def _half_maps(left: list[_Piece], right: list[_Piece]) -> tuple[_Affine, _Affin
 def _assemble(
     left: list[_Piece], right: list[_Piece], v_left: float, v_right: float
 ) -> tuple[SegmentSolution, ...]:
-    """Per-piece hyperbolic descriptors anchored so both ends stay exact."""
+    """Per-piece hyperbolic descriptors anchored so both ends stay exact.
+
+    Left pieces are anchored at their left ends and right pieces at their
+    right ends, each at the state the shooting hands it there, so the
+    boundary values never pass through a cosh/sinh amplification.
+    """
     segs: list[SegmentSolution] = []
     u, v = 0.0, v_left
     for p in left:
@@ -115,8 +119,10 @@ def _assemble(
     tail: list[SegmentSolution] = []
     u, v = 0.0, v_right
     for p in reversed(right):
+        tail.append(
+            SegmentSolution(k=p.k, offset=p.off, A=u - p.off, B=v / p.k, x0=p.x0, x1=p.x1, anchor=p.x1)
+        )
         u, v = _apply(_flow_map(p.k, p.off, -(p.x1 - p.x0)), u, v)
-        tail.append(SegmentSolution(k=p.k, offset=p.off, A=u - p.off, B=v / p.k, x0=p.x0, x1=p.x1))
     return tuple(segs + tail[::-1])
 
 
@@ -186,43 +192,48 @@ def _write_csv(path: str, header: str, rows: np.ndarray) -> None:
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
+def _two_point(
+    policy: HarvestPolicy, offset_of
+) -> tuple[tuple[SegmentSolution, ...], float, float, float]:
+    """Solve w'' = k^2 (w - off) with w = 0 at both ends, shooting from both.
+
+    The unknown is the left slope; the right one is eliminated through
+    the w'-matching condition at 0.  The remaining w-matching residual is
+    affine in the left slope, so two evaluations (at 0 and 1) and one
+    division give the root, and one repeated secant from the base
+    point polishes roundoff.  Returns the segments, the left and right
+    slopes and the final |residual|.
+    """
+    left, right = _split_pieces(policy, offset_of)
+    (fm, fd), (bm, bd) = _half_maps(left, right)
+
+    def right_slope(s: float) -> float:
+        return (fm[3] * s + fd[1] - bd[1]) / bm[3]
+
+    def mismatch(s: float) -> float:
+        return (fm[1] * s + fd[0]) - (bm[1] * right_slope(s) + bd[0])
+
+    g0, g1 = mismatch(0.0), mismatch(1.0)
+    if g1 == g0:
+        raise RuntimeError("two-point shooting is degenerate: residual has no slope")
+    s = -g0 / (g1 - g0)
+    g = mismatch(s)
+    if g != 0.0 and g != g0:
+        s2 = s - g * s / (g - g0)
+        g2 = mismatch(s2)
+        if abs(g2) < abs(g):
+            s, g = s2, g2
+    s_right = right_slope(s)
+    return _assemble(left, right, s, s_right), s, s_right, abs(g)
+
+
 def shoot_steady_state(policy: HarvestPolicy, samples: int = 513) -> StateProfile:
     """Solve u'' = (1+h)u - 1 with u(+-l/2) = 0 for a given policy.
 
-    Bisection on the initial slope v(-l/2) in (0, 1): the population
-    cannot leave the boundary steeper than the harvest-free profile
-    allows, which pins the slope inside that interval for every policy.
-    The two-sided matching residual at 0 is affine in the slope, so a
-    final secant step lands on the root to roundoff.
+    The shooting unknown is the slope u'(-l/2), found by the exact
+    two-point solve shared with the adjoint.
     """
-    left, right = _split_pieces(policy, lambda h: 1.0 / (1.0 + h))
-    fwd, bwd = _half_maps(left, right)
-    (fm, fd), (bm, bd) = fwd, bwd
-
-    def mismatch(v0: float) -> float:
-        # eliminate the right slope through the v-matching condition
-        v_mid = fm[3] * v0 + fd[1]
-        v1 = (v_mid - bd[1]) / bm[3]
-        return (fm[1] * v0 + fd[0]) - (bm[1] * v1 + bd[0])
-
-    g0, g1 = mismatch(0.0), mismatch(1.0)
-    if g0 == 0.0:
-        v0 = 0.0
-    elif g1 == 0.0:
-        v0 = 1.0
-    elif math.copysign(1.0, g0) == math.copysign(1.0, g1):
-        raise RuntimeError(
-            "steady-state shooting bracket (0, 1) failed; "
-            f"residuals {g0:.3e} and {g1:.3e} share a sign"
-        )
-    else:
-        v0 = bisect_root(mismatch, 0.0, 1.0)
-        # the residual is affine in v0, so one secant step is exact
-        sec = -g0 / (g1 - g0)
-        if 0.0 < sec < 1.0 and abs(mismatch(sec)) < abs(mismatch(v0)):
-            v0 = sec
-    v1 = (fm[3] * v0 + fd[1] - bd[1]) / bm[3]
-    segs = _assemble(left, right, v0, v1)
+    segs, v0, v1, residual = _two_point(policy, lambda h: 1.0 / (1.0 + h))
     xs = np.linspace(segs[0].x0, segs[-1].x1, max(samples, 2))
     u, v = _eval_segments(segs, xs)
     return StateProfile(
@@ -230,7 +241,7 @@ def shoot_steady_state(policy: HarvestPolicy, samples: int = 513) -> StateProfil
         samples=np.column_stack([xs, u, v]),
         slope_left=v0,
         slope_right=v1,
-        match_residual=abs(mismatch(v0)),
+        match_residual=residual,
     )
 
 
@@ -248,38 +259,18 @@ def solve_adjoint(policy: HarvestPolicy, q: float, samples: int = 513) -> Adjoin
 
     lambda2 obeys the same segment structure as the state with constant
     term -(h+q)/((1+h) l), and lambda1 = -lambda2'.  The shooting
-    unknown is the left slope; the matching residual is affine in it, so
-    two evaluations determine the root exactly (secant on a line).
+    unknown is the left slope of lambda2, found by the same exact
+    two-point solve as the state.
     """
     l = policy.l
-    left, right = _split_pieces(policy, lambda h: -(h + q) / ((1.0 + h) * l))
-    fwd, bwd = _half_maps(left, right)
-    (fm, fd), (bm, bd) = fwd, bwd
-
-    def mismatch(s: float) -> float:
-        v_mid = fm[3] * s + fd[1]
-        s1 = (v_mid - bd[1]) / bm[3]
-        return (fm[1] * s + fd[0]) - (bm[1] * s1 + bd[0])
-
-    g0, g1 = mismatch(0.0), mismatch(-1.0)
-    if g1 == g0:
-        raise RuntimeError("adjoint shooting is degenerate: residual has no slope")
-    s_root = g0 / (g1 - g0)
-    # one repeated secant with the nearer base point polishes roundoff
-    g_root = mismatch(s_root)
-    if g_root != 0.0 and g_root != g0:
-        s2 = s_root - g_root * (s_root - 0.0) / (g_root - g0)
-        if abs(mismatch(s2)) < abs(g_root):
-            s_root = s2
-    s1 = (fm[3] * s_root + fd[1] - bd[1]) / bm[3]
-    segs = _assemble(left, right, s_root, s1)
+    segs, s_root, _, residual = _two_point(policy, lambda h: -(h + q) / ((1.0 + h) * l))
     xs = np.linspace(segs[0].x0, segs[-1].x1, max(samples, 2))
     lam2, d = _eval_segments(segs, xs)
     return AdjointProfile(
         segments=segs,
         samples=np.column_stack([xs, -d, lam2]),
         lambda0=-s_root,
-        match_residual=abs(mismatch(s_root)),
+        match_residual=residual,
     )
 
 

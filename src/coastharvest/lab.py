@@ -1,11 +1,13 @@
 """Independent verification tools.
 
-Nothing here reuses the closed forms under test: policies are ranked by
-exhaustive search over bang-bang candidates, the hitting time is
+Nothing here reuses the closed forms under test.  Policies are ranked
+by exhaustive search over bang-bang cell policies, all scored by one
+batched tridiagonal solve for the steady state at the cell edges, and
+by shooting over a grid of reserve blocks.  The hitting time is
 measured by event-detecting integration of the hybrid adjoint flow, the
 steady state is reproduced by implicit time stepping of the parabolic
-problem, and linearized stability is checked through the spectrum of the
-discretized operator.
+problem, and linearized stability is checked through the spectrum of
+the discretized operator.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .bvp import evaluate_objective, shoot_steady_state
 from .params import ParameterError, ScaledParams
-from .policy import HarvestPolicy, cell_policy, single_reserve_policy
+from .policy import HarvestPolicy, single_reserve_policy
 from .synthesis import optimal_policy
 
-# exhaustive search cap: 2^16 boundary-value solves is the budget ceiling
+# exhaustive search cap: 2^16 candidates, for which the batched solve holds
+# 2(cells-1) float arrays of 2^cells entries (16 MB)
 MAX_CELLS = 16
 
 # event integration gives up after this many domain lengths
@@ -82,17 +85,81 @@ def _rank(candidates: list[tuple[dict, float]], sp: ScaledParams) -> SweepResult
     )
 
 
+def _cell_objectives(sp: ScaledParams, cells: int) -> np.ndarray:
+    """Objective j of every {0, hbar} policy on equal cells, indexed by mask.
+
+    Bit cells-1-i of a mask sets the rate of cell i (counted from the
+    left).  The steady-state values u_1..u_{c-1} at the interior cell
+    edges solve a symmetric, strictly diagonally dominant tridiagonal
+    system from flux continuity; u is 0 at both coast ends.  A cell of
+    width w and rate h, with k = sqrt(1+h), off = 1/(1+h) and
+    t = tanh(kw/2), contributes k*coth(kw) to the diagonal entries of
+    its two edges, -k*csch(kw) to their coupling and k*off*t to their
+    loads, and its exact integral is off*w + (u_L + u_R - 2*off)*t/k.
+    Thomas elimination runs one edge at a time over all masks at once,
+    and the objective is summed during back-substitution.  No step is
+    amplified by e^(k*l), so long coasts stay exact.
+    """
+    w = sp.l / cells
+    h = np.array([0.0, sp.hbar])
+    k = np.sqrt(1.0 + h)
+    off = 1.0 / (1.0 + h)
+    kw = k * w
+    # coth and csch through e^(-kw), which cannot overflow on long cells
+    e = np.exp(-kw)
+    one_minus = -np.expm1(-2.0 * kw)
+    diag = k * (2.0 - one_minus) / one_minus
+    couple = -k * 2.0 * e / one_minus
+    t = np.tanh(0.5 * kw)
+    load = k * off * t
+    edge_weight = (sp.q + h) * t / k
+    cell_const = (sp.q + h) * off * (w - 2.0 * t / k)
+
+    masks = np.arange(1 << cells)
+
+    def rate_bit(i: int) -> np.ndarray:
+        return (masks >> (cells - 1 - i)) & 1
+
+    # forward sweep: row j couples u_j to u_{j-1} through cell j-1
+    sup: list[np.ndarray] = []
+    rhs: list[np.ndarray] = []
+    prev = rate_bit(0)
+    c_prev = d_prev = np.zeros(masks.size)
+    total = cell_const[prev]
+    for j in range(1, cells):
+        cur = rate_bit(j)
+        sub = couple[prev]
+        piv = diag[prev] + diag[cur] - sub * c_prev
+        c_prev = couple[cur] / piv
+        d_prev = (load[prev] + load[cur] - sub * d_prev) / piv
+        sup.append(c_prev)
+        rhs.append(d_prev)
+        total += cell_const[cur]
+        prev = cur
+    # back-substitution from u_c = 0, adding each edge value's weight
+    u = np.zeros(masks.size)
+    nxt = prev
+    for j in range(cells - 1, 0, -1):
+        cur = rate_bit(j - 1)
+        u = rhs[j - 1] - sup[j - 1] * u
+        total += u * (edge_weight[cur] + edge_weight[nxt])
+        nxt = cur
+    return total / sp.l
+
+
 def brute_force_bangbang(sp: ScaledParams, cells: int) -> SweepResult:
-    """Rank every {0, hbar}-valued policy on an equal-width cell partition."""
+    """Rank every {0, hbar}-valued policy on an equal-width cell partition.
+
+    Candidates come in mask order, each described by its bit string with
+    the leftmost cell first; all 2^cells objectives come from one batched
+    tridiagonal solve.
+    """
     if not 1 <= cells <= MAX_CELLS:
         raise ParameterError(f"cells must lie in [1, {MAX_CELLS}], got {cells!r}")
-    candidates: list[tuple[dict, float]] = []
-    for mask in range(1 << cells):
-        bits = format(mask, f"0{cells}b")
-        rates = [sp.hbar if b == "1" else 0.0 for b in bits]
-        pol = cell_policy(sp.l, rates)
-        profile = shoot_steady_state(pol, samples=2)
-        candidates.append(({"mask": bits}, evaluate_objective(pol, profile, sp.q)))
+    objectives = _cell_objectives(sp, cells).tolist()
+    candidates = [
+        ({"mask": format(mask, f"0{cells}b")}, obj) for mask, obj in enumerate(objectives)
+    ]
     return _rank(candidates, sp)
 
 

@@ -147,6 +147,28 @@ def test_criterion_5_reserve_policy_dominates_both_searches():
     )
 
 
+@pytest.mark.parametrize(
+    "sp",
+    [ScaledParams(l=2.0, q=0.5, hbar=1.0), ScaledParams(l=8.0, q=1.0, hbar=1.0)],
+    ids=["l2_q05", "l8_q1"],
+)
+def test_criterion_4_holds_at_sixteen_cells(sp):
+    """The largest exhaustive search, 2^16 cell policies, still picks the cap."""
+    res = brute_force_bangbang(sp, cells=16)
+    report(
+        4,
+        res.best_descriptor["mask"] == "1" * 16 and abs(res.gap) <= 1e-9,
+        f"l={sp.l}, q={sp.q}, 16 cells: winner {res.best_descriptor['mask']}, "
+        f"|gap| {abs(res.gap):.2e} <= 1e-9",
+    )
+
+
+def test_criterion_5_holds_at_sixteen_cells():
+    """The analytic reserve beats all 2^16 cell policies."""
+    res = brute_force_bangbang(ScaledParams(l=4.0, q=2.0, hbar=1.0), cells=16)
+    report(5, res.gap >= -1e-9, f"16 cells: brute gap {res.gap:.2e} >= -1e-9")
+
+
 def test_criterion_6_pontryagin_residuals():
     """Transversality, switching signs, and Hamiltonian constancy, both regimes."""
     worst_t = worst_s = worst_h = 0.0

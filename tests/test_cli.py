@@ -1,11 +1,20 @@
-"""End-to-end command-line checks, run in process through main()."""
+"""End-to-end command-line checks, run in process through main().
+
+One test runs `python -m coastharvest.cli` in a fresh interpreter.
+"""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from coastharvest.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -103,6 +112,18 @@ class TestSolve:
         assert len(lines) == 65
         x, u, v = (float(s) for s in lines[1].split(","))
         assert x == -1.0 and u == 0.0 and v > 0.0
+
+    def test_module_entry_point_prints_what_main_prints(self, capsys):
+        _, want, _ = run(capsys, "solve", "--l", "4", "--q", "2", "--hbar", "1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "coastharvest.cli", "solve", "--l", "4", "--q", "2", "--hbar", "1"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == want
 
     def test_output_is_deterministic(self, capsys):
         _, out1, _ = run(capsys, "solve", "--l", "4", "--q", "2", "--hbar", "1")

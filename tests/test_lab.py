@@ -12,14 +12,17 @@ from coastharvest import (
     constant_control_objective,
     constant_policy,
     derive_constants,
+    evaluate_objective,
     hitting_time,
     integrate_adjoint_with_events,
     optimal_policy,
     pde_time_stepper,
     reserve_sweep,
+    shoot_steady_state,
     stability_eigenvalues,
     switch_location,
 )
+from coastharvest.policy import cell_policy
 
 OPTIMAL_SP = ScaledParams(l=4.0, q=2.0, hbar=1.0)
 
@@ -60,6 +63,29 @@ class TestBruteForce:
     def test_candidate_count(self):
         res = brute_force_bangbang(ScaledParams(l=2.0, q=0.5, hbar=1.0), cells=5)
         assert len(res.candidates) == 32
+
+    @pytest.mark.parametrize("cells", [1, 5, 7, 12])
+    @pytest.mark.parametrize("l", [2.0, 4.0, 8.0])
+    def test_batched_objectives_match_the_shooting_solver(self, l, cells):
+        sp = ScaledParams(l=l, q=2.0, hbar=1.0)
+        res = brute_force_bangbang(sp, cells=cells)
+        rng = np.random.default_rng(20261018 + cells)
+        picks = rng.choice(1 << cells, size=min(64, 1 << cells), replace=False)
+        for mask in picks:
+            desc, obj = res.candidates[mask]
+            bits = format(int(mask), f"0{cells}b")
+            assert desc == {"mask": bits}
+            pol = cell_policy(l, [sp.hbar if b == "1" else 0.0 for b in bits])
+            want = evaluate_objective(pol, shoot_steady_state(pol, samples=2), sp.q)
+            assert obj == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("cells", [1, 7, 12])
+    def test_long_coast_uniform_masks_match_the_closed_form(self, cells):
+        sp = ScaledParams(l=20.0, q=3.5, hbar=2.5)
+        objs = dict((d["mask"], o) for d, o in brute_force_bangbang(sp, cells=cells).candidates)
+        for bit, rate in (("0", 0.0), ("1", sp.hbar)):
+            want = constant_control_objective(rate, sp.q, sp.l)
+            assert objs[bit * cells] == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("cells", [0, 17, -3])
     def test_cell_count_validation(self, cells):

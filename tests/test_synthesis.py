@@ -67,6 +67,28 @@ class TestOptimalPolicy:
             assert d.hamiltonian_deviation <= 1e-8
             assert d.switching_violation <= 1e-8
 
+    @pytest.mark.parametrize(
+        "sp",
+        [
+            ScaledParams(l=20.0, q=0.5, hbar=3.0),
+            ScaledParams(l=19.6, q=0.28, hbar=1.71),
+            ScaledParams(l=20.0, q=0.5, hbar=2.0),
+        ],
+        ids=["l20_h3", "l19.6_h1.71", "l20_h2"],
+    )
+    def test_long_constant_cap_stays_exact_at_the_right_end(self, sp):
+        # e^(k*l) is 1e14 to 1e17 here; the right half must be evaluated
+        # from its own end, not propagated across the whole half
+        sol = optimal_policy(sp)
+        d = sol.diagnostics
+        assert d.boundary_residual <= 1e-8
+        assert d.transversality_residual <= 1e-8
+        assert d.hamiltonian_deviation <= 1e-8
+        assert d.switching_violation <= 1e-8
+        assert sol.objective_j == pytest.approx(
+            constant_control_objective(sp.hbar, sp.q, sp.l), rel=1e-10
+        )
+
     def test_policy_flips_exactly_at_the_threshold_length(self):
         q, hbar = 2.0, 1.0
         lmin = min_length(ScaledParams(l=1.0, q=q, hbar=hbar))
