@@ -2,16 +2,15 @@
 
 The package decides, from closed-form optimality conditions, whether a
 finite coastline supports a centered no-take reserve, places it, and
-cross-checks the answer with independent numerics: two-sided shooting
-for the steady state and adjoint, brute-force policy enumeration, an
-event-detecting integrator for the switching structure, an implicit
-parabolic solver, and a spectral stability check.
+cross-checks the answer with independent numerics: an exact edge-value
+two-point solve for the steady state and adjoint, brute-force policy
+enumeration, an event-detecting integrator for the switching structure,
+an implicit parabolic solver, and a spectral stability check.
 """
 
 from .analytic import (
     SegmentSolution,
     adjoint_constant_hbar,
-    adjoint_return_time_q_le_1,
     constant_control_objective,
     constant_control_steady_state,
     optimal_shoot_slope,
@@ -23,7 +22,6 @@ from .bvp import (
     StateProfile,
     evaluate_objective,
     hamiltonian_diagnostic,
-    propagate_segment,
     shoot_steady_state,
     solve_adjoint,
 )
@@ -42,9 +40,7 @@ from .switching import (
     derive_constants,
     hitting_time,
     min_length,
-    monotonicity_witness,
     post_switch_time,
-    saddle_geometry,
     solve_lambda_bar,
     switch_line_intercept,
     switch_location,
@@ -54,7 +50,6 @@ from .synthesis import (
     IndeterminateError,
     OptimalSolution,
     SolutionDiagnostics,
-    extend_by_symmetry,
     half_length_domain,
     half_length_function,
     neumann_objective,
@@ -110,7 +105,6 @@ __all__ = [
     "SweepResult",
     "UnscaledParams",
     "adjoint_constant_hbar",
-    "adjoint_return_time_q_le_1",
     "brute_force_bangbang",
     "cell_policy",
     "constant_control_objective",
@@ -118,23 +112,19 @@ __all__ = [
     "constant_policy",
     "derive_constants",
     "evaluate_objective",
-    "extend_by_symmetry",
     "half_length_domain",
     "half_length_function",
     "hamiltonian_diagnostic",
     "hitting_time",
     "integrate_adjoint_with_events",
     "min_length",
-    "monotonicity_witness",
     "neumann_objective",
     "neumann_variant_policy",
     "optimal_policy",
     "optimal_shoot_slope",
     "pde_time_stepper",
     "post_switch_time",
-    "propagate_segment",
     "reserve_sweep",
-    "saddle_geometry",
     "shoot_steady_state",
     "single_reserve_policy",
     "solve_adjoint",

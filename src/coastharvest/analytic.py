@@ -2,93 +2,102 @@
 
 Every constant-rate segment of the model solves u'' = (1+h)u - 1, whose
 solutions are a constant offset plus a cosh/sinh pair.  SegmentSolution
-captures that structure exactly; the module-level functions build the
-specific solutions used by the optimality analysis: the constant-control
-steady state on the full interval, the matching adjoint pair, and the
-return-time functions that decide the small-q regime.
+captures that structure exactly, through the segment's two edge values;
+the module-level functions build the specific solutions used by the
+optimality analysis: the constant-control steady state on the full
+interval, the matching adjoint pair, and the return-time functions that
+decide the small-q regime.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from ._specfun import arccoth, arctanh, sech
 from .params import ParameterError
 
 
+def edge_profile(exp, expm1, k, off, d0, d1, x0, x1, x):
+    """(u, u') at x of u'' = k^2 (u - off) on [x0, x1] with u - off = d0, d1 at the edges.
+
+    u - off = (d0*sinh(k(x1-x)) + d1*sinh(k(x-x0))) / sinh(k(x1-x0)), with
+    each ratio of sinh/cosh rewritten through the decaying exponentials
+    e^(-k(x-x0)) and e^(-k(x1-x)): nothing overflows on any segment
+    length, and the edge weights are exactly 1 and 0 at the edges.
+    Written for both math and numpy: pass their exp and expm1.
+    """
+    a = k * (x - x0)
+    b = k * (x1 - x)
+    ea, eb = exp(-a), exp(-b)
+    den = -expm1(-2.0 * (k * (x1 - x0)))
+    u = off + (d0 * ea * -expm1(-2.0 * b) + d1 * eb * -expm1(-2.0 * a)) / den
+    du = k * (d1 * eb * (1.0 + ea * ea) - d0 * ea * (1.0 + eb * eb)) / den
+    return u, du
+
+
 @dataclass(frozen=True)
 class SegmentSolution:
-    """u(x) = offset + A*cosh(k(x-anchor)) + B*sinh(k(x-anchor)) on [x0, x1].
+    """Solution of u'' = k^2 (u - offset) on [x0, x1] with edge values u0, u1.
 
-    The anchor defaults to x0.  Coefficients are only meaningful relative
-    to their anchor, and moving it matters numerically: a profile that is
-    exponentially smaller than cosh(k(x1-x0)) at one end must be anchored
-    near that end, or at its symmetry point, to evaluate there without
-    catastrophic cancellation.
+    Edge values stay bounded whatever the segment length, so evaluation
+    neither overflows nor cancels on long segments, and the mirror
+    u(-x) just swaps them.
     """
 
     k: float
     offset: float
-    A: float
-    B: float
+    u0: float
+    u1: float
     x0: float
     x1: float
-    anchor: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.k > 0.0:
             raise ParameterError(f"segment stiffness must be positive, got {self.k!r}")
         if not self.x0 < self.x1:
             raise ParameterError(f"empty segment [{self.x0!r}, {self.x1!r}]")
-        if self.anchor is None:
-            object.__setattr__(self, "anchor", self.x0)
+
+    def _eval(self, x: float) -> tuple[float, float]:
+        off = self.offset
+        return edge_profile(
+            math.exp, math.expm1, self.k, off, self.u0 - off, self.u1 - off, self.x0, self.x1, x
+        )
 
     def value(self, x: float) -> float:
-        s = self.k * (x - self.anchor)
-        return self.offset + self.A * math.cosh(s) + self.B * math.sinh(s)
+        return self._eval(x)[0]
 
     def deriv(self, x: float) -> float:
-        s = self.k * (x - self.anchor)
-        return self.k * (self.A * math.sinh(s) + self.B * math.cosh(s))
+        return self._eval(x)[1]
 
     def second_deriv(self, x: float) -> float:
-        s = self.k * (x - self.anchor)
-        return self.k * self.k * (self.A * math.cosh(s) + self.B * math.sinh(s))
+        return self.k * self.k * (self.value(x) - self.offset)
 
     def integral(self) -> float:
         """Exact integral of u over [x0, x1]."""
-        s0 = self.k * (self.x0 - self.anchor)
-        s1 = self.k * (self.x1 - self.anchor)
-        return (
-            self.offset * (self.x1 - self.x0)
-            + (self.A / self.k) * (math.sinh(s1) - math.sinh(s0))
-            + (self.B / self.k) * (math.cosh(s1) - math.cosh(s0))
-        )
+        w = self.x1 - self.x0
+        t = math.tanh(0.5 * self.k * w)
+        return self.offset * w + (self.u0 + self.u1 - 2.0 * self.offset) * t / self.k
 
 
 def constant_control_steady_state(hhat: float, l: float) -> SegmentSolution:
     """Steady state with harvest rate hhat everywhere and zero boundaries.
 
-    u(x) = (1 - sech(k*l/2)*cosh(k*x)) / (1+hhat) with k = sqrt(1+hhat),
-    anchored at the midpoint so evenness is exact and the boundary
-    values stay at roundoff however large k*l gets.
+    u(x) = (1 - sech(k*l/2)*cosh(k*x)) / (1+hhat) with k = sqrt(1+hhat):
+    edge values 0 on [-l/2, l/2], which keeps evenness and the boundary
+    values exact however large k*l gets.
     """
     if hhat < 0.0:
         raise ParameterError(f"harvest rate must be nonnegative, got {hhat!r}")
     if not l > 0.0:
         raise ParameterError(f"l must be positive, got {l!r}")
-    k = math.sqrt(1.0 + hhat)
-    off = 1.0 / (1.0 + hhat)
     return SegmentSolution(
-        k=k,
-        offset=off,
-        A=-off * sech(k * l / 2.0),
-        B=0.0,
+        k=math.sqrt(1.0 + hhat),
+        offset=1.0 / (1.0 + hhat),
+        u0=0.0,
+        u1=0.0,
         x0=-l / 2.0,
         x1=l / 2.0,
-        anchor=0.0,
     )
 
 

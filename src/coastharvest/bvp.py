@@ -1,146 +1,51 @@
 """Steady-state and adjoint solvers for piecewise-constant harvest rates.
 
 Within a segment both problems reduce to w'' = k^2 (w - off) with
-k = sqrt(1+h), so the flow over any distance is an affine map built from
-cosh/sinh; no step-size error enters anywhere.  Boundary solves shoot
-from both ends and match at the midpoint, which keeps the hyperbolic
-amplification at e^(k l/2) per side instead of e^(k l) and leaves the
-boundary values zero by construction.
+k = sqrt(1+h), so a segment's solution is fixed exactly by its two edge
+values and no step-size error enters anywhere.  One two-point solve
+serves the state and the adjoint: the values at the interior edges are
+the unknowns, fixed by flux continuity, and a Dirichlet-to-Neumann
+sweep from each zero end eliminates them with positive terms only, so
+nothing is amplified on long coasts or cancels on thin segments.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import SegmentSolution
-from .params import ParameterError
+from .analytic import SegmentSolution, edge_profile
 from .policy import HarvestPolicy
-
-# segment flows are composed from chunks below this phase to avoid overflow
-_MAX_PHASE = 350.0
-
-_Affine = tuple[tuple[float, float, float, float], tuple[float, float]]
-
-_IDENTITY: _Affine = ((1.0, 0.0, 0.0, 1.0), (0.0, 0.0))
-
-
-def _compose(outer: _Affine, inner: _Affine) -> _Affine:
-    (a, b, c, d), (p, r) = outer
-    (e, f, g, h), (s, t) = inner
-    return (
-        (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h),
-        (a * s + b * t + p, c * s + d * t + r),
-    )
-
-
-def _apply(m: _Affine, u: float, v: float) -> tuple[float, float]:
-    (a, b, c, d), (p, r) = m
-    return a * u + b * v + p, c * u + d * v + r
-
-
-def _flow_map(k: float, off: float, length: float) -> _Affine:
-    """Affine map advancing (w, w') of w'' = k^2 (w - off) by length."""
-    n_sub = max(1, int(math.ceil(abs(k * length) / _MAX_PHASE)))
-    dx = length / n_sub
-    c, s = math.cosh(k * dx), math.sinh(k * dx)
-    step: _Affine = ((c, s / k, k * s, c), (off * (1.0 - c), -k * s * off))
-    total = step
-    for _ in range(n_sub - 1):
-        total = _compose(step, total)
-    return total
-
-
-def propagate_segment(u0: float, v0: float, h: float, dx: float) -> tuple[float, float]:
-    """Advance (u, v) through a constant-rate stretch of the steady state."""
-    if h < 0.0:
-        raise ParameterError(f"harvest rate must be nonnegative, got {h!r}")
-    if dx < 0.0:
-        raise ParameterError(f"dx must be nonnegative, got {dx!r}")
-    if dx == 0.0:
-        return u0, v0
-    k = math.sqrt(1.0 + h)
-    return _apply(_flow_map(k, 1.0 / (1.0 + h), dx), u0, v0)
-
-
-class _Piece:
-    """Solver-internal segment: geometry plus (k, off) of its ODE."""
-
-    __slots__ = ("x0", "x1", "k", "off")
-
-    def __init__(self, x0: float, x1: float, k: float, off: float):
-        self.x0, self.x1, self.k, self.off = x0, x1, k, off
-
-
-def _split_pieces(policy: HarvestPolicy, offset_of) -> tuple[list[_Piece], list[_Piece]]:
-    """Segments as pieces split at x = 0, partitioned into left and right."""
-    left: list[_Piece] = []
-    right: list[_Piece] = []
-    for x0, x1, h in policy.segments():
-        k = math.sqrt(1.0 + h)
-        off = offset_of(h)
-        if x1 <= 0.0:
-            left.append(_Piece(x0, x1, k, off))
-        elif x0 >= 0.0:
-            right.append(_Piece(x0, x1, k, off))
-        else:
-            left.append(_Piece(x0, 0.0, k, off))
-            right.append(_Piece(0.0, x1, k, off))
-    return left, right
-
-
-def _half_maps(left: list[_Piece], right: list[_Piece]) -> tuple[_Affine, _Affine]:
-    """Forward map left-end -> 0 and backward map right-end -> 0."""
-    fwd = _IDENTITY
-    for p in left:
-        fwd = _compose(_flow_map(p.k, p.off, p.x1 - p.x0), fwd)
-    bwd = _IDENTITY
-    for p in reversed(right):
-        bwd = _compose(_flow_map(p.k, p.off, -(p.x1 - p.x0)), bwd)
-    return fwd, bwd
-
-
-def _assemble(
-    left: list[_Piece], right: list[_Piece], v_left: float, v_right: float
-) -> tuple[SegmentSolution, ...]:
-    """Per-piece hyperbolic descriptors anchored so both ends stay exact.
-
-    Left pieces are anchored at their left ends and right pieces at their
-    right ends, each at the state the shooting hands it there, so the
-    boundary values never pass through a cosh/sinh amplification.
-    """
-    segs: list[SegmentSolution] = []
-    u, v = 0.0, v_left
-    for p in left:
-        segs.append(SegmentSolution(k=p.k, offset=p.off, A=u - p.off, B=v / p.k, x0=p.x0, x1=p.x1))
-        u, v = _apply(_flow_map(p.k, p.off, p.x1 - p.x0), u, v)
-    tail: list[SegmentSolution] = []
-    u, v = 0.0, v_right
-    for p in reversed(right):
-        tail.append(
-            SegmentSolution(k=p.k, offset=p.off, A=u - p.off, B=v / p.k, x0=p.x0, x1=p.x1, anchor=p.x1)
-        )
-        u, v = _apply(_flow_map(p.k, p.off, -(p.x1 - p.x0)), u, v)
-    return tuple(segs + tail[::-1])
 
 
 def _eval_segments(segments, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (value, derivative) of a piecewise hyperbolic profile."""
-    val = np.empty_like(xs)
-    der = np.empty_like(xs)
-    ends = np.array([s.x1 for s in segments])
-    idx = np.searchsorted(ends[:-1], xs, side="right")
-    for i, s in enumerate(segments):
-        m = idx == i
-        if not m.any():
-            continue
-        ph = s.k * (xs[m] - s.anchor)
-        ch, sh = np.cosh(ph), np.sinh(ph)
-        val[m] = s.offset + s.A * ch + s.B * sh
-        der[m] = s.k * (s.A * sh + s.B * ch)
-    return val, der
+    idx = np.searchsorted([s.x1 for s in segments[:-1]], xs, side="right")
+    table = np.array(
+        [(s.k, s.offset, s.u0 - s.offset, s.u1 - s.offset, s.x0, s.x1) for s in segments]
+    )
+    k, off, d0, d1, x0, x1 = table[idx].T
+    return edge_profile(np.exp, np.expm1, k, off, d0, d1, x0, x1, xs)
+
+
+def _segment_at(segments, x: float) -> SegmentSolution:
+    return segments[bisect.bisect_right([s.x1 for s in segments[:-1]], x)]
+
+
+def _flux_jump(segments) -> float:
+    """Largest jump of the derivative across the interior edges."""
+    return max(
+        (abs(a.deriv(a.x1) - b.deriv(b.x0)) for a, b in zip(segments, segments[1:])),
+        default=0.0,
+    )
+
+
+def _grid(segments, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    xs = np.linspace(segments[0].x0, segments[-1].x1, max(samples, 2))
+    return (xs, *_eval_segments(segments, xs))
 
 
 @dataclass(frozen=True)
@@ -153,9 +58,21 @@ class StateProfile:
     slope_right: float
     match_residual: float
 
+    @classmethod
+    def from_segments(cls, segments, samples: int = 513) -> "StateProfile":
+        """Sample the profile and read its end slopes and flux jumps off the segments."""
+        first, last = segments[0], segments[-1]
+        return cls(
+            segments=tuple(segments),
+            samples=np.column_stack(_grid(segments, samples)),
+            slope_left=first.deriv(first.x0),
+            slope_right=last.deriv(last.x1),
+            match_residual=_flux_jump(segments),
+        )
+
     def value(self, x: float) -> tuple[float, float]:
-        u, v = _eval_segments(self.segments, np.array([x], dtype=float))
-        return float(u[0]), float(v[0])
+        seg = _segment_at(self.segments, x)
+        return seg.value(x), seg.deriv(x)
 
     def eval_many(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _eval_segments(self.segments, np.asarray(xs, dtype=float))
@@ -173,9 +90,20 @@ class AdjointProfile:
     lambda0: float
     match_residual: float
 
+    @classmethod
+    def from_segments(cls, segments, samples: int = 513) -> "AdjointProfile":
+        """Sample the pair and read lambda0 = lambda1(-l/2) and the flux jumps off the segments."""
+        xs, lam2, d = _grid(segments, samples)
+        return cls(
+            segments=tuple(segments),
+            samples=np.column_stack([xs, -d, lam2]),
+            lambda0=-segments[0].deriv(segments[0].x0),
+            match_residual=_flux_jump(segments),
+        )
+
     def lambda_at(self, x: float) -> tuple[float, float]:
-        lam2, d = _eval_segments(self.segments, np.array([x], dtype=float))
-        return float(-d[0]), float(lam2[0])
+        seg = _segment_at(self.segments, x)
+        return -seg.deriv(x), seg.value(x)
 
     def eval_many(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lam2, d = _eval_segments(self.segments, np.asarray(xs, dtype=float))
@@ -192,57 +120,62 @@ def _write_csv(path: str, header: str, rows: np.ndarray) -> None:
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
-def _two_point(
-    policy: HarvestPolicy, offset_of
-) -> tuple[tuple[SegmentSolution, ...], float, float, float]:
-    """Solve w'' = k^2 (w - off) with w = 0 at both ends, shooting from both.
+def _dtn_sweep(pieces) -> list[tuple[float, float]]:
+    """Flux maps at the inner edges, swept from an end where w = 0.
 
-    The unknown is the left slope; the right one is eliminated through
-    the w'-matching condition at 0.  The remaining w-matching residual is
-    affine in the left slope, so two evaluations (at 0 and 1) and one
-    division give the root, and one repeated secant from the base
-    point polishes roundoff.  Returns the segments, the left and right
-    slopes and the final |residual|.
+    Pieces are (x0, x1, k, off).  Entry i is (S, F): on the pieces up
+    to i, the solution with value w at the far edge of piece i has
+    outward flux S*w + F there.  Across a piece of width d, with
+    t = tanh(kd) and c = sech(kd),
+        S' = k (S + k t) / (k + S t),
+        F' = k (F c - off (S (1 - c) + k t)) / (k + S t);
+    S stays positive and every term of F' has the sign of -off, so the
+    sweep neither overflows nor cancels.
     """
-    left, right = _split_pieces(policy, offset_of)
-    (fm, fd), (bm, bd) = _half_maps(left, right)
+    maps: list[tuple[float, float]] = []
+    for x0, x1, k, off in pieces[:-1]:
+        kd = k * (x1 - x0)
+        t = math.tanh(kd)
+        if not maps:
+            s, f = k / t, -k * off * math.tanh(0.5 * kd)
+        else:
+            e = math.exp(-kd)
+            c = 2.0 * e / (1.0 + e * e)
+            one_minus_c = math.expm1(-kd) ** 2 / (1.0 + e * e)
+            s, f = maps[-1]
+            f = k * (f * c - off * (s * one_minus_c + k * t)) / (k + s * t)
+            s = k * (s + k * t) / (k + s * t)
+        maps.append((s, f))
+    return maps
 
-    def right_slope(s: float) -> float:
-        return (fm[3] * s + fd[1] - bd[1]) / bm[3]
 
-    def mismatch(s: float) -> float:
-        return (fm[1] * s + fd[0]) - (bm[1] * right_slope(s) + bd[0])
+def _edge_solve(policy: HarvestPolicy, offset_of) -> tuple[SegmentSolution, ...]:
+    """Solve w'' = k^2 (w - off) with w = 0 at both ends, exactly.
 
-    g0, g1 = mismatch(0.0), mismatch(1.0)
-    if g1 == g0:
-        raise RuntimeError("two-point shooting is degenerate: residual has no slope")
-    s = -g0 / (g1 - g0)
-    g = mismatch(s)
-    if g != 0.0 and g != g0:
-        s2 = s - g * s / (g - g0)
-        g2 = mismatch(s2)
-        if abs(g2) < abs(g):
-            s, g = s2, g2
-    s_right = right_slope(s)
-    return _assemble(left, right, s, s_right), s, s_right, abs(g)
+    Segments are split at x = 0.  Each interior edge value balances the
+    flux maps of the two sides: S_l w + F_l = -(S_r w + F_r).
+    """
+    pieces: list[tuple[float, float, float, float]] = []
+    for x0, x1, h in policy.segments():
+        k, off = math.sqrt(1.0 + h), offset_of(h)
+        cuts = [x0, 0.0, x1] if x0 < 0.0 < x1 else [x0, x1]
+        pieces.extend((a, b, k, off) for a, b in zip(cuts, cuts[1:]))
+    left = _dtn_sweep(pieces)
+    right = _dtn_sweep(pieces[::-1])[::-1]
+    edges = [0.0] + [-(fl + fr) / (sl + sr) for (sl, fl), (sr, fr) in zip(left, right)] + [0.0]
+    return tuple(
+        SegmentSolution(k=k, offset=off, u0=u0, u1=u1, x0=x0, x1=x1)
+        for (x0, x1, k, off), u0, u1 in zip(pieces, edges, edges[1:])
+    )
 
 
 def shoot_steady_state(policy: HarvestPolicy, samples: int = 513) -> StateProfile:
     """Solve u'' = (1+h)u - 1 with u(+-l/2) = 0 for a given policy.
 
-    The shooting unknown is the slope u'(-l/2), found by the exact
-    two-point solve shared with the adjoint.
+    The edge values come from the exact two-point solve shared with the
+    adjoint; the slopes u'(+-l/2) are read off the end segments.
     """
-    segs, v0, v1, residual = _two_point(policy, lambda h: 1.0 / (1.0 + h))
-    xs = np.linspace(segs[0].x0, segs[-1].x1, max(samples, 2))
-    u, v = _eval_segments(segs, xs)
-    return StateProfile(
-        segments=segs,
-        samples=np.column_stack([xs, u, v]),
-        slope_left=v0,
-        slope_right=v1,
-        match_residual=residual,
-    )
+    return StateProfile.from_segments(_edge_solve(policy, lambda h: 1.0 / (1.0 + h)), samples)
 
 
 def evaluate_objective(policy: HarvestPolicy, profile: StateProfile, q: float) -> float:
@@ -258,19 +191,12 @@ def solve_adjoint(policy: HarvestPolicy, q: float, samples: int = 513) -> Adjoin
     """Solve the adjoint pair with lambda2(+-l/2) = 0.
 
     lambda2 obeys the same segment structure as the state with constant
-    term -(h+q)/((1+h) l), and lambda1 = -lambda2'.  The shooting
-    unknown is the left slope of lambda2, found by the same exact
-    two-point solve as the state.
+    term -(h+q)/((1+h) l), and lambda1 = -lambda2'; the same exact
+    two-point solve fixes it.
     """
     l = policy.l
-    segs, s_root, _, residual = _two_point(policy, lambda h: -(h + q) / ((1.0 + h) * l))
-    xs = np.linspace(segs[0].x0, segs[-1].x1, max(samples, 2))
-    lam2, d = _eval_segments(segs, xs)
-    return AdjointProfile(
-        segments=segs,
-        samples=np.column_stack([xs, -d, lam2]),
-        lambda0=-s_root,
-        match_residual=residual,
+    return AdjointProfile.from_segments(
+        _edge_solve(policy, lambda h: -(h + q) / ((1.0 + h) * l)), samples
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, eigvalsh_tridiagonal
 
 from .bvp import evaluate_objective, shoot_steady_state
 from .params import ParameterError, ScaledParams
@@ -340,33 +340,15 @@ def pde_time_stepper(
     )
 
 
-def _negative_pivots(diag: np.ndarray, off_sq: np.ndarray, sigma: float) -> int:
-    """Sturm count: eigenvalues of the tridiagonal matrix below sigma."""
-    # exact-zero pivots are nudged; the floor is large enough that the
-    # following division cannot overflow for any grid this module builds
-    tiny = 1e-30
-    count = 0
-    p = diag[0] - sigma
-    if p < 0.0:
-        count += 1
-    for i in range(1, len(diag)):
-        if abs(p) < tiny:
-            p = -tiny if p <= 0.0 else tiny
-        p = (diag[i] - sigma) - off_sq[i - 1] / p
-        if p < 0.0:
-            count += 1
-    return count
-
-
 def stability_eigenvalues(
     policy: HarvestPolicy, sp: ScaledParams, n: int
 ) -> tuple[float, bool]:
     """Largest eigenvalue of w -> w'' - (1+h)w with absorbing boundaries.
 
     Symmetric second-difference discretization on n interior points with
-    the rate cell-averaged around each node, then Sturm-sequence
-    bisection for the top of the spectrum.  The energy identity pushes
-    every eigenvalue below -1 for any admissible policy.
+    the rate cell-averaged around each node; LAPACK computes the top of
+    the tridiagonal spectrum.  The energy identity pushes every
+    eigenvalue below -1 for any admissible policy.
     """
     if n < 16:
         raise ParameterError(f"need at least 16 interior points, got {n!r}")
@@ -377,18 +359,6 @@ def stability_eigenvalues(
         [1.0 + policy.average_rate(x - dx / 2.0, x + dx / 2.0) for x in xs]
     )
     diag = -2.0 / dx**2 - pot
-    off_sq = np.full(n - 1, (1.0 / dx**2) ** 2)
-    lo = float(np.min(diag)) - 2.0 / dx**2
-    hi = float(np.max(diag)) + 2.0 / dx**2
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _negative_pivots(diag, off_sq, mid) >= n:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-13 * max(1.0, abs(hi)):
-            break
-    top = 0.5 * (lo + hi)
+    off = np.full(n - 1, 1.0 / dx**2)
+    top = float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(n - 1, n - 1))[0])
     return top, top < 0.0

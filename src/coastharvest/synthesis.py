@@ -20,7 +20,6 @@ from ._specfun import arccoth, arctanh, bisect_root
 from .analytic import SegmentSolution
 from .bvp import (
     AdjointProfile,
-    _eval_segments,
     evaluate_objective,
     hamiltonian_diagnostic,
     shoot_steady_state,
@@ -219,30 +218,13 @@ def extend_by_symmetry(half: AdjointProfile) -> AdjointProfile:
         raise ParameterError(
             f"profile is not symmetric-extensible: lambda1(0)={lam1_mid!r}"
         )
-    mirrored = []
-    for s in reversed(half.segments):
-        # u(-x) keeps the cosh coefficient and flips the sinh one, about
-        # the mirrored anchor; no re-anchoring, so no amplification
-        mirrored.append(
-            SegmentSolution(
-                k=s.k,
-                offset=s.offset,
-                A=s.A,
-                B=-s.B,
-                x0=-s.x1,
-                x1=-s.x0,
-                anchor=-s.anchor,
-            )
-        )
-    segments = tuple(half.segments) + tuple(mirrored)
-    n = max(2 * len(half.samples) - 1, 3)
-    xs = np.linspace(segments[0].x0, segments[-1].x1, n)
-    lam2, d = _eval_segments(segments, xs)
-    return AdjointProfile(
-        segments=segments,
-        samples=np.column_stack([xs, -d, lam2]),
-        lambda0=half.lambda0,
-        match_residual=abs(lam1_mid),
+    # u(-x) solves the same segment ODE: mirror each segment and swap its edge values
+    mirrored = tuple(
+        SegmentSolution(k=s.k, offset=s.offset, u0=s.u1, u1=s.u0, x0=-s.x1, x1=-s.x0)
+        for s in reversed(half.segments)
+    )
+    return AdjointProfile.from_segments(
+        tuple(half.segments) + mirrored, max(2 * len(half.samples) - 1, 3)
     )
 
 

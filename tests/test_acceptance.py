@@ -23,7 +23,6 @@ from coastharvest import (
     hitting_time,
     integrate_adjoint_with_events,
     min_length,
-    monotonicity_witness,
     neumann_objective,
     neumann_variant_policy,
     optimal_policy,
@@ -36,6 +35,7 @@ from coastharvest import (
     unscaled_reserve_boundary,
 )
 from coastharvest.policy import constant_policy
+from coastharvest.switching import monotonicity_witness
 
 TRIPLES = [
     ScaledParams(l=l, q=q, hbar=hbar)

@@ -9,13 +9,13 @@ import oracles
 from coastharvest import (
     ParameterError,
     adjoint_constant_hbar,
-    adjoint_return_time_q_le_1,
     constant_control_objective,
     constant_control_steady_state,
     optimal_shoot_slope,
     state_return_time,
     switch_level,
 )
+from coastharvest.analytic import adjoint_return_time_q_le_1
 
 
 class TestConstantControlSteadyState:

@@ -1,6 +1,8 @@
-"""Exact-propagation boundary-value solvers and Pontryagin diagnostics."""
+"""Exact edge-value boundary-value solvers and Pontryagin diagnostics."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from coastharvest import (
     hamiltonian_diagnostic,
     optimal_policy,
     optimal_shoot_slope,
-    propagate_segment,
     shoot_steady_state,
     single_reserve_policy,
     solve_adjoint,
@@ -33,34 +34,52 @@ def three_segment_policy():
     return optimal_policy(OPTIMAL_SP).policy
 
 
-class TestPropagateSegment:
-    def test_zero_distance_is_the_identity(self):
-        assert propagate_segment(0.3, -0.2, 1.0, 0.0) == (0.3, -0.2)
+class TestSegmentSolution:
+    def test_edge_values_are_kept(self):
+        # edge weights are exactly 1 and 0, so a zero boundary value stays 0.0
+        seg = SegmentSolution(k=1.3, offset=0.4, u0=0.0, u1=-0.25, x0=-0.7, x1=1.1)
+        assert seg.value(seg.x0) == 0.0
+        assert seg.value(seg.x1) == pytest.approx(seg.u1, abs=1e-15)
 
     @pytest.mark.parametrize("h", [0.0, 1.0, 3.0])
     def test_equilibrium_is_fixed(self, h):
         u_eq = 1.0 / (1.0 + h)
-        u, v = propagate_segment(u_eq, 0.0, h, 1.7)
-        assert u == pytest.approx(u_eq, abs=1e-14)
-        assert v == pytest.approx(0.0, abs=1e-14)
+        seg = SegmentSolution(math.sqrt(1.0 + h), u_eq, u_eq, u_eq, 0.0, 1.7)
+        for x in (0.0, 0.4, 1.7):
+            assert seg.value(x) == pytest.approx(u_eq, abs=1e-14)
+            assert seg.deriv(x) == pytest.approx(0.0, abs=1e-14)
 
-    def test_flow_property(self):
-        u0, v0, h = 0.2, 0.1, 0.5
-        mid = propagate_segment(u0, v0, h, 0.8)
-        split = propagate_segment(*mid, h, 0.9)
-        whole = propagate_segment(u0, v0, h, 1.7)
-        assert split[0] == pytest.approx(whole[0], abs=1e-12)
-        assert split[1] == pytest.approx(whole[1], abs=1e-12)
+    def test_restriction_is_the_same_solution(self):
+        whole = SegmentSolution(k=1.2, offset=0.5, u0=0.2, u1=0.1, x0=0.0, x1=1.7)
+        part = SegmentSolution(1.2, 0.5, whole.value(0.8), 0.1, 0.8, 1.7)
+        for x in (0.8, 1.0, 1.5):
+            assert part.value(x) == pytest.approx(whole.value(x), abs=1e-12)
+            assert part.deriv(x) == pytest.approx(whole.deriv(x), abs=1e-12)
+
+    def test_solves_the_segment_ode(self):
+        seg = SegmentSolution(k=0.9, offset=0.3, u0=0.0, u1=0.6, x0=-1.0, x1=2.0)
+        x, eps = 0.4, 1e-4
+        fd = (seg.value(x + eps) - 2.0 * seg.value(x) + seg.value(x - eps)) / eps**2
+        assert fd == pytest.approx(seg.second_deriv(x), abs=1e-6)
+
+    def test_integral_matches_quadrature(self):
+        seg = SegmentSolution(k=1.4, offset=0.6, u0=0.0, u1=0.2, x0=-0.5, x1=1.5)
+        xs = np.linspace(seg.x0, seg.x1, 2001)
+        quad = simpson([seg.value(x) for x in xs], x=xs)
+        assert seg.integral() == pytest.approx(quad, abs=1e-12)
 
     def test_long_segments_do_not_overflow(self):
-        u, v = propagate_segment(0.5, 0.0, 0.0, 400.0)
-        assert math.isfinite(u) and math.isfinite(v)
+        seg = SegmentSolution(k=1.0, offset=1.0, u0=0.5, u1=0.0, x0=0.0, x1=400.0)
+        for x in (0.0, 1.0, 200.0, 399.0, 400.0):
+            assert math.isfinite(seg.value(x)) and math.isfinite(seg.deriv(x))
+        assert seg.value(200.0) == pytest.approx(1.0, abs=1e-14)
+        assert math.isfinite(seg.integral())
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            propagate_segment(0.0, 0.0, -1.0, 1.0)
+            SegmentSolution(k=0.0, offset=0.0, u0=0.0, u1=0.0, x0=0.0, x1=1.0)
         with pytest.raises(ParameterError):
-            propagate_segment(0.0, 0.0, 1.0, -1.0)
+            SegmentSolution(k=1.0, offset=0.0, u0=0.0, u1=0.0, x0=1.0, x1=1.0)
 
 
 class TestShootSteadyState:
@@ -112,12 +131,42 @@ class TestShootSteadyState:
             assert abs(resid) <= 1e-10
 
 
+class TestLongCoastsAndThinSegments:
+    @pytest.mark.parametrize("l", [40.0, 100.0, 1e3, 1e4])
+    def test_constant_cap_is_exact_on_long_coasts(self, l):
+        sp = ScaledParams(l=l, q=0.5, hbar=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = optimal_policy(sp)
+        want = constant_control_objective(sp.hbar, sp.q, l)
+        assert sol.objective_j == pytest.approx(want, rel=1e-13)
+        assert max(dataclasses.astuple(sol.diagnostics)) <= 1e-8
+
+    def test_sliver_segment_matches_the_edge_at_zero(self):
+        # reserve_sweep produces block edges such as 5.55e-17; splitting
+        # at 0 then leaves a segment about 1e-16 wide
+        sliver = HarvestPolicy((-1.0, -0.6, 5.55e-17, 1.0), (1.0, 0.0, 1.0))
+        flush = HarvestPolicy((-1.0, -0.6, 0.0, 1.0), (1.0, 0.0, 1.0))
+        prof = shoot_steady_state(sliver)
+        assert np.all(np.isfinite(prof.samples))
+        j = evaluate_objective(sliver, prof, 2.0)
+        assert abs(j - evaluate_objective(flush, shoot_steady_state(flush), 2.0)) <= 1e-12
+
+    def test_match_residual_measures_the_flux_jump(self):
+        segs = list(shoot_steady_state(three_segment_policy()).segments)
+        assert StateProfile.from_segments(segs).match_residual <= 1e-12
+        u = segs[1].u1 + 1e-6
+        segs[1] = dataclasses.replace(segs[1], u1=u)
+        segs[2] = dataclasses.replace(segs[2], u0=u)
+        assert StateProfile.from_segments(segs).match_residual > 1e-8
+
+
 class TestEvaluateObjective:
     def test_zero_profile_gives_zero(self):
         from coastharvest.policy import constant_policy
 
         pol = constant_policy(2.0, 1.0)
-        flat = SegmentSolution(k=1.0, offset=0.0, A=0.0, B=0.0, x0=-1.0, x1=1.0)
+        flat = SegmentSolution(k=1.0, offset=0.0, u0=0.0, u1=0.0, x0=-1.0, x1=1.0)
         prof = StateProfile(
             segments=(flat,),
             samples=np.zeros((2, 3)),

@@ -12,14 +12,13 @@ from coastharvest import (
     derive_constants,
     hitting_time,
     min_length,
-    monotonicity_witness,
     post_switch_time,
-    saddle_geometry,
     solve_lambda_bar,
     switch_line_intercept,
     switch_location,
     switch_time,
 )
+from coastharvest.switching import monotonicity_witness, saddle_geometry
 
 GRID = [
     ScaledParams(l=l, q=q, hbar=hbar)

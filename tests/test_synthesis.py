@@ -12,7 +12,6 @@ from coastharvest import (
     ScaledParams,
     UnscaledParams,
     constant_control_objective,
-    extend_by_symmetry,
     half_length_domain,
     half_length_function,
     min_length,
@@ -26,6 +25,7 @@ from coastharvest import (
     unscaled_reserve_boundary,
 )
 from coastharvest.bvp import AdjointProfile
+from coastharvest.synthesis import extend_by_symmetry
 from coastharvest.analytic import SegmentSolution
 from coastharvest.policy import constant_policy
 
@@ -246,7 +246,7 @@ class TestExtendBySymmetry:
 
     def test_rejects_a_profile_with_nonzero_midpoint_slope(self):
         # lambda2 = sinh(x+1) has lambda1(0) = -cosh(1), far off zero
-        seg = SegmentSolution(k=1.0, offset=0.0, A=0.0, B=1.0, x0=-1.0, x1=0.0)
+        seg = SegmentSolution(k=1.0, offset=0.0, u0=0.0, u1=math.sinh(1.0), x0=-1.0, x1=0.0)
         bad = AdjointProfile(
             segments=(seg,), samples=np.zeros((2, 3)), lambda0=0.0, match_residual=0.0
         )
@@ -254,7 +254,7 @@ class TestExtendBySymmetry:
             extend_by_symmetry(bad)
 
     def test_rejects_a_profile_not_ending_at_the_midpoint(self):
-        seg = SegmentSolution(k=1.0, offset=0.0, A=0.0, B=1.0, x0=-1.0, x1=0.5)
+        seg = SegmentSolution(k=1.0, offset=0.0, u0=0.0, u1=math.sinh(1.5), x0=-1.0, x1=0.5)
         bad = AdjointProfile(
             segments=(seg,), samples=np.zeros((2, 3)), lambda0=0.0, match_residual=0.0
         )
