@@ -30,6 +30,10 @@ from .synthesis import optimal_policy, unscaled_min_length
 
 _UNSCALED_FIELDS = ("D", "mu", "Hbar", "Q", "L")
 
+# relative window above lam_star in which verify caps the event
+# integrator's step, so that a grazing crossing is not stepped over
+_GRAZE_WINDOW = 5e-3
+
 
 class CliError(Exception):
     """Usage-level problem; reported on stderr with exit code 2."""
@@ -207,7 +211,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for i in range(1, 26):
             lam0 = dc.lam_starstar * i / 26.0
             closed = hitting_time(lam0, dc)
-            measured, _ = integrate_adjoint_with_events(lam0, sp)
+            # a start just above lam_star only grazes the switching line,
+            # and an uncapped step can pass over the shallow crossing
+            grazes = 0.0 <= lam0 / dc.lam_star - 1.0 < _GRAZE_WINDOW
+            measured, _ = integrate_adjoint_with_events(
+                lam0, sp, max_step=sp.l / 200.0 if grazes else math.inf
+            )
             if math.isinf(closed) != math.isinf(measured):
                 worst = math.inf
                 break

@@ -7,7 +7,11 @@ by shooting over a grid of reserve blocks.  The hitting time is
 measured by event-detecting integration of the hybrid adjoint flow, the
 steady state is reproduced by implicit time stepping of the parabolic
 problem, and linearized stability is checked through the spectrum of
-the discretized operator.
+the discretized operator.  The time stepper factors its SPD tridiagonal
+operators once as LDL^T (LAPACK ?pttrf) and takes each step with one
+?pttrs.  It steps the deviation from the discrete steady state, so once
+the transient has decayed the distance it reports is the discretisation
+gap, free of accumulated stepping rounding.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import cho_solve_banded, cholesky_banded, eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .bvp import evaluate_objective, shoot_steady_state
 from .params import ParameterError, ScaledParams
@@ -263,17 +268,20 @@ class PdeRun:
                 fh.write(f"{xi:.17g},{ui:.17g}\n")
 
 
-def _aligned_grid(policy: HarvestPolicy, dx: float) -> np.ndarray:
-    """Nodes covering the coast, uniform within each policy segment.
+def _aligned_grid(policy: HarvestPolicy, dx: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes covering the coast, uniform within each policy segment, and
+    the rate on each cell between consecutive nodes.
 
     Aligning nodes with the rate breakpoints keeps the spatial error at
     second order; a misaligned interface would degrade it locally.
     """
-    nodes = [policy.breakpoints[0]]
-    for x0, x1, _ in policy.segments():
+    nodes = [np.array(policy.breakpoints[:1])]
+    rates = []
+    for x0, x1, r in policy.segments():
         n = max(1, round((x1 - x0) / dx))
-        nodes.extend(x0 + (x1 - x0) * i / n for i in range(1, n + 1))
-    return np.array(nodes)
+        nodes.append(x0 + (x1 - x0) * np.arange(1, n + 1) / n)
+        rates.append(np.full(n, r))
+    return np.concatenate(nodes), np.concatenate(rates)
 
 
 def pde_time_stepper(
@@ -287,56 +295,57 @@ def pde_time_stepper(
 
     Backward-time stepping with a symmetric second-order spatial
     operator on a breakpoint-aligned grid; unconditionally stable, and
-    its fixed point is the discrete steady state for any dt.  Reports
-    the final weighted L2 distance to the shooting solution.
+    its fixed point is the discrete steady state u_h for any dt.  Both
+    the steady operator A and the step operator M/dt + A (M the lumped
+    mass) are SPD tridiagonal, so each is factored once as LDL^T and
+    every solve is one forward and one backward sweep.  The iteration
+    steps the deviation e = u - u_h, which starts at -u_h (u = 0) and
+    obeys (M/dt + A) e' = (M/dt) e: rounding in each step decays with e
+    instead of accumulating in u.  Reports the final weighted L2
+    distance to the shooting solution.
     """
     dx = sp.l / 512.0 if dx is None else dx
     dt = sp.l / 512.0 if dt is None else dt
     if not (dx > 0.0 and dt > 0.0 and t_max > 0.0):
         raise ParameterError(f"dx, dt, t_max must be positive, got {(dx, dt, t_max)!r}")
-    nodes = _aligned_grid(policy, dx)
+    nodes, rate = _aligned_grid(policy, dx)
     steps_dx = np.diff(nodes)
-    rate = np.array(
-        [policy.rate_at(0.5 * (a + b)) for a, b in zip(nodes[:-1], nodes[1:])]
-    )
     n = len(nodes) - 2
     if n < 1:
         raise ParameterError("grid too coarse: no interior nodes")
     lumped = 0.5 * (steps_dx[:-1] + steps_dx[1:])
+    mass = lumped / dt
     diag = (
         1.0 / steps_dx[:-1]
         + 1.0 / steps_dx[1:]
-        + lumped / dt
         + 0.5 * ((1.0 + rate[:-1]) * steps_dx[:-1] + (1.0 + rate[1:]) * steps_dx[1:])
     )
-    upper = -1.0 / steps_dx[1:-1]
-    band = np.zeros((2, n))
-    band[0, 1:] = upper
-    band[1, :] = diag
-    chol = cholesky_banded(band)
+    off = -1.0 / steps_dx[1:-1]
+    steady_d, steady_e, _ = dpttrf(diag, off)
+    step_d, step_e, _ = dpttrf(diag + mass, off)
+    u_h, _ = dpttrs(steady_d, steady_e, lumped)
 
     target = shoot_steady_state(policy)
     u_star = target.eval_many(nodes[1:-1])[0]
 
-    u = np.zeros(n)
-    load = lumped.copy()
+    e = -u_h
     nsteps = max(1, int(math.ceil(t_max / dt - 1e-12)))
     every = max(1, nsteps // 64)
     history: list[tuple[float, float]] = []
 
-    def distance(vec: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(lumped * (vec - u_star) ** 2)))
+    def distance(dev: np.ndarray) -> float:
+        return float(np.sqrt(np.sum(lumped * (u_h + dev - u_star) ** 2)))
 
     for step in range(1, nsteps + 1):
-        u = cho_solve_banded((chol, False), lumped * u / dt + load)
-        if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 1e8:
+        e, _ = dpttrs(step_d, step_e, mass * e, overwrite_b=True)
+        if not np.abs(e).max() <= 1e8:
             raise RuntimeError(f"time stepping blew up at step {step}")
         if step % every == 0 or step == nsteps:
-            history.append((step * dt, distance(u)))
+            history.append((step * dt, distance(e)))
 
-    full_u = np.concatenate([[0.0], u, [0.0]])
+    full_u = np.concatenate([[0.0], u_h + e, [0.0]])
     return PdeRun(
-        x=nodes, u=full_u, l2_distance=distance(u), history=tuple(history)
+        x=nodes, u=full_u, l2_distance=distance(e), history=tuple(history)
     )
 
 

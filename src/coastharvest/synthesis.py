@@ -106,7 +106,8 @@ def optimal_policy(sp: ScaledParams) -> OptimalSolution:
         lam_bar = solve_lambda_bar(dc, sp.l)
         if sp.l > lmin:
             ts = switch_time(lam_bar, dc)
-            halfwidth = sp.l / 2.0 - ts
+            # one ulp above l_min the switch time can exceed l/2 by rounding
+            halfwidth = max(0.0, sp.l / 2.0 - ts)
             pol = single_reserve_policy(sp.l, -halfwidth, halfwidth, sp.hbar)
     j, diag = _diagnose(pol, sp.q)
     return OptimalSolution(

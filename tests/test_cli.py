@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from coastharvest import ScaledParams, derive_constants, optimal_policy
 from coastharvest.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -90,6 +91,18 @@ class TestSolve:
         assert doc["policy"]["breakpoints"] == [-2.0, -hw, hw, 2.0]
         assert doc["policy"]["rates"] == [1.0, 0.0, 1.0]
 
+    @pytest.mark.parametrize("q, hbar", [(1.01, 1.0), (2.0, 1.0), (5.0, 0.1)])
+    def test_one_ulp_above_the_threshold_length(self, capsys, q, hbar):
+        lmin = derive_constants(ScaledParams(l=1.0, q=q, hbar=hbar)).l_min
+        l = math.nextafter(lmin, math.inf)
+        sol = optimal_policy(ScaledParams(l=l, q=q, hbar=hbar))
+        assert sol.reserve_halfwidth >= 0.0
+        doc = run_json(capsys, "solve", "--l", repr(l), "--q", repr(q), "--hbar", repr(hbar))
+        reserve = doc["reserve"]
+        assert reserve["halfwidth"] == sol.reserve_halfwidth
+        assert reserve["present"] is (reserve["halfwidth"] > 0.0)
+        assert reserve["present"] is (0.0 in doc["policy"]["rates"])
+
     def test_physical_parameters_add_unscaled_outputs(self, capsys):
         doc = run_json(
             capsys, "solve", "--D", "4", "--R", "3", "--mu", "1",
@@ -161,6 +174,25 @@ class TestVerify:
         names = [c["name"] for c in doc["checks"]]
         assert "hitting_time_vs_integration" not in names
         assert len(names) == 7
+
+    @pytest.mark.parametrize(
+        "l, q, hbar",
+        [
+            (9.811278000808583, 3.297466230318146, 2.052804579830935),
+            (16.764199905276822, 1.858223827549165, 1.5225018921202387),
+        ],
+    )
+    def test_hitting_check_catches_a_grazing_start(self, capsys, l, q, hbar):
+        # one of the 25 starts lies within 1e-4 (relative) above lam_star,
+        # where the adjoint orbit only grazes the switching line
+        _, out, err = run(
+            capsys, "verify", "--l", repr(l), "--q", repr(q), "--hbar", repr(hbar),
+            "--cells", "6", "--centers", "5", "--widths", "9", "--tmax", "1",
+        )
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        hit = checks["hitting_time_vs_integration"]
+        assert hit["threshold"] == 1e-8
+        assert hit["pass"] is True, err
 
     def test_oversized_cell_count_is_an_error(self, capsys):
         code, _, err = run(

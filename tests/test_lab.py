@@ -22,7 +22,8 @@ from coastharvest import (
     stability_eigenvalues,
     switch_location,
 )
-from coastharvest.policy import cell_policy
+from coastharvest import lab
+from coastharvest.policy import cell_policy, single_reserve_policy
 
 OPTIMAL_SP = ScaledParams(l=4.0, q=2.0, hbar=1.0)
 
@@ -160,6 +161,9 @@ class TestEventIntegration:
 
 
 class TestPdeTimeStepper:
+    # an off-centre reserve on an aligned grid: three segments, two rates
+    RESERVE_POLICY = single_reserve_policy(4.0, -1.5, 0.5, 1.0)
+
     def test_constant_policy_converges_to_the_closed_form(self):
         sp = ScaledParams(l=2.0, q=1.0, hbar=1.0)
         run = pde_time_stepper(
@@ -196,6 +200,43 @@ class TestPdeTimeStepper:
                 pde_time_stepper(pol, sp, **kw)
         with pytest.raises(ParameterError):
             pde_time_stepper(pol, sp, dx=10.0)
+
+    @staticmethod
+    def _dense_operators(run, pol):
+        """Lumped mass and steady operator of the stepper's grid, densely."""
+        h = np.diff(run.x)
+        rate = np.array([pol.rate_at(0.5 * (a + b)) for a, b in zip(run.x[:-1], run.x[1:])])
+        lumped = 0.5 * (h[:-1] + h[1:])
+        steady = (
+            np.diag(1.0 / h[:-1] + 1.0 / h[1:])
+            - np.diag(1.0 / h[1:-1], 1)
+            - np.diag(1.0 / h[1:-1], -1)
+            + np.diag(0.5 * ((1.0 + rate[:-1]) * h[:-1] + (1.0 + rate[1:]) * h[1:]))
+        )
+        return lumped, steady
+
+    def test_one_step_is_a_dense_backward_euler_step(self):
+        dt = 0.1
+        run = pde_time_stepper(self.RESERVE_POLICY, OPTIMAL_SP, dx=0.125, dt=dt, t_max=dt)
+        lumped, steady = self._dense_operators(run, self.RESERVE_POLICY)
+        # from u = 0: (M/dt + A) u1 = (M/dt) 0 + load, with load = lumped
+        want = np.linalg.solve(np.diag(lumped / dt) + steady, lumped)
+        assert np.max(np.abs(run.u[1:-1] - want)) <= 1e-12
+        assert run.u[0] == 0.0 and run.u[-1] == 0.0
+
+    def test_long_run_reaches_the_dense_discrete_steady_state(self):
+        run = pde_time_stepper(self.RESERVE_POLICY, OPTIMAL_SP, dx=0.125, dt=0.5, t_max=60.0)
+        lumped, steady = self._dense_operators(run, self.RESERVE_POLICY)
+        want = np.linalg.solve(steady, lumped)
+        assert np.max(np.abs(run.u[1:-1] - want)) <= 1e-12
+
+    def test_non_finite_solve_is_reported_as_a_blow_up(self, monkeypatch):
+        def nan_solve(d, e, b, overwrite_b=False):
+            return np.full_like(b, np.nan), 0
+
+        monkeypatch.setattr(lab, "dpttrs", nan_solve)
+        with pytest.raises(RuntimeError, match="blew up"):
+            pde_time_stepper(self.RESERVE_POLICY, OPTIMAL_SP, dx=0.125, dt=0.5, t_max=2.0)
 
     def test_csv_export(self, tmp_path):
         sp = ScaledParams(l=2.0, q=1.0, hbar=1.0)
