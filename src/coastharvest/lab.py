@@ -11,7 +11,10 @@ the discretized operator.  The time stepper factors its SPD tridiagonal
 operators once as LDL^T (LAPACK ?pttrf) and takes each step with one
 ?pttrs.  It steps the deviation from the discrete steady state, so once
 the transient has decayed the distance it reports is the discretisation
-gap, free of accumulated stepping rounding.
+gap, free of accumulated stepping rounding.  A mirror-symmetric policy
+(every optimum is one) is stepped on the half grid from the centre on
+and its state mirrored back, exactly symmetric; an asymmetric policy is
+stepped on the full grid.
 """
 
 from __future__ import annotations
@@ -301,32 +304,53 @@ def pde_time_stepper(
     every solve is one forward and one backward sweep.  The iteration
     steps the deviation e = u - u_h, which starts at -u_h (u = 0) and
     obeys (M/dt + A) e' = (M/dt) e: rounding in each step decays with e
-    instead of accumulating in u.  Reports the final weighted L2
-    distance to the shooting solution.
+    instead of accumulating in u.  When the policy is its own mirror
+    image about x = 0 (breakpoints and rates compared exactly) so is u,
+    and only the unknowns from the centre on are solved for: half the
+    work per step, and PdeRun.u is then exactly mirror-symmetric.  An
+    asymmetric policy is solved on the full grid.  Reports the final
+    weighted L2 distance to the shooting solution.
     """
     dx = sp.l / 512.0 if dx is None else dx
     dt = sp.l / 512.0 if dt is None else dt
-    if not (dx > 0.0 and dt > 0.0 and t_max > 0.0):
-        raise ParameterError(f"dx, dt, t_max must be positive, got {(dx, dt, t_max)!r}")
+    for name, value in (("dx", dx), ("dt", dt), ("t_max", t_max)):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ParameterError(f"{name} must be positive and finite, got {value!r}")
     nodes, rate = _aligned_grid(policy, dx)
     steps_dx = np.diff(nodes)
     n = len(nodes) - 2
     if n < 1:
         raise ParameterError("grid too coarse: no interior nodes")
     lumped = 0.5 * (steps_dx[:-1] + steps_dx[1:])
-    mass = lumped / dt
     diag = (
         1.0 / steps_dx[:-1]
         + 1.0 / steps_dx[1:]
         + 0.5 * ((1.0 + rate[:-1]) * steps_dx[:-1] + (1.0 + rate[1:]) * steps_dx[1:])
     )
     off = -1.0 / steps_dx[1:-1]
+    # first kept unknown, and the weight of the kept half in the distance
+    c, weight = 0, 1.0
+    mirror = policy.breakpoints == tuple(-b for b in reversed(policy.breakpoints)) and (
+        policy.rates == policy.rates[::-1]
+    )
+    if mirror:
+        # u is even about x = 0: keep the unknowns from the centre on.  A
+        # centre node keeps half its row; a centre inside a cell folds
+        # its coupling onto the diagonal.
+        c, weight = n // 2, 2.0
+        if n % 2:
+            lumped[c] *= 0.5
+            diag[c] *= 0.5
+        else:
+            diag[c] += off[c - 1]
+        lumped, diag, off = lumped[c:], diag[c:], off[c:]
+    mass = lumped / dt
     steady_d, steady_e, _ = dpttrf(diag, off)
     step_d, step_e, _ = dpttrf(diag + mass, off)
     u_h, _ = dpttrs(steady_d, steady_e, lumped)
 
     target = shoot_steady_state(policy)
-    u_star = target.eval_many(nodes[1:-1])[0]
+    u_star = target.eval_many(nodes[1 + c : -1])[0]
 
     e = -u_h
     nsteps = max(1, int(math.ceil(t_max / dt - 1e-12)))
@@ -334,7 +358,7 @@ def pde_time_stepper(
     history: list[tuple[float, float]] = []
 
     def distance(dev: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(lumped * (u_h + dev - u_star) ** 2)))
+        return float(np.sqrt(weight * np.sum(lumped * (u_h + dev - u_star) ** 2)))
 
     for step in range(1, nsteps + 1):
         e, _ = dpttrs(step_d, step_e, mass * e, overwrite_b=True)
@@ -343,7 +367,9 @@ def pde_time_stepper(
         if step % every == 0 or step == nsteps:
             history.append((step * dt, distance(e)))
 
-    full_u = np.concatenate([[0.0], u_h + e, [0.0]])
+    u = u_h + e
+    mirrored = u[n % 2 :][::-1] if mirror else []
+    full_u = np.concatenate([[0.0], mirrored, u, [0.0]])
     return PdeRun(
         x=nodes, u=full_u, l2_distance=distance(e), history=tuple(history)
     )

@@ -201,6 +201,15 @@ class TestVerify:
         assert code == 2
         assert "cells" in err
 
+    def test_infinite_run_length_is_a_parameter_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--l", "4", "--q", "2", "--hbar", "1",
+            "--cells", "6", "--centers", "5", "--widths", "9", "--tmax", "inf",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: t_max must be positive and finite, got inf\n"
+
 
 class TestSweep:
     def test_length_sweep_finds_the_threshold(self, capsys, tmp_path):
@@ -290,6 +299,15 @@ class TestSimulate:
         lines = path.read_text().splitlines()
         assert lines[0] == "x,u"
         assert len(lines) == doc["nodes"] + 1
+
+    @pytest.mark.parametrize("flag, field", [("--dt", "dt"), ("--tmax", "t_max")])
+    def test_infinite_step_sizes_are_parameter_errors(self, capsys, flag, field):
+        code, out, err = run(
+            capsys, "simulate", "--l", "2", "--q", "0.5", "--hbar", "1", flag, "inf",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {field} must be positive and finite, got inf\n"
 
 
 class TestParameterHandling:

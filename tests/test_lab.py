@@ -201,6 +201,14 @@ class TestPdeTimeStepper:
         with pytest.raises(ParameterError):
             pde_time_stepper(pol, sp, dx=10.0)
 
+    @pytest.mark.parametrize("field", ["dx", "dt", "t_max"])
+    def test_non_finite_step_sizes_are_rejected(self, field):
+        # an infinite t_max or dt would overflow the step count, and an
+        # infinite dx would run the whole stepper and fail only on output
+        sp = ScaledParams(l=2.0, q=1.0, hbar=1.0)
+        with pytest.raises(ParameterError, match=f"^{field} must be positive and finite"):
+            pde_time_stepper(constant_policy(sp.l, sp.hbar), sp, **{field: math.inf})
+
     @staticmethod
     def _dense_operators(run, pol):
         """Lumped mass and steady operator of the stepper's grid, densely."""
@@ -229,6 +237,56 @@ class TestPdeTimeStepper:
         lumped, steady = self._dense_operators(run, self.RESERVE_POLICY)
         want = np.linalg.solve(steady, lumped)
         assert np.max(np.abs(run.u[1:-1] - want)) <= 1e-12
+
+    # mirror policies whose grids put the centre on a node (32 cells) and
+    # inside a cell (12 + 7 + 12 cells)
+    MIRROR_POLICIES = [
+        pytest.param(constant_policy(4.0, 1.0), True, id="centre-node"),
+        pytest.param(single_reserve_policy(4.0, -0.4375, 0.4375, 1.0), False, id="centre-cell"),
+    ]
+
+    @pytest.mark.parametrize("pol, centre_node", MIRROR_POLICIES)
+    def test_mirror_step_is_a_dense_backward_euler_step(self, pol, centre_node):
+        dt = 0.1
+        run = pde_time_stepper(pol, OPTIMAL_SP, dx=0.125, dt=dt, t_max=dt)
+        assert (0.0 in run.x) is centre_node
+        lumped, steady = self._dense_operators(run, pol)
+        want = np.linalg.solve(np.diag(lumped / dt) + steady, lumped)
+        assert np.max(np.abs(run.u[1:-1] - want)) <= 1e-12
+        assert np.array_equal(run.u, run.u[::-1])
+
+    @pytest.mark.parametrize("pol, centre_node", MIRROR_POLICIES)
+    def test_mirror_run_reaches_the_dense_discrete_steady_state(self, pol, centre_node):
+        run = pde_time_stepper(pol, OPTIMAL_SP, dx=0.125, dt=0.5, t_max=60.0)
+        assert (0.0 in run.x) is centre_node
+        lumped, steady = self._dense_operators(run, pol)
+        want = np.linalg.solve(steady, lumped)
+        assert np.max(np.abs(run.u[1:-1] - want)) <= 1e-12
+        assert np.array_equal(run.u, run.u[::-1])
+        u_star = shoot_steady_state(pol).eval_many(run.x[1:-1])[0]
+        dense_gap = math.sqrt(np.sum(lumped * (want - u_star) ** 2))
+        assert run.l2_distance == pytest.approx(dense_gap, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "pol, mirror",
+        [
+            (constant_policy(4.0, 1.0), True),
+            (single_reserve_policy(4.0, -0.4375, 0.4375, 1.0), True),
+            (RESERVE_POLICY, False),
+        ],
+    )
+    def test_mirror_policies_are_solved_on_the_half_grid(self, monkeypatch, pol, mirror):
+        sizes = []
+        solve = lab.dpttrs
+
+        def recording_solve(d, e, b, overwrite_b=False):
+            sizes.append(len(b))
+            return solve(d, e, b, overwrite_b=overwrite_b)
+
+        monkeypatch.setattr(lab, "dpttrs", recording_solve)
+        run = pde_time_stepper(pol, OPTIMAL_SP, dx=0.125, dt=0.5, t_max=2.0)
+        n = len(run.x) - 2
+        assert sizes == [n - n // 2 if mirror else n] * 5
 
     def test_non_finite_solve_is_reported_as_a_blow_up(self, monkeypatch):
         def nan_solve(d, e, b, overwrite_b=False):
