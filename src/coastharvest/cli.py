@@ -144,6 +144,8 @@ def cmd_lmin(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.samples < 2:
+        raise CliError("--samples must be at least 2")
     sp, up = _gather(args)
     sol = optimal_policy(sp)
     present = sol.reserve_halfwidth > 0.0

@@ -36,6 +36,9 @@ from .synthesis import optimal_policy
 # 2(cells-1) float arrays of 2^cells entries (16 MB)
 MAX_CELLS = 16
 
+# parabolic run cap: the default runs take 4000 to about 5000 steps
+MAX_STEPS = 10**6
+
 # event integration gives up after this many domain lengths
 _HORIZON_FACTOR = 10.0
 
@@ -316,6 +319,11 @@ def pde_time_stepper(
     for name, value in (("dx", dx), ("dt", dt), ("t_max", t_max)):
         if not (value > 0.0 and math.isfinite(value)):
             raise ParameterError(f"{name} must be positive and finite, got {value!r}")
+    steps = t_max / dt - 1e-12
+    if steps > MAX_STEPS:
+        raise ParameterError(
+            f"t_max / dt must be at most {MAX_STEPS} steps, got t_max={t_max!r}, dt={dt!r}"
+        )
     nodes, rate = _aligned_grid(policy, dx)
     steps_dx = np.diff(nodes)
     n = len(nodes) - 2
@@ -353,7 +361,7 @@ def pde_time_stepper(
     u_star = target.eval_many(nodes[1 + c : -1])[0]
 
     e = -u_h
-    nsteps = max(1, int(math.ceil(t_max / dt - 1e-12)))
+    nsteps = max(1, math.ceil(steps))
     every = max(1, nsteps // 64)
     history: list[tuple[float, float]] = []
 

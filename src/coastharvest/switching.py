@@ -4,8 +4,9 @@ For q > 1 the adjoint shooting problem is piecewise linear with one
 possible crossing of the switching line.  This module carries the
 derived constants of that analysis, the hitting time of the lambda2-axis
 as a function of the shooting parameter, the crossing location, the
-threshold length above which a crossing occurs, and the root solve that
-pins the transversality-consistent shooting value.
+threshold length above which a crossing occurs, and the one root solve,
+for the reserve half-width, that pins the transversality-consistent
+shooting value.
 
 Naming: lam_star and lam_starstar are the two critical shooting values
 (orbit tangent to the switching line, and orbit asymptotic to the second
@@ -107,7 +108,12 @@ def switch_time(lambda0: float, dc: DerivedConstants) -> float:
         raise ParameterError(
             f"switch time defined for lambda0 >= lam_star={dc.lam_star!r}, got {lambda0!r}"
         )
-    tilde = switch_line_intercept(lambda0, dc)
+    return _switch_time(lambda0, switch_line_intercept(lambda0, dc), dc)
+
+
+def _switch_time(lambda0: float, tilde: float, dc: DerivedConstants) -> float:
+    # a caller that built tilde passes it in: re-deriving it from lambda0
+    # as sqrt(lambda0^2 - lam_star^2) cancels near lam_star
     return math.log((dc.i1 + lambda0) / (dc.is1 + tilde)) / math.sqrt(dc.a1)
 
 
@@ -152,36 +158,34 @@ def min_length(sp: ScaledParams) -> float:
     return (2.0 / math.sqrt(hbar + 1.0)) * arctanh(arg)
 
 
+def solve_halfwidth(dc: DerivedConstants, l: float) -> tuple[float, float]:
+    """Half-width tau = l/2 - Ts of the centred reserve, and lambda_bar.
+
+    The orbit that meets the switch line at tilde = is2*tanh(sqrt(a2)*tau)
+    starts from hypot(lam_star, tilde) and reaches the lambda2-axis tau
+    later, so tau solves switch_time + tau = l/2.  That residual is
+    increasing and finite on [0, l/2] and is bisected there; it is
+    already >= 0 at tau = 0 up to l_min, where tau is 0.
+    """
+    half, rate = l / 2.0, math.sqrt(dc.a2)
+
+    def residual(tau: float) -> float:
+        tilde = dc.is2 * math.tanh(rate * tau)
+        return _switch_time(math.hypot(dc.lam_star, tilde), tilde, dc) - (half - tau)
+
+    tau = bisect_root(residual, 0.0, half)
+    return tau, math.hypot(dc.lam_star, dc.is2 * math.tanh(rate * tau))
+
+
 def solve_lambda_bar(dc: DerivedConstants, l: float) -> float:
     """The unique shooting value whose hitting time equals l/2.
 
-    Bisection on the monotone hitting time over (0, lam_starstar), then
-    a few guarded Newton corrections with a finite-difference slope.
+    Closed form i1*tanh(sqrt(a1)*l/2) up to l_min, where the orbit never
+    meets the switch line; above it, it comes with the reserve half-width.
     """
-    top = dc.lam_starstar
-    eps = 1e-13 * top
-    target = l / 2.0
-
-    def residual(lam: float) -> float:
-        return hitting_time(lam, dc) - target
-
-    root = bisect_root(residual, eps, top - eps)
-    best, best_res = root, abs(residual(root))
-    for _ in range(3):
-        if best_res <= 1e-15:
-            break
-        step = 1e-8 * min(best, top - best)
-        slope = (residual(best + step) - residual(best - step)) / (2.0 * step)
-        if not math.isfinite(slope) or slope <= 0.0:
-            break
-        cand = best - residual(best) / slope
-        if not eps < cand < top - eps:
-            break
-        cand_res = abs(residual(cand))
-        if cand_res >= best_res:
-            break
-        best, best_res = cand, cand_res
-    return best
+    if l <= dc.l_min:
+        return dc.i1 * math.tanh(math.sqrt(dc.a1) * l / 2.0)
+    return solve_halfwidth(dc, l)[1]
 
 
 def switch_location(sp: ScaledParams) -> float:
@@ -191,8 +195,7 @@ def switch_location(sp: ScaledParams) -> float:
         raise ParameterError(
             f"no switch for l={sp.l!r} at or below the threshold {dc.l_min!r}"
         )
-    lam_bar = solve_lambda_bar(dc, sp.l)
-    return switch_time(lam_bar, dc)
+    return sp.l / 2.0 - solve_halfwidth(dc, sp.l)[0]
 
 
 def monotonicity_witness(lambda0: float, dc: DerivedConstants) -> float:

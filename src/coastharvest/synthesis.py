@@ -3,7 +3,7 @@
 The scaled pipeline is the authority: decide the regime from (l, q,
 hbar), place the reserve via the switching analysis, and attach solver
 diagnostics.  The physical-parameter formulas (threshold length, reserve
-boundary via inversion of the half-length function) are implemented
+boundary as the root of the half-length equation) are implemented
 separately, as transcriptions in the original units, so the two routes
 can be compared against each other rather than sharing code.
 """
@@ -27,7 +27,7 @@ from .bvp import (
 )
 from .params import ParameterError, ScaledParams, UnscaledParams
 from .policy import HarvestPolicy, constant_policy, single_reserve_policy
-from .switching import derive_constants, solve_lambda_bar, switch_time
+from .switching import derive_constants, solve_halfwidth, solve_lambda_bar
 
 # |lambda - 1| below this routes to the logarithm branch of the
 # physical-unit formulas, where the outer two branches cancel badly
@@ -103,12 +103,12 @@ def optimal_policy(sp: ScaledParams) -> OptimalSolution:
     if sp.q > 1.0:
         dc = derive_constants(sp)
         lmin = dc.l_min
-        lam_bar = solve_lambda_bar(dc, sp.l)
         if sp.l > lmin:
-            ts = switch_time(lam_bar, dc)
-            # one ulp above l_min the switch time can exceed l/2 by rounding
-            halfwidth = max(0.0, sp.l / 2.0 - ts)
+            halfwidth, lam_bar = solve_halfwidth(dc, sp.l)
+            ts = sp.l / 2.0 - halfwidth
             pol = single_reserve_policy(sp.l, -halfwidth, halfwidth, sp.hbar)
+        else:
+            lam_bar = solve_lambda_bar(dc, sp.l)
     j, diag = _diagnose(pol, sp.q)
     return OptimalSolution(
         policy=pol,
@@ -142,21 +142,20 @@ def half_length_domain(p: UnscaledParams) -> tuple[float, float]:
     return lo, hi
 
 
-def _coast_distance_term(lam: float, lo: float, r: float) -> float:
-    """The branched inverse-hyperbolic part shared by F and the boundary formula.
+def _coast_distance_term(lam: float, diff: float, r: float) -> float:
+    """The branched inverse-hyperbolic part of F; diff = lam^2 - lo^2.
 
     The lam < 1 branch hides an identity: the arccosh argument squared
     minus one equals (lam^2 - lo^2)/(1 - lam^2), and 1 - r^2 = lo^2.
-    Factoring the difference of squares keeps the term exact at the
-    domain edge, where the naive argument rounds away from 1.
+    Taking the difference of squares as given keeps the term exact at
+    the domain edge, where the naive argument rounds away from 1.
     """
     if abs(lam - 1.0) <= _MID_BRANCH_TOL:
         return -math.log(r)
-    diff = (lam - lo) * (lam + lo)
     if lam < 1.0:
         om = (1.0 - lam) * (1.0 + lam)
         z = r / math.sqrt(om)
-        t = math.sqrt(max(diff, 0.0) / om)
+        t = math.sqrt(diff / om)
         return arctanh(lam) - math.log(z + t)
     return arccoth(lam) - math.asinh(r / math.sqrt((lam - 1.0) * (lam + 1.0)))
 
@@ -173,30 +172,34 @@ def half_length_function(lam: float, p: UnscaledParams) -> float:
     r = (p.Q - p.mu) / (p.Q + p.Hbar)
     s1 = math.sqrt(p.D / (p.Hbar + p.mu))
     s2 = math.sqrt(p.D / p.mu)
-    inner = ((p.Hbar + p.Q) / (p.Q - p.mu)) * math.sqrt(p.mu / (p.Hbar + p.mu)) * math.sqrt(
-        max((lam - lo) * (lam + lo), 0.0)
-    )
-    return s1 * _coast_distance_term(lam, lo, r) + s2 * arctanh(inner)
+    c = ((p.Hbar + p.Q) / (p.Q - p.mu)) * math.sqrt(p.mu / (p.Hbar + p.mu))
+    diff = (lam - lo) * (lam + lo)
+    return s1 * _coast_distance_term(lam, diff, r) + s2 * arctanh(c * math.sqrt(diff))
 
 
 def unscaled_reserve_boundary(p: UnscaledParams) -> Optional[float]:
-    """Reserve half-width in physical units, or None when no reserve is optimal.
+    """Reserve half-width B in physical units, or None when no reserve is optimal.
 
-    Inverts the half-length function at L/2 by bisection (it is
-    monotone), then applies the boundary formula at the root.
+    At lam = hypot(lo, w), w = tanh(B/s2)/c, the arctanh term of the
+    half-length function is B itself, so B solves s1*term + B = L/2 with
+    lam^2 - lo^2 = w^2 passed as built: increasing and finite on [0, L/2],
+    and bisected there.
     """
     if not p.Q > p.mu:
         return None
     if p.L <= unscaled_min_length(p):
         return None
-    lo, hi = half_length_domain(p)
-    pad = 1e-14 * (hi - lo)
-    # the domain is open at hi, and on a narrow domain hi - pad rounds to hi
-    top = min(hi - pad, math.nextafter(hi, lo))
-    lam = bisect_root(lambda s: half_length_function(s, p) - p.L / 2.0, lo + pad, top)
+    lo = half_length_domain(p)[0]
     r = (p.Q - p.mu) / (p.Q + p.Hbar)
     s1 = math.sqrt(p.D / (p.Hbar + p.mu))
-    return p.L / 2.0 - s1 * _coast_distance_term(lam, lo, r)
+    s2 = math.sqrt(p.D / p.mu)
+    c = ((p.Hbar + p.Q) / (p.Q - p.mu)) * math.sqrt(p.mu / (p.Hbar + p.mu))
+
+    def residual(b: float) -> float:
+        w = math.tanh(b / s2) / c
+        return s1 * _coast_distance_term(math.hypot(lo, w), w * w, r) - (p.L / 2.0 - b)
+
+    return bisect_root(residual, 0.0, p.L / 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import oracles
 from coastharvest import ScaledParams, derive_constants, optimal_policy
 from coastharvest.cli import main
 
@@ -58,6 +60,11 @@ class TestLmin:
     def test_physical_value_carries_the_length_unit(self, capsys):
         doc = run_json(capsys, "lmin", "--D", "2", "--mu", "1", "--Hbar", "1", "--Q", "2")
         assert doc["L_min"] == pytest.approx(doc["l_min"] * math.sqrt(2.0), rel=1e-12)
+
+    def test_huge_weight_keeps_a_tiny_threshold(self, capsys):
+        doc = run_json(capsys, "lmin", "--q", "1e300", "--hbar", "1")
+        assert doc["l_min"] == 2.8284271247461893e-150
+        assert doc["l_min"] == pytest.approx(float(oracles.min_length(1e300, 1)), rel=1e-15)
 
     def test_subcritical_weight_is_an_error(self, capsys):
         code, _, err = run(capsys, "lmin", "--q", "0.5", "--hbar", "1")
@@ -125,6 +132,18 @@ class TestSolve:
         assert len(lines) == 65
         x, u, v = (float(s) for s in lines[1].split(","))
         assert x == -1.0 and u == 0.0 and v > 0.0
+
+    @pytest.mark.parametrize("samples", ["1", "0", "-3"])
+    def test_too_few_profile_samples_is_an_error(self, capsys, tmp_path, samples):
+        path = tmp_path / "profile.csv"
+        code, out, err = run(
+            capsys, "solve", "--l", "2", "--q", "0.5", "--hbar", "1",
+            "--profile", str(path), "--samples", samples,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --samples must be at least 2\n"
+        assert not path.exists()
 
     def test_module_entry_point_prints_what_main_prints(self, capsys):
         _, want, _ = run(capsys, "solve", "--l", "4", "--q", "2", "--hbar", "1")
@@ -210,6 +229,17 @@ class TestVerify:
         assert out == ""
         assert err == "error: t_max must be positive and finite, got inf\n"
 
+    def test_overlong_run_is_a_parameter_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--l", "4", "--q", "2", "--hbar", "1",
+            "--cells", "6", "--centers", "5", "--widths", "9", "--tmax", "1e300",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: t_max / dt must be at most 1000000 steps, got t_max=1e+300, dt=0.01\n"
+        )
+
 
 class TestSweep:
     def test_length_sweep_finds_the_threshold(self, capsys, tmp_path):
@@ -234,6 +264,26 @@ class TestSweep:
         # Ts is reported only where the reserve exists
         for row in rows:
             assert (row[4] == "") == (row[2] == "false")
+
+    def test_length_sweep_runs_to_long_coasts(self, capsys, tmp_path):
+        path = tmp_path / "long.csv"
+        doc = run_json(
+            capsys, "sweep", "--q", "2", "--hbar", "1", "--param", "l",
+            "--from", "2", "--to", "200", "--steps", "41", "--out", str(path),
+        )
+        assert doc["points"] == 41
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [float(r[0]) for r in rows] == list(np.linspace(2.0, 200.0, 41))
+        assert rows[-1][2] == "true"
+        for row in rows:
+            d = optimal_policy(ScaledParams(l=float(row[0]), q=2.0, hbar=1.0)).diagnostics
+            assert float(row[3]) >= 0.0
+            assert max(
+                d.boundary_residual,
+                d.transversality_residual,
+                d.hamiltonian_deviation,
+                d.switching_violation,
+            ) <= 1e-8
 
     def test_weight_sweep_reports_a_decreasing_threshold(self, capsys, tmp_path):
         path = tmp_path / "qsweep.csv"
@@ -308,6 +358,16 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err == f"error: {field} must be positive and finite, got inf\n"
+
+    def test_overlong_run_is_a_parameter_error(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--l", "2", "--q", "0.5", "--hbar", "1", "--tmax", "1e300",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: t_max / dt must be at most 1000000 steps, got t_max=1e+300, dt=0.00390625\n"
+        )
 
 
 class TestParameterHandling:

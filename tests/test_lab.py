@@ -209,6 +209,16 @@ class TestPdeTimeStepper:
         with pytest.raises(ParameterError, match=f"^{field} must be positive and finite"):
             pde_time_stepper(constant_policy(sp.l, sp.hbar), sp, **{field: math.inf})
 
+    def test_step_count_is_capped(self, monkeypatch):
+        sp = ScaledParams(l=2.0, q=1.0, hbar=1.0)
+        pol = constant_policy(sp.l, sp.hbar)
+        with pytest.raises(ParameterError, match=r"got t_max=1e\+300, dt=0\.5$"):
+            pde_time_stepper(pol, sp, dt=0.5, t_max=1e300)
+        monkeypatch.setattr(lab, "MAX_STEPS", 10)
+        assert pde_time_stepper(pol, sp, dt=0.5, t_max=5.0).history[-1][0] == 5.0
+        with pytest.raises(ParameterError, match="at most 10 steps"):
+            pde_time_stepper(pol, sp, dt=0.5, t_max=5.5)
+
     @staticmethod
     def _dense_operators(run, pol):
         """Lumped mass and steady operator of the stepper's grid, densely."""

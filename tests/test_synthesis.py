@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from coastharvest import (
     ScaledParams,
     UnscaledParams,
     constant_control_objective,
+    derive_constants,
     half_length_domain,
     half_length_function,
     min_length,
@@ -20,6 +22,7 @@ from coastharvest import (
     optimal_policy,
     solve_adjoint,
     switch_location,
+    switch_time,
     to_scaled,
     unscaled_min_length,
     unscaled_reserve_boundary,
@@ -203,6 +206,45 @@ class TestUnscaledReserveBoundary:
         b = unscaled_reserve_boundary(p)
         assert b is not None
         assert 0.0 < b < 1e-3
+
+
+class TestHalfwidthRoot:
+    """Both routes solve for the reserve half-width itself."""
+
+    @pytest.mark.parametrize("l", [50.0, 200.0, 1e3, 1e4])
+    def test_long_coasts_agree_in_both_units_and_approach_the_limit(self, l):
+        sp = ScaledParams(l=l, q=2.0, hbar=1.0)
+        hw = optimal_policy(sp).reserve_halfwidth
+        p = UnscaledParams(D=1.0, R=1.0, mu=1.0, Hbar=1.0, Q=2.0, L=l)
+        assert unscaled_reserve_boundary(p) == pytest.approx(hw, rel=1e-12)
+        # past a few decay lengths the orbit starts at the escape level
+        dc = derive_constants(sp)
+        assert hw == pytest.approx(l / 2.0 - switch_time(dc.lam_starstar, dc), rel=1e-12)
+
+    def test_coast_past_the_old_root_bracket_has_small_residuals(self):
+        sol = optimal_policy(ScaledParams(l=31.0, q=2.0, hbar=1.0))
+        assert sol.policy.rates == (1.0, 0.0, 1.0)
+        d = sol.diagnostics
+        assert d.boundary_residual <= 1e-8
+        assert d.transversality_residual <= 1e-8
+        assert d.hamiltonian_deviation <= 1e-8
+        assert d.switching_violation <= 1e-8
+
+    @pytest.mark.parametrize("q, hbar", [(2.0, 1.0), (5.0, 0.1), (3.5, 2.5), (1.5, 0.5)])
+    @pytest.mark.parametrize("excess, rtol", [(1e-10, 1e-5), (1e-7, 1e-8), (1e-4, 1e-11)])
+    def test_just_above_the_threshold_both_routes_match_the_oracles(self, q, hbar, excess, rtol):
+        # the half-width is O(sqrt(l - l_min)) here: recovering it from
+        # lambda_bar through sqrt(lambda_bar^2 - lam_star^2) would cancel
+        l = min_length(ScaledParams(l=1.0, q=q, hbar=hbar)) * (1.0 + excess)
+        lam_bar = oracles.lambda_bar(l, q, hbar)
+        tilde = mpmath.sqrt(lam_bar**2 - oracles.constants(l, q, hbar)["lam_star"] ** 2)
+        want = float(oracles.after_switch_x(tilde, l, q, hbar))
+        sol = optimal_policy(ScaledParams(l=l, q=q, hbar=hbar))
+        assert sol.reserve_halfwidth == pytest.approx(want, rel=rtol)
+        assert sol.lambda_bar == pytest.approx(float(lam_bar), rel=1e-15)
+        p = UnscaledParams(D=1.0, R=1.0, mu=1.0, Hbar=hbar, Q=q, L=l)
+        want_b = float(oracles.reserve_boundary(1, 1, hbar, q, l))
+        assert unscaled_reserve_boundary(p) == pytest.approx(want_b, rel=rtol)
 
 
 class TestExtendBySymmetry:
