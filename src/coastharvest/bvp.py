@@ -14,21 +14,47 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .analytic import SegmentSolution, edge_profile
+from .analytic import SegmentSolution, edge_basis, edge_profile
 from .policy import HarvestPolicy
 
 
-def _eval_segments(segments, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (value, derivative) of a piecewise hyperbolic profile."""
-    idx = np.searchsorted([s.x1 for s in segments[:-1]], xs, side="right")
-    table = np.array(
-        [(s.k, s.offset, s.u0 - s.offset, s.u1 - s.offset, s.x0, s.x1) for s in segments]
-    )
-    k, off, d0, d1, x0, x1 = table[idx].T
-    return edge_profile(np.exp, np.expm1, k, off, d0, d1, x0, x1, xs)
+# points of a profile's sampled grid, and of the Hamiltonian check
+_SAMPLES = 513
+_HAMILTONIAN_POINTS = 1000
+
+
+class _Pieces:
+    """A profile's segments as arrays, for evaluation at many points at once."""
+
+    def __init__(self, segments) -> None:
+        self.inner = np.array([s.x1 for s in segments[:-1]])
+        self.k, self.off, self.d0, self.d1, self.x0, self.x1 = np.array(
+            [(s.k, s.offset, s.u0 - s.offset, s.u1 - s.offset, s.x0, s.x1) for s in segments]
+        ).T
+
+    def basis(self, xs: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """The piece index of each x and the edge basis there."""
+        idx = np.searchsorted(self.inner, xs, side="right")
+        return idx, edge_basis(np.exp, np.expm1, self.k[idx], self.x0[idx], self.x1[idx], xs)
+
+    def profile(self, idx: np.ndarray, basis: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """(value, derivative) at the points of a basis from this geometry."""
+        return edge_profile(basis, self.off[idx], self.d0[idx], self.d1[idx])
+
+    def eval_many(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        return self.profile(*self.basis(np.asarray(xs, dtype=float)))
+
+    def grid(self, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        xs = np.linspace(self.x0[0], self.x1[-1], max(samples, 2))
+        return (xs, *self.eval_many(xs))
+
+
+def _geometry(segments) -> list[tuple[float, float, float]]:
+    return [(s.k, s.x0, s.x1) for s in segments]
 
 
 def _segment_at(segments, x: float) -> SegmentSolution:
@@ -43,39 +69,41 @@ def _flux_jump(segments) -> float:
     )
 
 
-def _grid(segments, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xs = np.linspace(segments[0].x0, segments[-1].x1, max(samples, 2))
-    return (xs, *_eval_segments(segments, xs))
-
-
 @dataclass(frozen=True)
 class StateProfile:
-    """Steady-state density: exact segments plus a sampled (x, u, v) grid."""
+    """Steady-state density: exact segments; the (x, u, v) grid is sampled on first read."""
 
     segments: tuple[SegmentSolution, ...]
-    samples: np.ndarray
     slope_left: float
     slope_right: float
     match_residual: float
+    n_samples: int = _SAMPLES
 
     @classmethod
-    def from_segments(cls, segments, samples: int = 513) -> "StateProfile":
-        """Sample the profile and read its end slopes and flux jumps off the segments."""
+    def from_segments(cls, segments, samples: int = _SAMPLES) -> "StateProfile":
+        """Read the end slopes and flux jumps off the segments."""
         first, last = segments[0], segments[-1]
         return cls(
             segments=tuple(segments),
-            samples=np.column_stack(_grid(segments, samples)),
             slope_left=first.deriv(first.x0),
             slope_right=last.deriv(last.x1),
             match_residual=_flux_jump(segments),
+            n_samples=samples,
         )
 
+    @cached_property
+    def _pieces(self) -> _Pieces:
+        return _Pieces(self.segments)
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        return np.column_stack(self._pieces.grid(self.n_samples))
+
     def value(self, x: float) -> tuple[float, float]:
-        seg = _segment_at(self.segments, x)
-        return seg.value(x), seg.deriv(x)
+        return _segment_at(self.segments, x).value_and_deriv(x)
 
     def eval_many(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _eval_segments(self.segments, np.asarray(xs, dtype=float))
+        return self._pieces.eval_many(xs)
 
     def write_csv(self, path: str) -> None:
         _write_csv(path, "x,u,v", self.samples)
@@ -83,30 +111,41 @@ class StateProfile:
 
 @dataclass(frozen=True)
 class AdjointProfile:
-    """Adjoint pair: segments describe lambda2; lambda1 = -lambda2'."""
+    """Adjoint pair: segments describe lambda2; lambda1 = -lambda2'.
+
+    The (x, lambda1, lambda2) grid is sampled on first read.
+    """
 
     segments: tuple[SegmentSolution, ...]
-    samples: np.ndarray
     lambda0: float
     match_residual: float
+    n_samples: int = _SAMPLES
 
     @classmethod
-    def from_segments(cls, segments, samples: int = 513) -> "AdjointProfile":
-        """Sample the pair and read lambda0 = lambda1(-l/2) and the flux jumps off the segments."""
-        xs, lam2, d = _grid(segments, samples)
+    def from_segments(cls, segments, samples: int = _SAMPLES) -> "AdjointProfile":
+        """Read lambda0 = lambda1(-l/2) and the flux jumps off the segments."""
         return cls(
             segments=tuple(segments),
-            samples=np.column_stack([xs, -d, lam2]),
             lambda0=-segments[0].deriv(segments[0].x0),
             match_residual=_flux_jump(segments),
+            n_samples=samples,
         )
 
+    @cached_property
+    def _pieces(self) -> _Pieces:
+        return _Pieces(self.segments)
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        xs, lam2, d = self._pieces.grid(self.n_samples)
+        return np.column_stack([xs, -d, lam2])
+
     def lambda_at(self, x: float) -> tuple[float, float]:
-        seg = _segment_at(self.segments, x)
-        return -seg.deriv(x), seg.value(x)
+        lam2, d = _segment_at(self.segments, x).value_and_deriv(x)
+        return -d, lam2
 
     def eval_many(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lam2, d = _eval_segments(self.segments, np.asarray(xs, dtype=float))
+        lam2, d = self._pieces.eval_many(xs)
         return -d, lam2
 
     def write_csv(self, path: str) -> None:
@@ -169,7 +208,7 @@ def _edge_solve(policy: HarvestPolicy, offset_of) -> tuple[SegmentSolution, ...]
     )
 
 
-def shoot_steady_state(policy: HarvestPolicy, samples: int = 513) -> StateProfile:
+def shoot_steady_state(policy: HarvestPolicy, samples: int = _SAMPLES) -> StateProfile:
     """Solve u'' = (1+h)u - 1 with u(+-l/2) = 0 for a given policy.
 
     The edge values come from the exact two-point solve shared with the
@@ -187,7 +226,7 @@ def evaluate_objective(policy: HarvestPolicy, profile: StateProfile, q: float) -
     return total / policy.l
 
 
-def solve_adjoint(policy: HarvestPolicy, q: float, samples: int = 513) -> AdjointProfile:
+def solve_adjoint(policy: HarvestPolicy, q: float) -> AdjointProfile:
     """Solve the adjoint pair with lambda2(+-l/2) = 0.
 
     lambda2 obeys the same segment structure as the state with constant
@@ -195,27 +234,28 @@ def solve_adjoint(policy: HarvestPolicy, q: float, samples: int = 513) -> Adjoin
     two-point solve fixes it.
     """
     l = policy.l
-    return AdjointProfile.from_segments(
-        _edge_solve(policy, lambda h: -(h + q) / ((1.0 + h) * l)), samples
-    )
+    return AdjointProfile.from_segments(_edge_solve(policy, lambda h: -(h + q) / ((1.0 + h) * l)))
 
 
 def hamiltonian_diagnostic(
-    state: StateProfile,
-    adjoint: AdjointProfile,
-    policy: HarvestPolicy,
-    q: float,
-    n: int = 1000,
+    state: StateProfile, adjoint: AdjointProfile, policy: HarvestPolicy, q: float
 ) -> float:
-    """Max deviation of the Hamiltonian from its mean over an n-point grid.
+    """Max deviation of the Hamiltonian from its mean over a 1000-point grid.
 
     Along a true extremal of this autonomous problem the Hamiltonian is
     a constant, switches included; a misplaced switch shows up as a jump.
+    A state and adjoint of one policy lie on the same pieces, so they
+    share one edge basis on the grid.
     """
     l = policy.l
-    xs = np.linspace(-l / 2.0, l / 2.0, n)
-    u, v = state.eval_many(xs)
-    lam1, lam2 = adjoint.eval_many(xs)
+    xs = np.linspace(-l / 2.0, l / 2.0, _HAMILTONIAN_POINTS)
+    pieces, adj_pieces = state._pieces, adjoint._pieces
+    idx, basis = pieces.basis(xs)
+    u, v = pieces.profile(idx, basis)
+    if _geometry(adjoint.segments) != _geometry(state.segments):
+        idx, basis = adj_pieces.basis(xs)
+    lam2, d = adj_pieces.profile(idx, basis)
+    lam1 = -d
     bp = np.array(policy.breakpoints[1:-1])
     idx = np.searchsorted(bp, xs, side="right")
     h = np.array(policy.rates)[idx]

@@ -186,7 +186,7 @@ def reserve_sweep(sp: ScaledParams, centers: int, widths: int) -> SweepResult:
     for c in np.linspace(-sp.l / 4.0, sp.l / 4.0, centers):
         for w in np.linspace(0.0, sp.l, widths):
             pol = single_reserve_policy(sp.l, c - w / 2.0, c + w / 2.0, sp.hbar)
-            profile = shoot_steady_state(pol, samples=2)
+            profile = shoot_steady_state(pol)
             candidates.append(
                 (
                     {"center": float(c), "width": float(w)},

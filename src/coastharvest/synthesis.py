@@ -126,11 +126,16 @@ def optimal_policy(sp: ScaledParams) -> OptimalSolution:
 
 
 def unscaled_min_length(p: UnscaledParams) -> float:
-    """Threshold coastline length in physical units; requires Q > mu."""
+    """Threshold coastline length in physical units; requires Q > mu.
+
+    The log1p form of switching.min_length in the original units:
+    2*sqrt(D/(Hbar+mu)) * log1p((Hbar+mu+s)/(Q-mu)) with
+    s = sqrt((Hbar+mu)(Hbar+2Q-mu)), exact as Q -> mu.
+    """
     if not p.Q > p.mu:
         raise ParameterError(f"threshold length requires Q > mu, got Q={p.Q!r}, mu={p.mu!r}")
-    arg = math.sqrt((p.Hbar + p.mu) * (p.Hbar + 2.0 * p.Q - p.mu)) / (p.Hbar + p.Q)
-    return 2.0 * math.sqrt(p.D / (p.Hbar + p.mu)) * arctanh(arg)
+    s = math.sqrt((p.Hbar + p.mu) * (p.Hbar + 2.0 * p.Q - p.mu))
+    return 2.0 * math.sqrt(p.D / (p.Hbar + p.mu)) * math.log1p((p.Hbar + p.mu + s) / (p.Q - p.mu))
 
 
 def half_length_domain(p: UnscaledParams) -> tuple[float, float]:
@@ -228,7 +233,7 @@ def extend_by_symmetry(half: AdjointProfile) -> AdjointProfile:
         for s in reversed(half.segments)
     )
     return AdjointProfile.from_segments(
-        tuple(half.segments) + mirrored, max(2 * len(half.samples) - 1, 3)
+        tuple(half.segments) + mirrored, max(2 * half.n_samples - 1, 3)
     )
 
 

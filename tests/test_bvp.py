@@ -169,7 +169,6 @@ class TestEvaluateObjective:
         flat = SegmentSolution(k=1.0, offset=0.0, u0=0.0, u1=0.0, x0=-1.0, x1=1.0)
         prof = StateProfile(
             segments=(flat,),
-            samples=np.zeros((2, 3)),
             slope_left=0.0,
             slope_right=0.0,
             match_residual=0.0,

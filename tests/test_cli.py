@@ -87,6 +87,12 @@ class TestSolve:
         assert doc["l_min"] == pytest.approx(2.4929009605609234, rel=1e-10)
         assert "lambda_bar" in doc and "Ts" not in doc
 
+    def test_weight_just_above_one_keeps_the_cap(self, capsys):
+        doc = run_json(capsys, "solve", "--l", "26", "--q", "1.00000001", "--hbar", "1")
+        assert doc["l_min"] == pytest.approx(float(oracles.min_length(1.00000001, 1)), rel=1e-14)
+        assert doc["reserve"]["present"] is False
+        assert "Ts" not in doc
+
     def test_reserve_regime(self, capsys):
         doc = run_json(capsys, "solve", "--l", "4", "--q", "2", "--hbar", "1")
         hw = doc["reserve"]["halfwidth"]

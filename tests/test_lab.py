@@ -110,6 +110,15 @@ class TestReserveSweep:
         # the first index
         assert res.best == 0
 
+    @pytest.mark.parametrize(
+        "sp", [OPTIMAL_SP, ScaledParams(l=20.0, q=0.5, hbar=3.0), ScaledParams(l=2.0, q=2.0, hbar=1.0)]
+    )
+    def test_every_candidate_is_the_objective_of_its_block_policy(self, sp):
+        for desc, obj in reserve_sweep(sp, centers=5, widths=7).candidates:
+            c, w = desc["center"], desc["width"]
+            pol = single_reserve_policy(sp.l, c - w / 2.0, c + w / 2.0, sp.hbar)
+            assert obj == evaluate_objective(pol, shoot_steady_state(pol), sp.q)
+
     def test_grid_validation(self):
         with pytest.raises(ParameterError):
             reserve_sweep(OPTIMAL_SP, centers=1, widths=21)

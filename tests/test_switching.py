@@ -229,6 +229,12 @@ class TestMinLength:
         assert got == pytest.approx(2.4929009605609234, rel=1e-12)
         assert got == pytest.approx(float(oracles.min_length(2, 1)), rel=1e-14)
 
+    @pytest.mark.parametrize("hbar", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("q", [1.0 + 1e-12, 1.0 + 1e-8, 1.0 + 1e-6, 1.0001])
+    def test_exact_as_the_weight_approaches_one(self, q, hbar):
+        got = min_length(ScaledParams(l=1.0, q=q, hbar=hbar))
+        assert got == pytest.approx(float(oracles.min_length(q, hbar)), rel=1e-14)
+
     def test_diverges_as_the_weight_approaches_one(self):
         assert min_length(ScaledParams(l=1.0, q=1.0 + 1e-6, hbar=1.0)) > 20.0
 

@@ -1,5 +1,6 @@
 """Optimal-policy construction and the physical-unit cross-check layer."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -14,12 +15,14 @@ from coastharvest import (
     UnscaledParams,
     constant_control_objective,
     derive_constants,
+    evaluate_objective,
     half_length_domain,
     half_length_function,
     min_length,
     neumann_objective,
     neumann_variant_policy,
     optimal_policy,
+    shoot_steady_state,
     solve_adjoint,
     switch_location,
     switch_time,
@@ -103,6 +106,61 @@ class TestOptimalPolicy:
         assert above.policy.rates == (hbar, 0.0, hbar)
 
 
+def _diagnostics_by_separate_evaluation(sp: ScaledParams, policy) -> tuple:
+    """objective_j and the four diagnostics, one eval_many call per profile and grid."""
+    l, q = sp.l, sp.q
+    state, adjoint = shoot_steady_state(policy), solve_adjoint(policy, q)
+    bp = np.array(policy.breakpoints[1:-1])
+
+    def rates(xs):
+        return np.array(policy.rates)[np.searchsorted(bp, xs, side="right")]
+
+    xs = np.linspace(-l / 2.0, l / 2.0, 1000)
+    u, v = state.eval_many(xs)
+    lam1, lam2 = adjoint.eval_many(xs)
+    h = rates(xs)
+    ham = (h + q) * u / l + lam1 * v + lam2 * ((1.0 + h) * u - 1.0)
+    grid = np.linspace(adjoint.segments[0].x0, adjoint.segments[-1].x1, 513)
+    lam2_grid = adjoint.eval_many(grid)[1]
+    line = -1.0 / l
+    viol = np.where(rates(grid) > 0.0, line - lam2_grid, lam2_grid - line)
+    ends = (-l / 2.0, l / 2.0)
+    return (
+        evaluate_objective(policy, state, q),
+        max(*(abs(state.value(x)[0]) for x in ends), state.match_residual),
+        max(*(abs(adjoint.lambda_at(x)[1]) for x in ends), adjoint.match_residual),
+        float(np.max(np.abs(ham - ham.mean()))),
+        float(max(np.max(viol), 0.0)),
+    )
+
+
+def _seeded_params(count: int) -> list[ScaledParams]:
+    """(l, q, hbar) in turn from q < 1, no reserve, and reserve, with l up to 1e4."""
+    rng = np.random.default_rng(20261018)
+    out = []
+    for i in range(count):
+        hbar = float(rng.uniform(0.3, 3.0))
+        if i % 3 == 0:
+            q, l = float(rng.uniform(0.05, 1.0)), float(10.0 ** rng.uniform(-0.5, 4.0))
+        else:
+            q = float(rng.uniform(1.2, 4.0))
+            lmin = min_length(ScaledParams(l=1.0, q=q, hbar=hbar))
+            if i % 3 == 1:
+                l = lmin * float(rng.uniform(0.3, 0.95))
+            else:
+                l = float(10.0 ** rng.uniform(math.log10(1.05 * lmin), 4.0))
+        out.append(ScaledParams(l=l, q=q, hbar=hbar))
+    return out
+
+
+class TestDiagnosticsReference:
+    @pytest.mark.parametrize("sp", _seeded_params(30), ids=lambda s: f"l{s.l:.4g}-q{s.q:.3g}")
+    def test_equal_to_separate_evaluation(self, sp):
+        sol = optimal_policy(sp)
+        got = (sol.objective_j, *dataclasses.astuple(sol.diagnostics))
+        assert got == _diagnostics_by_separate_evaluation(sp, sol.policy)
+
+
 class TestUnscaledMinLength:
     def test_identity_scaling_matches_the_scaled_threshold(self):
         p = UnscaledParams(D=1.0, R=1.0, mu=1.0, Hbar=1.0, Q=2.0, L=4.0)
@@ -124,6 +182,13 @@ class TestUnscaledMinLength:
         assert unscaled_min_length(p) == pytest.approx(
             float(oracles.unscaled_min_length(2, 1, 1, 2)), rel=1e-13
         )
+
+    @pytest.mark.parametrize("hbar", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("q", [1.0 + 1e-12, 1.0 + 1e-8, 1.0 + 1e-6, 1.0001])
+    def test_exact_as_the_weight_approaches_mu(self, q, hbar):
+        p = UnscaledParams(D=2.0, R=1.0, mu=0.5, Hbar=0.5 * hbar, Q=0.5 * q, L=4.0)
+        want = float(oracles.unscaled_min_length(p.D, p.mu, p.Hbar, p.Q))
+        assert unscaled_min_length(p) == pytest.approx(want, rel=1e-14)
 
     def test_requires_a_supercritical_weight(self):
         p = UnscaledParams(D=1.0, R=1.0, mu=1.0, Hbar=1.0, Q=0.5, L=4.0)
@@ -256,7 +321,7 @@ class TestExtendBySymmetry:
         left = tuple(s for s in full.segments if s.x1 <= 0.0)
         half = AdjointProfile(
             segments=left,
-            samples=full.samples[: len(full.samples) // 2 + 1],
+            n_samples=full.n_samples // 2 + 1,
             lambda0=full.lambda0,
             match_residual=full.match_residual,
         )
@@ -290,7 +355,7 @@ class TestExtendBySymmetry:
         # lambda2 = sinh(x+1) has lambda1(0) = -cosh(1), far off zero
         seg = SegmentSolution(k=1.0, offset=0.0, u0=0.0, u1=math.sinh(1.0), x0=-1.0, x1=0.0)
         bad = AdjointProfile(
-            segments=(seg,), samples=np.zeros((2, 3)), lambda0=0.0, match_residual=0.0
+            segments=(seg,), lambda0=0.0, match_residual=0.0
         )
         with pytest.raises(ParameterError):
             extend_by_symmetry(bad)
@@ -298,7 +363,7 @@ class TestExtendBySymmetry:
     def test_rejects_a_profile_not_ending_at_the_midpoint(self):
         seg = SegmentSolution(k=1.0, offset=0.0, u0=0.0, u1=math.sinh(1.5), x0=-1.0, x1=0.5)
         bad = AdjointProfile(
-            segments=(seg,), samples=np.zeros((2, 3)), lambda0=0.0, match_residual=0.0
+            segments=(seg,), lambda0=0.0, match_residual=0.0
         )
         with pytest.raises(ParameterError):
             extend_by_symmetry(bad)
