@@ -36,7 +36,6 @@ from .params import (
 from .policy import HarvestPolicy, cell_policy, constant_policy, single_reserve_policy
 from .switching import (
     DerivedConstants,
-    SaddleGeometry,
     derive_constants,
     hitting_time,
     min_length,
@@ -97,7 +96,6 @@ __all__ = [
     "OptimalSolution",
     "ParameterError",
     "PdeRun",
-    "SaddleGeometry",
     "ScaledParams",
     "SegmentSolution",
     "SolutionDiagnostics",

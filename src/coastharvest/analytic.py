@@ -18,28 +18,22 @@ from ._specfun import arccoth, arctanh, sech
 from .params import ParameterError
 
 
-def edge_basis(exp, expm1, k, x0, x1, x):
-    """The factors of edge_profile at x that depend on the segment alone, not its values.
+def edge_profile(exp, expm1, k, x0, x1, x, off, d0, d1):
+    """(u, u') at x of u'' = k^2 (u - off) on [x0, x1] with u - off = d0, d1 at the edges.
 
     u - off = (d0*sinh(k(x1-x)) + d1*sinh(k(x-x0))) / sinh(k(x1-x0)), with
     each ratio of sinh/cosh rewritten through the decaying exponentials
     e^(-k(x-x0)) and e^(-k(x1-x)): nothing overflows on any segment
     length, and the edge weights are exactly 1 and 0 at the edges.
-    Profiles on the same segments (a policy's state and adjoint) share
-    one basis.  Written for both math and numpy: pass their exp and expm1.
+    Written for both math and numpy: pass their exp and expm1.
     """
     a = k * (x - x0)
     b = k * (x1 - x)
     ea, eb = exp(-a), exp(-b)
     den = -expm1(-2.0 * (k * (x1 - x0)))
-    return k, ea, eb, -expm1(-2.0 * a), -expm1(-2.0 * b), 1.0 + ea * ea, 1.0 + eb * eb, den
-
-
-def edge_profile(basis, off, d0, d1):
-    """(u, u') of u'' = k^2 (u - off) with u - off = d0, d1 at the edges, from edge_basis."""
-    k, ea, eb, ma, mb, ca, cb, den = basis
+    ma, mb = -expm1(-2.0 * a), -expm1(-2.0 * b)
     u = off + (d0 * ea * mb + d1 * eb * ma) / den
-    du = k * (d1 * eb * ca - d0 * ea * cb) / den
+    du = k * (d1 * eb * (1.0 + ea * ea) - d0 * ea * (1.0 + eb * eb)) / den
     return u, du
 
 
@@ -67,8 +61,9 @@ class SegmentSolution:
 
     def value_and_deriv(self, x: float) -> tuple[float, float]:
         off = self.offset
-        basis = edge_basis(math.exp, math.expm1, self.k, self.x0, self.x1, x)
-        return edge_profile(basis, off, self.u0 - off, self.u1 - off)
+        return edge_profile(
+            math.exp, math.expm1, self.k, self.x0, self.x1, x, off, self.u0 - off, self.u1 - off
+        )
 
     def value(self, x: float) -> float:
         return self.value_and_deriv(x)[0]

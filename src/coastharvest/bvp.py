@@ -7,6 +7,11 @@ serves the state and the adjoint: the values at the interior edges are
 the unknowns, fixed by flux continuity, and a Dirichlet-to-Neumann
 sweep from each zero end eliminates them with positive terms only, so
 nothing is amplified on long coasts or cancels on thin segments.
+
+The Hamiltonian check is exact as well: it reads each piece at its two
+ends.  Only evaluation at many points (eval_many, the sampled state
+grid) uses numpy, which is imported on first such use, so solving and
+checking a policy load no numpy.
 """
 
 from __future__ import annotations
@@ -15,46 +20,43 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .analytic import SegmentSolution, edge_basis, edge_profile
+from .analytic import SegmentSolution, edge_profile
+from .params import ParameterError
 from .policy import HarvestPolicy
 
+if TYPE_CHECKING:
+    import numpy as np
 
-# points of a profile's sampled grid, and of the Hamiltonian check
+
+# points of a state profile's sampled grid
 _SAMPLES = 513
-_HAMILTONIAN_POINTS = 1000
 
 
 class _Pieces:
     """A profile's segments as arrays, for evaluation at many points at once."""
 
     def __init__(self, segments) -> None:
+        import numpy as np
+
+        self.np = np
         self.inner = np.array([s.x1 for s in segments[:-1]])
-        self.k, self.off, self.d0, self.d1, self.x0, self.x1 = np.array(
-            [(s.k, s.offset, s.u0 - s.offset, s.u1 - s.offset, s.x0, s.x1) for s in segments]
-        ).T
-
-    def basis(self, xs: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """The piece index of each x and the edge basis there."""
-        idx = np.searchsorted(self.inner, xs, side="right")
-        return idx, edge_basis(np.exp, np.expm1, self.k[idx], self.x0[idx], self.x1[idx], xs)
-
-    def profile(self, idx: np.ndarray, basis: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """(value, derivative) at the points of a basis from this geometry."""
-        return edge_profile(basis, self.off[idx], self.d0[idx], self.d1[idx])
+        self.span = (segments[0].x0, segments[-1].x1)
+        self.rows = np.array(
+            [(s.k, s.x0, s.x1, s.offset, s.u0 - s.offset, s.u1 - s.offset) for s in segments]
+        )
 
     def eval_many(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        return self.profile(*self.basis(np.asarray(xs, dtype=float)))
+        np = self.np
+        xs = np.asarray(xs, dtype=float)
+        k, x0, x1, off, d0, d1 = self.rows[np.searchsorted(self.inner, xs, side="right")].T
+        return edge_profile(np.exp, np.expm1, k, x0, x1, xs, off, d0, d1)
 
-    def grid(self, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        xs = np.linspace(self.x0[0], self.x1[-1], max(samples, 2))
-        return (xs, *self.eval_many(xs))
-
-
-def _geometry(segments) -> list[tuple[float, float, float]]:
-    return [(s.k, s.x0, s.x1) for s in segments]
+    def grid(self, samples: int) -> np.ndarray:
+        """Rows (x, w, w') at `samples` evenly spaced points of the whole profile."""
+        xs = self.np.linspace(*self.span, max(samples, 2))
+        return self.np.column_stack((xs, *self.eval_many(xs)))
 
 
 def _segment_at(segments, x: float) -> SegmentSolution:
@@ -97,7 +99,7 @@ class StateProfile:
 
     @cached_property
     def samples(self) -> np.ndarray:
-        return np.column_stack(self._pieces.grid(self.n_samples))
+        return self._pieces.grid(self.n_samples)
 
     def value(self, x: float) -> tuple[float, float]:
         return _segment_at(self.segments, x).value_and_deriv(x)
@@ -106,39 +108,32 @@ class StateProfile:
         return self._pieces.eval_many(xs)
 
     def write_csv(self, path: str) -> None:
-        _write_csv(path, "x,u,v", self.samples)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("x,u,v\n")
+            for row in self.samples:
+                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
 @dataclass(frozen=True)
 class AdjointProfile:
-    """Adjoint pair: segments describe lambda2; lambda1 = -lambda2'.
-
-    The (x, lambda1, lambda2) grid is sampled on first read.
-    """
+    """Adjoint pair: segments describe lambda2; lambda1 = -lambda2'."""
 
     segments: tuple[SegmentSolution, ...]
     lambda0: float
     match_residual: float
-    n_samples: int = _SAMPLES
 
     @classmethod
-    def from_segments(cls, segments, samples: int = _SAMPLES) -> "AdjointProfile":
+    def from_segments(cls, segments) -> "AdjointProfile":
         """Read lambda0 = lambda1(-l/2) and the flux jumps off the segments."""
         return cls(
             segments=tuple(segments),
             lambda0=-segments[0].deriv(segments[0].x0),
             match_residual=_flux_jump(segments),
-            n_samples=samples,
         )
 
     @cached_property
     def _pieces(self) -> _Pieces:
         return _Pieces(self.segments)
-
-    @cached_property
-    def samples(self) -> np.ndarray:
-        xs, lam2, d = self._pieces.grid(self.n_samples)
-        return np.column_stack([xs, -d, lam2])
 
     def lambda_at(self, x: float) -> tuple[float, float]:
         lam2, d = _segment_at(self.segments, x).value_and_deriv(x)
@@ -147,16 +142,6 @@ class AdjointProfile:
     def eval_many(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lam2, d = self._pieces.eval_many(xs)
         return -d, lam2
-
-    def write_csv(self, path: str) -> None:
-        _write_csv(path, "x,lambda1,lambda2", self.samples)
-
-
-def _write_csv(path: str, header: str, rows: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
 def _dtn_sweep(pieces) -> list[tuple[float, float]]:
@@ -240,24 +225,22 @@ def solve_adjoint(policy: HarvestPolicy, q: float) -> AdjointProfile:
 def hamiltonian_diagnostic(
     state: StateProfile, adjoint: AdjointProfile, policy: HarvestPolicy, q: float
 ) -> float:
-    """Max deviation of the Hamiltonian from its mean over a 1000-point grid.
+    """Half the spread (max - min) of the Hamiltonian over the ends of every piece.
 
-    Along a true extremal of this autonomous problem the Hamiltonian is
-    a constant, switches included; a misplaced switch shows up as a jump.
-    A state and adjoint of one policy lie on the same pieces, so they
-    share one edge basis on the grid.
+    Each piece solves an autonomous linear ODE exactly, so the
+    Hamiltonian is constant on it and its two ends hold the only value
+    it takes there.  Along a true extremal it is one constant across the
+    switches too; a misplaced switch shows up as a jump between pieces.
+    The state and the adjoint must lie on the same pieces.
     """
+    if [(s.x0, s.x1) for s in state.segments] != [(a.x0, a.x1) for a in adjoint.segments]:
+        raise ParameterError("the state and adjoint profiles lie on different pieces")
     l = policy.l
-    xs = np.linspace(-l / 2.0, l / 2.0, _HAMILTONIAN_POINTS)
-    pieces, adj_pieces = state._pieces, adjoint._pieces
-    idx, basis = pieces.basis(xs)
-    u, v = pieces.profile(idx, basis)
-    if _geometry(adjoint.segments) != _geometry(state.segments):
-        idx, basis = adj_pieces.basis(xs)
-    lam2, d = adj_pieces.profile(idx, basis)
-    lam1 = -d
-    bp = np.array(policy.breakpoints[1:-1])
-    idx = np.searchsorted(bp, xs, side="right")
-    h = np.array(policy.rates)[idx]
-    ham = (h + q) * u / l + lam1 * v + lam2 * ((1.0 + h) * u - 1.0)
-    return float(np.max(np.abs(ham - ham.mean())))
+    ham = []
+    for seg, adj in zip(state.segments, adjoint.segments):
+        h = policy.rate_at(0.5 * (seg.x0 + seg.x1))
+        for x in (seg.x0, seg.x1):
+            u, v = seg.value_and_deriv(x)
+            lam2, d = adj.value_and_deriv(x)
+            ham.append((h + q) * u / l - d * v + lam2 * ((1.0 + h) * u - 1.0))
+    return 0.5 * (max(ham) - min(ham))

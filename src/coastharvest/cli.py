@@ -15,8 +15,6 @@ import math
 import sys
 from typing import Optional
 
-import numpy as np
-
 from .bvp import shoot_steady_state
 from .params import (
     ScaledParams,
@@ -49,21 +47,21 @@ def _render(value, indent: int = 0) -> str:
             for k, v in value.items()
         ]
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, (list, tuple)):
         seq = list(value)
         if not seq:
             return "[]"
         rows = [f"{pad}  {_render(v, indent + 1)}" for v in seq]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return "null"
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"refusing to serialize non-finite value {value!r}")
         return format(float(value), ".17g")
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return str(int(value))
     return json.dumps(value)
 
@@ -194,6 +192,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks: list[dict] = []
 
     def record(name: str, value: float, threshold: float) -> None:
+        value = float(value)
         checks.append(
             {
                 "name": name,
@@ -258,6 +257,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     missing = [k for k, v in fixed.items() if v is None]
     if missing:
         raise CliError(f"sweep over {args.param} needs --{' and --'.join(missing)}")
+    import numpy as np
+
     rows = []
     for value in np.linspace(args.start, args.stop, args.steps):
         kw = dict(fixed)

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from ._specfun import arccoth, arctanh, bisect_root
 from .analytic import SegmentSolution
 from .bvp import (
@@ -57,32 +55,41 @@ class OptimalSolution:
     diagnostics: SolutionDiagnostics
 
 
-def _switching_violation(
-    adjoint: AdjointProfile, policy: HarvestPolicy, l: float
-) -> float:
-    """Worst sign violation of the bang-bang law over the adjoint samples."""
-    xs = adjoint.samples[:, 0]
-    lam2 = adjoint.samples[:, 2]
-    bp = np.array(policy.breakpoints[1:-1])
-    idx = np.searchsorted(bp, xs, side="right")
-    rates = np.array(policy.rates)[idx]
-    line = -1.0 / l
-    viol = np.where(rates > 0.0, line - lam2, lam2 - line)
-    return float(max(np.max(viol), 0.0))
+def _switching_violation(adjoint: AdjointProfile, policy: HarvestPolicy) -> float:
+    """Worst sign violation of the bang-bang law, lambda2 above -1/l exactly where h > 0.
+
+    On a piece, lambda2 - off is proportional to A*e^(-k(x-x0)) +
+    B*e^(-k(x1-x)), with A = d0 - d1*e^(-kw) and B = d1 - d0*e^(-kw) for
+    the edge values d0, d1 of lambda2 - off and the width w.  It has an
+    interior extremum only when A*B > 0, at x = (x0 + x1 + ln(A/B)/k)/2,
+    so the worst value on a piece is at one of its ends or there.
+    """
+    line = -1.0 / policy.l
+    worst = 0.0
+    for seg in adjoint.segments:
+        sign = 1.0 if policy.rate_at(0.5 * (seg.x0 + seg.x1)) > 0.0 else -1.0
+        lam2 = [seg.u0, seg.u1]
+        d0, d1 = seg.u0 - seg.offset, seg.u1 - seg.offset
+        e = math.exp(-seg.k * (seg.x1 - seg.x0))
+        a, b = d0 - d1 * e, d1 - d0 * e
+        if a * b > 0.0:
+            x = 0.5 * (seg.x0 + seg.x1 + math.log(a / b) / seg.k)
+            if seg.x0 < x < seg.x1:
+                lam2.append(seg.value(x))
+        worst = max(worst, *(sign * (line - v) for v in lam2))
+    return worst
 
 
 def _diagnose(policy: HarvestPolicy, q: float) -> tuple[float, SolutionDiagnostics]:
     state = shoot_steady_state(policy)
     adjoint = solve_adjoint(policy, q)
     j = evaluate_objective(policy, state, q)
-    l = policy.l
-    u_ends = [abs(state.value(x)[0]) for x in (-l / 2.0, l / 2.0)]
-    lam2_ends = [abs(adjoint.lambda_at(x)[1]) for x in (-l / 2.0, l / 2.0)]
+    u, lam2 = state.segments, adjoint.segments
     diag = SolutionDiagnostics(
-        boundary_residual=max(*u_ends, state.match_residual),
-        transversality_residual=max(*lam2_ends, adjoint.match_residual),
+        boundary_residual=max(abs(u[0].u0), abs(u[-1].u1), state.match_residual),
+        transversality_residual=max(abs(lam2[0].u0), abs(lam2[-1].u1), adjoint.match_residual),
         hamiltonian_deviation=hamiltonian_diagnostic(state, adjoint, policy, q),
-        switching_violation=_switching_violation(adjoint, policy, l),
+        switching_violation=_switching_violation(adjoint, policy),
     )
     return j, diag
 
@@ -232,9 +239,7 @@ def extend_by_symmetry(half: AdjointProfile) -> AdjointProfile:
         SegmentSolution(k=s.k, offset=s.offset, u0=s.u1, u1=s.u0, x0=-s.x1, x1=-s.x0)
         for s in reversed(half.segments)
     )
-    return AdjointProfile.from_segments(
-        tuple(half.segments) + mirrored, max(2 * half.n_samples - 1, 3)
-    )
+    return AdjointProfile.from_segments(tuple(half.segments) + mirrored)
 
 
 def neumann_objective(hhat: float, q: float) -> float:

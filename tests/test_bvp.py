@@ -282,3 +282,13 @@ class TestHamiltonianDiagnostic:
         state = shoot_steady_state(bad)
         adj = solve_adjoint(bad, OPTIMAL_SP.q)
         assert hamiltonian_diagnostic(state, adj, bad, OPTIMAL_SP.q) > 1e-4
+
+    def test_rejects_profiles_on_different_pieces(self):
+        from coastharvest.policy import constant_policy
+
+        good = three_segment_policy()
+        other = constant_policy(OPTIMAL_SP.l, OPTIMAL_SP.hbar)
+        state = shoot_steady_state(good)
+        adj = solve_adjoint(other, OPTIMAL_SP.q)
+        with pytest.raises(ParameterError):
+            hamiltonian_diagnostic(state, adj, good, OPTIMAL_SP.q)

@@ -1,4 +1,4 @@
-"""The closed-form commands start without scipy; `lab` loads on first use."""
+"""The closed-form commands start without numpy or scipy; `lab` loads on first use."""
 
 import os
 import subprocess
@@ -33,6 +33,38 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 def test_closed_form_commands_do_not_load_scipy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, str(tmp_path / "sweep.csv")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+NO_NUMPY_CHILD = """
+import contextlib, io, sys
+import coastharvest
+from coastharvest.cli import main
+
+commands = [
+    ["solve", "--l", "4", "--q", "2", "--hbar", "1"],
+    ["solve", "--l", "2", "--q", "2.5", "--hbar", "1.5"],
+    ["solve", "--l", "3", "--q", "0.5", "--hbar", "1"],
+    ["solve", "--D", "2", "--mu", "1", "--Hbar", "1", "--Q", "2", "--L", "8"],
+    ["lmin", "--q", "2", "--hbar", "1"],
+    ["scale", "--D", "4", "--R", "3", "--mu", "1", "--Hbar", "1", "--Q", "0.5", "--L", "4"],
+]
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+"""
+
+
+def test_import_and_closed_form_solves_do_not_load_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_CHILD],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},

@@ -1,6 +1,5 @@
 """Optimal-policy construction and the physical-unit cross-check layer."""
 
-import dataclasses
 import math
 
 import mpmath
@@ -31,9 +30,11 @@ from coastharvest import (
     unscaled_reserve_boundary,
 )
 from coastharvest.bvp import AdjointProfile
-from coastharvest.synthesis import extend_by_symmetry
+from coastharvest.synthesis import _diagnose, extend_by_symmetry
 from coastharvest.analytic import SegmentSolution
-from coastharvest.policy import constant_policy
+from coastharvest.policy import HarvestPolicy, constant_policy, single_reserve_policy
+
+EPS = np.finfo(float).eps
 
 
 class TestOptimalPolicy:
@@ -106,32 +107,41 @@ class TestOptimalPolicy:
         assert above.policy.rates == (hbar, 0.0, hbar)
 
 
-def _diagnostics_by_separate_evaluation(sp: ScaledParams, policy) -> tuple:
-    """objective_j and the four diagnostics, one eval_many call per profile and grid."""
-    l, q = sp.l, sp.q
+def _dense_grid_diagnostics(policy, q: float, points: int = 2001) -> list[tuple[float, float]]:
+    """Half the spread of the Hamiltonian and the worst switching violation,
+    read off `points` eval_many samples of each piece, its ends included.
+
+    Each comes with the size of the terms that round in it.  Interior
+    samples pass through more exponentials than piece ends, so a grid
+    value can exceed the exact one by rounding: 21 ulps of that size at
+    l = 0.398, the worst of the seeded points.
+    """
+    l = policy.l
     state, adjoint = shoot_steady_state(policy), solve_adjoint(policy, q)
-    bp = np.array(policy.breakpoints[1:-1])
+    ham, ham_size, viol, viol_size = [], 0.0, [0.0], 1.0 / l
+    for seg in adjoint.segments:
+        h = policy.rate_at(0.5 * (seg.x0 + seg.x1))
+        xs = np.linspace(seg.x0, seg.x1, points)
+        u, v = state.eval_many(xs)
+        lam1, lam2 = adjoint.eval_many(xs)
+        terms = ((h + q) * u / l, lam1 * v, lam2 * ((1.0 + h) * u - 1.0))
+        ham.extend(sum(terms))
+        ham_size = max(ham_size, float(np.max(sum(np.abs(t) for t in terms))))
+        viol.extend(-1.0 / l - lam2 if h > 0.0 else lam2 + 1.0 / l)
+        viol_size = max(viol_size, float(np.max(np.abs(lam2))))
+    return [(0.5 * (max(ham) - min(ham)), ham_size), (float(max(viol)), viol_size)]
 
-    def rates(xs):
-        return np.array(policy.rates)[np.searchsorted(bp, xs, side="right")]
 
-    xs = np.linspace(-l / 2.0, l / 2.0, 1000)
-    u, v = state.eval_many(xs)
-    lam1, lam2 = adjoint.eval_many(xs)
-    h = rates(xs)
-    ham = (h + q) * u / l + lam1 * v + lam2 * ((1.0 + h) * u - 1.0)
-    grid = np.linspace(adjoint.segments[0].x0, adjoint.segments[-1].x1, 513)
-    lam2_grid = adjoint.eval_many(grid)[1]
-    line = -1.0 / l
-    viol = np.where(rates(grid) > 0.0, line - lam2_grid, lam2_grid - line)
-    ends = (-l / 2.0, l / 2.0)
-    return (
-        evaluate_objective(policy, state, q),
-        max(*(abs(state.value(x)[0]) for x in ends), state.match_residual),
-        max(*(abs(adjoint.lambda_at(x)[1]) for x in ends), adjoint.match_residual),
-        float(np.max(np.abs(ham - ham.mean()))),
-        float(max(np.max(viol), 0.0)),
-    )
+def _assert_exact_values_match_the_grid(diag, policy, q: float) -> None:
+    exact = (diag.hamiltonian_deviation, diag.switching_violation)
+    for got, (grid, size) in zip(exact, _dense_grid_diagnostics(policy, q)):
+        assert grid - 64.0 * EPS * size <= got
+        assert abs(got - grid) <= 1e-12
+
+
+def _widened_reserve(sp: ScaledParams, delta: float):
+    hw = optimal_policy(sp).reserve_halfwidth
+    return single_reserve_policy(sp.l, -hw - delta, hw + delta, sp.hbar)
 
 
 def _seeded_params(count: int) -> list[ScaledParams]:
@@ -155,10 +165,61 @@ def _seeded_params(count: int) -> list[ScaledParams]:
 
 class TestDiagnosticsReference:
     @pytest.mark.parametrize("sp", _seeded_params(30), ids=lambda s: f"l{s.l:.4g}-q{s.q:.3g}")
-    def test_equal_to_separate_evaluation(self, sp):
+    def test_exact_values_match_a_dense_grid(self, sp):
         sol = optimal_policy(sp)
-        got = (sol.objective_j, *dataclasses.astuple(sol.diagnostics))
-        assert got == _diagnostics_by_separate_evaluation(sp, sol.policy)
+        state, adjoint = shoot_steady_state(sol.policy), solve_adjoint(sol.policy, sp.q)
+        assert sol.objective_j == evaluate_objective(sol.policy, state, sp.q)
+        d = sol.diagnostics
+        # the coast ends hold the boundary values exactly
+        assert d.boundary_residual == state.match_residual
+        assert d.transversality_residual == adjoint.match_residual
+        _assert_exact_values_match_the_grid(d, sol.policy, sp.q)
+
+    @pytest.mark.parametrize(
+        "sp, delta",
+        [
+            (ScaledParams(l=4.0, q=2.0, hbar=1.0), 1e-6),
+            (ScaledParams(l=4.0, q=2.0, hbar=1.0), -1e-4),
+            (ScaledParams(l=1000.0, q=2.0, hbar=1.0), 1e-3),
+        ],
+    )
+    def test_a_widened_reserve_matches_a_dense_grid(self, sp, delta):
+        pol = _widened_reserve(sp, delta)
+        _assert_exact_values_match_the_grid(_diagnose(pol, sp.q)[1], pol, sp.q)
+
+
+class TestExactDiagnostics:
+    """A misplaced switch is seen however close it is: no grid to fall between."""
+
+    @pytest.mark.parametrize(
+        "sp, delta, floor",
+        [
+            (ScaledParams(l=4.0, q=2.0, hbar=1.0), 1e-6, 1e-7),
+            # at l = 1000 lambda2 crosses the line with slope ~1e-3
+            (ScaledParams(l=1000.0, q=2.0, hbar=1.0), 1e-3, 5e-7),
+        ],
+    )
+    def test_a_slightly_widened_reserve_violates_the_switching_law(self, sp, delta, floor):
+        assert _diagnose(_widened_reserve(sp, delta), sp.q)[1].switching_violation > floor
+
+    def test_a_reserve_where_none_is_optimal_breaks_hamiltonian_constancy(self):
+        sp = ScaledParams(l=2.0, q=2.5, hbar=1.5)
+        assert sp.l < min_length(sp)
+        pol = single_reserve_policy(sp.l, -1e-3, 1e-3, sp.hbar)
+        assert _diagnose(pol, sp.q)[1].hamiltonian_deviation > 1e-3
+
+    def test_the_worst_violation_inside_a_piece_is_found(self):
+        # lambda2 is lowest at x ~ 1.80, inside the piece [1, 5], and sits
+        # about 3e-3 lower there than at any piece end
+        pol = HarvestPolicy((-5.0, 1.0, 5.0), (1.0, 0.5))
+        adjoint = solve_adjoint(pol, 2.0)
+        ends = max(-0.1 - lam2 for s in adjoint.segments for lam2 in (s.u0, s.u1))
+        got = _diagnose(pol, 2.0)[1].switching_violation
+        xs = np.linspace(1.0, 5.0, 400001)
+        grid = float(np.max(-0.1 - adjoint.eval_many(xs)[1]))
+        assert got > ends + 1e-3
+        # spacing 1e-5 and |lambda2''| < 0.1 bound the grid's shortfall by 1e-11
+        assert grid - 1e-15 <= got <= grid + 1e-11
 
 
 class TestUnscaledMinLength:
@@ -321,7 +382,6 @@ class TestExtendBySymmetry:
         left = tuple(s for s in full.segments if s.x1 <= 0.0)
         half = AdjointProfile(
             segments=left,
-            n_samples=full.n_samples // 2 + 1,
             lambda0=full.lambda0,
             match_residual=full.match_residual,
         )
