@@ -18,8 +18,7 @@ from .analytic import (
     switch_level,
 )
 from .bvp import (
-    AdjointProfile,
-    StateProfile,
+    Profile,
     evaluate_objective,
     hamiltonian_diagnostic,
     shoot_steady_state,
@@ -89,17 +88,16 @@ def __dir__() -> list[str]:
 
 
 __all__ = [
-    "AdjointProfile",
     "DerivedConstants",
     "HarvestPolicy",
     "IndeterminateError",
     "OptimalSolution",
     "ParameterError",
     "PdeRun",
+    "Profile",
     "ScaledParams",
     "SegmentSolution",
     "SolutionDiagnostics",
-    "StateProfile",
     "SweepResult",
     "UnscaledParams",
     "adjoint_constant_hbar",

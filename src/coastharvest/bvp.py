@@ -3,15 +3,15 @@
 Within a segment both problems reduce to w'' = k^2 (w - off) with
 k = sqrt(1+h), so a segment's solution is fixed exactly by its two edge
 values and no step-size error enters anywhere.  One two-point solve
-serves the state and the adjoint: the values at the interior edges are
-the unknowns, fixed by flux continuity, and a Dirichlet-to-Neumann
-sweep from each zero end eliminates them with positive terms only, so
-nothing is amplified on long coasts or cancels on thin segments.
+serves the state and the adjoint, and both come back as one `Profile`:
+the values at the interior edges are the unknowns, fixed by flux
+continuity, and a Dirichlet-to-Neumann sweep from each zero end
+eliminates them with positive terms only, so nothing is amplified on
+long coasts or cancels on thin segments.
 
 The Hamiltonian check is exact as well: it reads each piece at its two
-ends.  Only evaluation at many points (eval_many, the sampled state
-grid) uses numpy, which is imported on first such use, so solving and
-checking a policy load no numpy.
+ends.  Only Profile.eval_many uses numpy, which it imports on first
+use, so solving and checking a policy load no numpy.
 """
 
 from __future__ import annotations
@@ -30,118 +30,39 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-# points of a state profile's sampled grid
-_SAMPLES = 513
-
-
-class _Pieces:
-    """A profile's segments as arrays, for evaluation at many points at once."""
-
-    def __init__(self, segments) -> None:
-        import numpy as np
-
-        self.np = np
-        self.inner = np.array([s.x1 for s in segments[:-1]])
-        self.span = (segments[0].x0, segments[-1].x1)
-        self.rows = np.array(
-            [(s.k, s.x0, s.x1, s.offset, s.u0 - s.offset, s.u1 - s.offset) for s in segments]
-        )
-
-    def eval_many(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        np = self.np
-        xs = np.asarray(xs, dtype=float)
-        k, x0, x1, off, d0, d1 = self.rows[np.searchsorted(self.inner, xs, side="right")].T
-        return edge_profile(np.exp, np.expm1, k, x0, x1, xs, off, d0, d1)
-
-    def grid(self, samples: int) -> np.ndarray:
-        """Rows (x, w, w') at `samples` evenly spaced points of the whole profile."""
-        xs = self.np.linspace(*self.span, max(samples, 2))
-        return self.np.column_stack((xs, *self.eval_many(xs)))
-
-
-def _segment_at(segments, x: float) -> SegmentSolution:
-    return segments[bisect.bisect_right([s.x1 for s in segments[:-1]], x)]
-
-
-def _flux_jump(segments) -> float:
-    """Largest jump of the derivative across the interior edges."""
-    return max(
-        (abs(a.deriv(a.x1) - b.deriv(b.x0)) for a, b in zip(segments, segments[1:])),
-        default=0.0,
-    )
-
-
 @dataclass(frozen=True)
-class StateProfile:
-    """Steady-state density: exact segments; the (x, u, v) grid is sampled on first read."""
+class Profile:
+    """Exact solution w of a two-point problem, as segments: the state u or the adjoint lambda2.
+
+    For the adjoint, lambda1 = -lambda2'.
+    """
 
     segments: tuple[SegmentSolution, ...]
-    slope_left: float
-    slope_right: float
-    match_residual: float
-    n_samples: int = _SAMPLES
 
-    @classmethod
-    def from_segments(cls, segments, samples: int = _SAMPLES) -> "StateProfile":
-        """Read the end slopes and flux jumps off the segments."""
-        first, last = segments[0], segments[-1]
-        return cls(
-            segments=tuple(segments),
-            slope_left=first.deriv(first.x0),
-            slope_right=last.deriv(last.x1),
-            match_residual=_flux_jump(segments),
-            n_samples=samples,
+    @cached_property
+    def match_residual(self) -> float:
+        """Largest jump of w' across the interior edges."""
+        return max(
+            (abs(a.deriv(a.x1) - b.deriv(b.x0)) for a, b in zip(self.segments, self.segments[1:])),
+            default=0.0,
         )
-
-    @cached_property
-    def _pieces(self) -> _Pieces:
-        return _Pieces(self.segments)
-
-    @cached_property
-    def samples(self) -> np.ndarray:
-        return self._pieces.grid(self.n_samples)
 
     def value(self, x: float) -> tuple[float, float]:
-        return _segment_at(self.segments, x).value_and_deriv(x)
+        """(w, w') at x."""
+        inner = [s.x1 for s in self.segments[:-1]]
+        return self.segments[bisect.bisect_right(inner, x)].value_and_deriv(x)
 
-    def eval_many(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._pieces.eval_many(xs)
+    def eval_many(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """(w, w') at every point of xs."""
+        import numpy as np
 
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("x,u,v\n")
-            for row in self.samples:
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-
-
-@dataclass(frozen=True)
-class AdjointProfile:
-    """Adjoint pair: segments describe lambda2; lambda1 = -lambda2'."""
-
-    segments: tuple[SegmentSolution, ...]
-    lambda0: float
-    match_residual: float
-
-    @classmethod
-    def from_segments(cls, segments) -> "AdjointProfile":
-        """Read lambda0 = lambda1(-l/2) and the flux jumps off the segments."""
-        return cls(
-            segments=tuple(segments),
-            lambda0=-segments[0].deriv(segments[0].x0),
-            match_residual=_flux_jump(segments),
+        xs = np.asarray(xs, dtype=float)
+        rows = np.array(
+            [(s.k, s.x0, s.x1, s.offset, s.u0 - s.offset, s.u1 - s.offset) for s in self.segments]
         )
-
-    @cached_property
-    def _pieces(self) -> _Pieces:
-        return _Pieces(self.segments)
-
-    def lambda_at(self, x: float) -> tuple[float, float]:
-        lam2, d = _segment_at(self.segments, x).value_and_deriv(x)
-        return -d, lam2
-
-    def eval_many(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lam2, d = self._pieces.eval_many(xs)
-        return -d, lam2
+        inner = np.array([s.x1 for s in self.segments[:-1]])
+        k, x0, x1, off, d0, d1 = rows[np.searchsorted(inner, xs, side="right")].T
+        return edge_profile(np.exp, np.expm1, k, x0, x1, xs, off, d0, d1)
 
 
 def _dtn_sweep(pieces) -> list[tuple[float, float]]:
@@ -193,16 +114,16 @@ def _edge_solve(policy: HarvestPolicy, offset_of) -> tuple[SegmentSolution, ...]
     )
 
 
-def shoot_steady_state(policy: HarvestPolicy, samples: int = _SAMPLES) -> StateProfile:
+def shoot_steady_state(policy: HarvestPolicy) -> Profile:
     """Solve u'' = (1+h)u - 1 with u(+-l/2) = 0 for a given policy.
 
     The edge values come from the exact two-point solve shared with the
-    adjoint; the slopes u'(+-l/2) are read off the end segments.
+    adjoint.
     """
-    return StateProfile.from_segments(_edge_solve(policy, lambda h: 1.0 / (1.0 + h)), samples)
+    return Profile(_edge_solve(policy, lambda h: 1.0 / (1.0 + h)))
 
 
-def evaluate_objective(policy: HarvestPolicy, profile: StateProfile, q: float) -> float:
+def evaluate_objective(policy: HarvestPolicy, profile: Profile, q: float) -> float:
     """j = (1/l) * integral of (q + h(x)) u(x), segment by segment in closed form."""
     total = 0.0
     for seg in profile.segments:
@@ -211,19 +132,25 @@ def evaluate_objective(policy: HarvestPolicy, profile: StateProfile, q: float) -
     return total / policy.l
 
 
-def solve_adjoint(policy: HarvestPolicy, q: float) -> AdjointProfile:
-    """Solve the adjoint pair with lambda2(+-l/2) = 0.
+def solve_adjoint(policy: HarvestPolicy, q: float) -> Profile:
+    """Solve the adjoint pair with lambda2(+-l/2) = 0; the profile is lambda2.
 
     lambda2 obeys the same segment structure as the state with constant
     term -(h+q)/((1+h) l), and lambda1 = -lambda2'; the same exact
     two-point solve fixes it.
     """
     l = policy.l
-    return AdjointProfile.from_segments(_edge_solve(policy, lambda h: -(h + q) / ((1.0 + h) * l)))
+    segments = _edge_solve(policy, lambda h: -(h + q) / ((1.0 + h) * l))
+    # the offset, or the flux maps built from it, overflow on a short coast
+    if not all(math.isfinite(s.offset) and math.isfinite(s.u1) for s in segments):
+        raise ParameterError(
+            f"the adjoint overflows at (l, q, hbar) = ({l!r}, {q!r}, {policy.max_rate!r})"
+        )
+    return Profile(segments)
 
 
 def hamiltonian_diagnostic(
-    state: StateProfile, adjoint: AdjointProfile, policy: HarvestPolicy, q: float
+    state: Profile, adjoint: Profile, policy: HarvestPolicy, q: float
 ) -> float:
     """Half the spread (max - min) of the Hamiltonian over the ends of every piece.
 

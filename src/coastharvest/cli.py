@@ -3,7 +3,8 @@
 Subcommands: scale, lmin, solve, verify, sweep, simulate.  JSON reports
 go to standard output with floats at 17 significant digits and fixed key
 order, so identical inputs produce byte-identical bytes; CSV tables go
-to files named by --out or --profile.  Exit codes: 0 on success, 1 when
+to files named by --out or --profile, written by one writer with floats
+at 17 significant digits as well.  Exit codes: 0 on success, 1 when
 a verification check fails, 2 on usage or parameter errors.
 """
 
@@ -68,6 +69,15 @@ def _render(value, indent: int = 0) -> str:
 
 def _emit(doc: dict) -> None:
     sys.stdout.write(_render(doc) + "\n")
+
+
+def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
+    """One line per row: floats at 17 significant digits, strings as given."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = (format(v, ".17g") if isinstance(v, float) else v for v in row)
+            fh.write(",".join(cells) + "\n")
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
@@ -174,7 +184,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     }
     _emit(doc)
     if args.profile:
-        shoot_steady_state(sol.policy, samples=args.samples).write_csv(args.profile)
+        import numpy as np
+
+        profile = shoot_steady_state(sol.policy)
+        xs = np.linspace(profile.segments[0].x0, profile.segments[-1].x1, args.samples)
+        _write_csv(args.profile, ("x", "u", "v"), zip(xs, *profile.eval_many(xs)))
     return 0
 
 
@@ -263,22 +277,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for value in np.linspace(args.start, args.stop, args.steps):
         kw = dict(fixed)
         kw[args.param] = float(value)
-        sp = ScaledParams(**kw)
-        sol = optimal_policy(sp)
+        sol = optimal_policy(ScaledParams(**kw))
         rows.append(
             (
                 float(value),
-                format(sol.lmin, ".17g") if sol.lmin is not None else "",
+                "" if sol.lmin is None else sol.lmin,
                 "true" if sol.reserve_halfwidth > 0.0 else "false",
-                format(sol.reserve_halfwidth, ".17g"),
-                format(sol.Ts, ".17g") if sol.Ts is not None else "",
-                format(sol.objective_j, ".17g"),
+                sol.reserve_halfwidth,
+                "" if sol.Ts is None else sol.Ts,
+                sol.objective_j,
             )
         )
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("value,l_min,reserve_present,halfwidth,Ts,objective_j\n")
-        for row in rows:
-            fh.write(format(row[0], ".17g") + "," + ",".join(row[1:]) + "\n")
+    _write_csv(
+        args.out, ("value", "l_min", "reserve_present", "halfwidth", "Ts", "objective_j"), rows
+    )
     _emit({"points": args.steps, "out": args.out})
     return 0
 
@@ -301,7 +313,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     }
     _emit(doc)
     if args.out:
-        run.write_csv(args.out)
+        _write_csv(args.out, ("x", "u"), zip(run.x, run.u))
     return 0
 
 

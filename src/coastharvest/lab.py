@@ -60,27 +60,6 @@ class SweepResult:
     def best_descriptor(self) -> dict:
         return self.candidates[self.best][0]
 
-    def summary(self) -> dict:
-        return {
-            "candidates": len(self.candidates),
-            "best_index": self.best,
-            "best_descriptor": self.best_descriptor,
-            "best_objective": self.best_objective,
-            "analytic_objective": self.analytic_objective,
-            "gap": self.gap,
-        }
-
-    def write_csv(self, path: str) -> None:
-        keys = sorted(self.candidates[0][0])
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(keys + ["objective_j"]) + "\n")
-            for desc, obj in self.candidates:
-                cells = [
-                    format(desc[k], ".17g") if isinstance(desc[k], float) else str(desc[k])
-                    for k in keys
-                ]
-                fh.write(",".join(cells + [format(obj, ".17g")]) + "\n")
-
 
 def _rank(candidates: list[tuple[dict, float]], sp: ScaledParams) -> SweepResult:
     best = 0
@@ -266,12 +245,6 @@ class PdeRun:
     u: np.ndarray
     l2_distance: float
     history: tuple[tuple[float, float], ...]
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("x,u\n")
-            for xi, ui in zip(self.x, self.u):
-                fh.write(f"{xi:.17g},{ui:.17g}\n")
 
 
 def _aligned_grid(policy: HarvestPolicy, dx: float) -> tuple[np.ndarray, np.ndarray]:

@@ -57,6 +57,12 @@ def derive_constants(sp: ScaledParams) -> DerivedConstants:
     a2, b2 = 1.0, q
     is2 = (math.sqrt(a2) / l) * (b2 / a2 - 1.0)
     lam_star = math.sqrt(2.0 * b1 - a1) / l
+    lam_starstar = math.hypot(lam_star, is2)
+    # i1, e1 and is1 are at most lam_starstar in size, and e2 = -i2
+    if not (math.isfinite(lam_starstar) and math.isfinite(b2 / l)):
+        raise ParameterError(
+            f"the switching constants overflow at (l, q, hbar) = ({l!r}, {q!r}, {hbar!r})"
+        )
     return DerivedConstants(
         a1=a1,
         b1=b1,
@@ -66,10 +72,11 @@ def derive_constants(sp: ScaledParams) -> DerivedConstants:
         i2=b2 / (math.sqrt(a2) * l),
         e1=-b1 / (a1 * l),
         e2=-b2 / (a2 * l),
-        is1=(math.sqrt(a1) / l) * (b1 / a1 - 1.0),
+        # (sqrt(a1)/l)*(b1/a1 - 1) in exact form: b1/a1 rounds to 1 for q near 1
+        is1=(q - 1.0) / (math.sqrt(a1) * l),
         is2=is2,
         lam_star=lam_star,
-        lam_starstar=math.hypot(lam_star, is2),
+        lam_starstar=lam_starstar,
         l_min=min_length(sp),
     )
 

@@ -2,10 +2,11 @@
 
 The scaled pipeline is the authority: decide the regime from (l, q,
 hbar), place the reserve via the switching analysis, and attach solver
-diagnostics.  The physical-parameter formulas (threshold length, reserve
-boundary as the root of the half-length equation) are implemented
-separately, as transcriptions in the original units, so the two routes
-can be compared against each other rather than sharing code.
+diagnostics, read exactly off the state and adjoint profiles.  The
+physical-parameter formulas (threshold length, reserve boundary as the
+root of the half-length equation) are implemented separately, as
+transcriptions in the original units, so the two routes can be compared
+against each other rather than sharing code.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from ._specfun import arccoth, arctanh, bisect_root
+from ._specfun import arctanh, bisect_root
 from .analytic import SegmentSolution
 from .bvp import (
-    AdjointProfile,
+    Profile,
     evaluate_objective,
     hamiltonian_diagnostic,
     shoot_steady_state,
@@ -26,10 +27,6 @@ from .bvp import (
 from .params import ParameterError, ScaledParams, UnscaledParams
 from .policy import HarvestPolicy, constant_policy, single_reserve_policy
 from .switching import derive_constants, solve_halfwidth, solve_lambda_bar
-
-# |lambda - 1| below this routes to the logarithm branch of the
-# physical-unit formulas, where the outer two branches cancel badly
-_MID_BRANCH_TOL = 1e-12
 
 
 class IndeterminateError(ValueError):
@@ -55,7 +52,7 @@ class OptimalSolution:
     diagnostics: SolutionDiagnostics
 
 
-def _switching_violation(adjoint: AdjointProfile, policy: HarvestPolicy) -> float:
+def _switching_violation(adjoint: Profile, policy: HarvestPolicy) -> float:
     """Worst sign violation of the bang-bang law, lambda2 above -1/l exactly where h > 0.
 
     On a piece, lambda2 - off is proportional to A*e^(-k(x-x0)) +
@@ -154,22 +151,15 @@ def half_length_domain(p: UnscaledParams) -> tuple[float, float]:
     return lo, hi
 
 
-def _coast_distance_term(lam: float, diff: float, r: float) -> float:
-    """The branched inverse-hyperbolic part of F; diff = lam^2 - lo^2.
+def _coast_distance_term(lam: float, w: float, r: float) -> float:
+    """The inverse-hyperbolic part of F, with w = sqrt(lam^2 - lo^2).
 
-    The lam < 1 branch hides an identity: the arccosh argument squared
-    minus one equals (lam^2 - lo^2)/(1 - lam^2), and 1 - r^2 = lo^2.
-    Taking the difference of squares as given keeps the term exact at
-    the domain edge, where the naive argument rounds away from 1.
+    Its three textbook branches (arccosh below lam = 1, a bare logarithm
+    at 1, arcsinh above) are one expression, log((1 + lam)/(r + w)), via
+    the identity 1 - r^2 = lo^2.  The branches cancel badly as Q -> mu,
+    where lo rounds toward 1; the merged form has no cancellation.
     """
-    if abs(lam - 1.0) <= _MID_BRANCH_TOL:
-        return -math.log(r)
-    if lam < 1.0:
-        om = (1.0 - lam) * (1.0 + lam)
-        z = r / math.sqrt(om)
-        t = math.sqrt(diff / om)
-        return arctanh(lam) - math.log(z + t)
-    return arccoth(lam) - math.asinh(r / math.sqrt((lam - 1.0) * (lam + 1.0)))
+    return math.log((1.0 + lam) / (r + w))
 
 
 def half_length_function(lam: float, p: UnscaledParams) -> float:
@@ -185,8 +175,8 @@ def half_length_function(lam: float, p: UnscaledParams) -> float:
     s1 = math.sqrt(p.D / (p.Hbar + p.mu))
     s2 = math.sqrt(p.D / p.mu)
     c = ((p.Hbar + p.Q) / (p.Q - p.mu)) * math.sqrt(p.mu / (p.Hbar + p.mu))
-    diff = (lam - lo) * (lam + lo)
-    return s1 * _coast_distance_term(lam, diff, r) + s2 * arctanh(c * math.sqrt(diff))
+    w = math.sqrt((lam - lo) * (lam + lo))
+    return s1 * _coast_distance_term(lam, w, r) + s2 * arctanh(c * w)
 
 
 def unscaled_reserve_boundary(p: UnscaledParams) -> Optional[float]:
@@ -194,8 +184,8 @@ def unscaled_reserve_boundary(p: UnscaledParams) -> Optional[float]:
 
     At lam = hypot(lo, w), w = tanh(B/s2)/c, the arctanh term of the
     half-length function is B itself, so B solves s1*term + B = L/2 with
-    lam^2 - lo^2 = w^2 passed as built: increasing and finite on [0, L/2],
-    and bisected there.
+    w passed as built: increasing and finite on [0, L/2], and bisected
+    there.
     """
     if not p.Q > p.mu:
         return None
@@ -209,7 +199,7 @@ def unscaled_reserve_boundary(p: UnscaledParams) -> Optional[float]:
 
     def residual(b: float) -> float:
         w = math.tanh(b / s2) / c
-        return s1 * _coast_distance_term(math.hypot(lo, w), w * w, r) - (p.L / 2.0 - b)
+        return s1 * _coast_distance_term(math.hypot(lo, w), w, r) - (p.L / 2.0 - b)
 
     return bisect_root(residual, 0.0, p.L / 2.0)
 
@@ -218,18 +208,18 @@ def unscaled_reserve_boundary(p: UnscaledParams) -> Optional[float]:
 # symmetry extension and the zero-flux variant
 
 
-def extend_by_symmetry(half: AdjointProfile) -> AdjointProfile:
-    """Reflect an adjoint profile on [-l/2, 0] to the full interval.
+def extend_by_symmetry(half: Profile) -> Profile:
+    """Reflect an adjoint profile, lambda2 on [-l/2, 0], to the full interval.
 
-    The reflection (lambda1, lambda2) -> (-lambda1, lambda2) maps
-    solutions to solutions, so a half profile with lambda1(0) = 0
-    extends to one satisfying both transversality conditions.  Inputs
-    with |lambda1(0)| > 1e-8 are rejected.
+    With lambda1 = -lambda2', the reflection (lambda1, lambda2) ->
+    (-lambda1, lambda2) maps solutions to solutions, so a half profile
+    with lambda1(0) = 0 extends to one satisfying both transversality
+    conditions.  Inputs with |lambda1(0)| > 1e-8 are rejected.
     """
     end = half.segments[-1].x1
     if abs(end) > 1e-9:
         raise ParameterError(f"profile must end at 0 to be extended, ends at {end!r}")
-    lam1_mid = half.lambda_at(end)[0]
+    lam1_mid = -half.value(end)[1]
     if abs(lam1_mid) > 1e-8:
         raise ParameterError(
             f"profile is not symmetric-extensible: lambda1(0)={lam1_mid!r}"
@@ -239,7 +229,7 @@ def extend_by_symmetry(half: AdjointProfile) -> AdjointProfile:
         SegmentSolution(k=s.k, offset=s.offset, u0=s.u1, u1=s.u0, x0=-s.x1, x1=-s.x0)
         for s in reversed(half.segments)
     )
-    return AdjointProfile.from_segments(tuple(half.segments) + mirrored)
+    return Profile(tuple(half.segments) + mirrored)
 
 
 def neumann_objective(hhat: float, q: float) -> float:

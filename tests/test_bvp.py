@@ -24,7 +24,7 @@ from coastharvest import (
     solve_adjoint,
     switch_level,
 )
-from coastharvest.bvp import StateProfile
+from coastharvest.bvp import Profile
 from coastharvest.params import ParameterError
 
 OPTIMAL_SP = ScaledParams(l=4.0, q=2.0, hbar=1.0)
@@ -100,7 +100,7 @@ class TestShootSteadyState:
 
         hbar, l = 1.0, 2.0
         prof = shoot_steady_state(constant_policy(l, hbar))
-        assert abs(prof.slope_left - optimal_shoot_slope(hbar, l)) <= 1e-10
+        assert abs(prof.value(-l / 2.0)[1] - optimal_shoot_slope(hbar, l)) <= 1e-10
 
     def test_boundary_residuals(self):
         pol = three_segment_policy()
@@ -148,17 +148,17 @@ class TestLongCoastsAndThinSegments:
         sliver = HarvestPolicy((-1.0, -0.6, 5.55e-17, 1.0), (1.0, 0.0, 1.0))
         flush = HarvestPolicy((-1.0, -0.6, 0.0, 1.0), (1.0, 0.0, 1.0))
         prof = shoot_steady_state(sliver)
-        assert np.all(np.isfinite(prof.samples))
+        assert np.all(np.isfinite(prof.eval_many(np.linspace(-1.0, 1.0, 513))))
         j = evaluate_objective(sliver, prof, 2.0)
         assert abs(j - evaluate_objective(flush, shoot_steady_state(flush), 2.0)) <= 1e-12
 
     def test_match_residual_measures_the_flux_jump(self):
         segs = list(shoot_steady_state(three_segment_policy()).segments)
-        assert StateProfile.from_segments(segs).match_residual <= 1e-12
+        assert Profile(tuple(segs)).match_residual <= 1e-12
         u = segs[1].u1 + 1e-6
         segs[1] = dataclasses.replace(segs[1], u1=u)
         segs[2] = dataclasses.replace(segs[2], u0=u)
-        assert StateProfile.from_segments(segs).match_residual > 1e-8
+        assert Profile(tuple(segs)).match_residual > 1e-8
 
 
 class TestEvaluateObjective:
@@ -167,12 +167,7 @@ class TestEvaluateObjective:
 
         pol = constant_policy(2.0, 1.0)
         flat = SegmentSolution(k=1.0, offset=0.0, u0=0.0, u1=0.0, x0=-1.0, x1=1.0)
-        prof = StateProfile(
-            segments=(flat,),
-            slope_left=0.0,
-            slope_right=0.0,
-            match_residual=0.0,
-        )
+        prof = Profile((flat,))
         assert evaluate_objective(pol, prof, 2.0) == 0.0
 
     @pytest.mark.parametrize("hhat", [0.0, 0.5, 1.0])
@@ -198,9 +193,17 @@ class TestEvaluateObjective:
         assert evaluate_objective(pol, prof, q) == pytest.approx(total / pol.l, abs=1e-10)
 
     def test_invariant_under_sample_refinement(self):
+        # the same solution on twice as many pieces, each split at its midpoint
         pol = three_segment_policy()
-        a = evaluate_objective(pol, shoot_steady_state(pol, samples=16), 2.0)
-        b = evaluate_objective(pol, shoot_steady_state(pol, samples=4097), 2.0)
+        prof = shoot_steady_state(pol)
+        halves = []
+        for s in prof.segments:
+            mid = 0.5 * (s.x0 + s.x1)
+            u_mid = s.value(mid)
+            halves.append(dataclasses.replace(s, u1=u_mid, x1=mid))
+            halves.append(dataclasses.replace(s, u0=u_mid, x0=mid))
+        a = evaluate_objective(pol, prof, 2.0)
+        b = evaluate_objective(pol, Profile(tuple(halves)), 2.0)
         assert abs(a - b) <= 1e-12
 
 
@@ -213,9 +216,10 @@ class TestSolveAdjoint:
         adj = solve_adjoint(pol, q)
         lam_s = switch_level(hbar, q, l)
         lam0 = lam_s * math.tanh(math.sqrt(1.0 + hbar) * l / 2.0)
-        assert abs(adj.lambda0 - lam0) <= 1e-10
+        assert abs(-adj.value(-l / 2.0)[1] - lam0) <= 1e-10
         xs = np.linspace(-l / 2.0, l / 2.0, 301)
-        lam1, lam2 = adj.eval_many(xs)
+        lam2, d = adj.eval_many(xs)
+        lam1 = -d
         for x, a1, a2 in zip(xs, lam1, lam2):
             c1, c2 = adjoint_constant_hbar(lam0, hbar, q, l, x)
             assert abs(a1 - c1) <= 1e-9
@@ -225,15 +229,15 @@ class TestSolveAdjoint:
         pol = three_segment_policy()
         adj = solve_adjoint(pol, OPTIMAL_SP.q)
         l = pol.l
-        assert abs(adj.lambda_at(-l / 2.0)[1]) <= 1e-10
-        assert abs(adj.lambda_at(l / 2.0)[1]) <= 1e-10
+        assert abs(adj.value(-l / 2.0)[0]) <= 1e-10
+        assert abs(adj.value(l / 2.0)[0]) <= 1e-10
 
     def test_multiplier_meets_the_switch_line_at_the_breakpoints(self):
         pol = three_segment_policy()
         adj = solve_adjoint(pol, OPTIMAL_SP.q)
         line = -1.0 / pol.l
         for bp in pol.breakpoints[1:-1]:
-            assert abs(adj.lambda_at(bp)[1] - line) <= 1e-8
+            assert abs(adj.value(bp)[0] - line) <= 1e-8
 
     def test_sign_consistency_with_the_bang_bang_law(self):
         pol = three_segment_policy()
@@ -242,11 +246,11 @@ class TestSolveAdjoint:
         left, right = pol.breakpoints[1], pol.breakpoints[2]
         margin = 1e-3
         for x in np.linspace(-pol.l / 2.0, left - margin, 50):
-            assert adj.lambda_at(x)[1] > line
+            assert adj.value(x)[0] > line
         for x in np.linspace(left + margin, right - margin, 50):
-            assert adj.lambda_at(x)[1] < line
+            assert adj.value(x)[0] < line
         for x in np.linspace(right + margin, pol.l / 2.0, 50):
-            assert adj.lambda_at(x)[1] > line
+            assert adj.value(x)[0] > line
 
     def test_segment_offsets_encode_the_adjoint_ode(self):
         pol = three_segment_policy()

@@ -93,6 +93,11 @@ class TestSolve:
         assert doc["reserve"]["present"] is False
         assert "Ts" not in doc
 
+    def test_weight_a_hair_above_one_with_a_huge_cap_solves(self, capsys):
+        doc = run_json(capsys, "solve", "--l", "50", "--q", "1.000000000001", "--hbar", "1e8")
+        assert doc["reserve"]["present"] is True
+        assert max(doc["diagnostics"].values()) <= 1e-8
+
     def test_reserve_regime(self, capsys):
         doc = run_json(capsys, "solve", "--l", "4", "--q", "2", "--hbar", "1")
         hw = doc["reserve"]["halfwidth"]
@@ -376,6 +381,84 @@ class TestSimulate:
         )
 
 
+class TestOutputBytes:
+    """CSV files compared byte for byte with recorded output."""
+
+    def csv(self, capsys, tmp_path, *argv):
+        path = tmp_path / "out.csv"
+        run_json(capsys, *argv, str(path))
+        return path.read_bytes().decode("utf-8")
+
+    def test_scaled_profile(self, capsys, tmp_path):
+        got = self.csv(
+            capsys, tmp_path, "solve", "--l", "4", "--q", "2", "--hbar", "1",
+            "--samples", "9", "--profile",
+        )
+        assert got == (
+            "x,u,v\n"
+            "-2,0,0.85100291915661042\n"
+            "-1.5,0.33156108438788734,0.53004651210836307\n"
+            "-1,0.55542514854933478,0.33858560874972898\n"
+            "-0.5,0.67512122525368667,0.1501320558398814\n"
+            "0,0.71189136755390947,0\n"
+            "0.5,0.67512122525368667,-0.1501320558398814\n"
+            "1,0.55542514854933478,-0.33858560874972898\n"
+            "1.5,0.33156108438788734,-0.53004651210836307\n"
+            "2,0,-0.85100291915661042\n"
+        )
+
+    def test_physical_profile(self, capsys, tmp_path):
+        got = self.csv(
+            capsys, tmp_path, "solve", "--D", "2", "--mu", "1", "--Hbar", "1", "--Q", "2",
+            "--L", "8", "--samples", "7", "--profile",
+        )
+        assert got == (
+            "x,u,v\n"
+            "-2.8284271247461898,0,0.88613597178190695\n"
+            "-1.8856180831641267,0.57337666390211761,0.40742065364928176\n"
+            "-0.94280904158206336,0.81290815640192871,0.13779505091855246\n"
+            "0,0.87344613050847197,1.9692553297098466e-16\n"
+            "0.94280904158206313,0.81290815640192871,-0.1377950509185524\n"
+            "1.8856180831641263,0.57337666390211783,-0.40742065364928154\n"
+            "2.8284271247461898,0,-0.88613597178190695\n"
+        )
+
+    def test_simulated_state(self, capsys, tmp_path):
+        got = self.csv(
+            capsys, tmp_path, "simulate", "--l", "4", "--q", "2", "--hbar", "1",
+            "--dx", "0.5", "--dt", "0.25", "--tmax", "3", "--out",
+        )
+        assert got == (
+            "x,u\n"
+            "-2,0\n"
+            "-1.2857547682331421,0.40845118968933375\n"
+            "-0.77145286093988519,0.59343639000052228\n"
+            "-0.25715095364662832,0.67474444040607129\n"
+            "0.25715095364662854,0.67474444040607129\n"
+            "0.77145286093988541,0.59343639000052228\n"
+            "1.2857547682331421,0.40845118968933375\n"
+            "2,0\n"
+        )
+
+    def test_length_sweep(self, capsys, tmp_path):
+        got = self.csv(
+            capsys, tmp_path, "sweep", "--q", "2", "--hbar", "1", "--param", "l",
+            "--from", "2", "--to", "6", "--steps", "5", "--out",
+        )
+        assert got == (
+            "value,l_min,reserve_present,halfwidth,Ts,objective_j\n"
+            "2,2.4929009605609216,false,0,,0.55772481764184045\n"
+            "3,2.4929009605609216,true,0.66339904998029275,0.83660095001970725,"
+            "0.83340083908032858\n"
+            "4,2.4929009605609216,true,1.2857547682331421,0.71424523176685795,"
+            "1.062866742413624\n"
+            "5,2.4929009605609216,true,1.8195013457375826,0.6804986542624174,"
+            "1.2314146272331725\n"
+            "6,2.4929009605609216,true,2.3309420086127854,0.66905799138721456,"
+            "1.3536505885648384\n"
+        )
+
+
 class TestParameterHandling:
     def test_no_parameters(self, capsys):
         code, _, err = run(capsys, "solve")
@@ -399,6 +482,23 @@ class TestParameterHandling:
         assert code == 2
         assert out == ""
         assert err == "error: q must be finite, got nan\n"
+
+    @pytest.mark.parametrize(
+        "l, q, hbar, err",
+        [
+            ("1e-12", "1e300", "1", "switching constants overflow at (l, q, hbar) = "
+             "(1e-12, 1e+300, 1.0)"),
+            ("1e-310", "0.5", "1", "adjoint overflows at (l, q, hbar) = "
+             "(1.00000000000005e-310, 0.5, 1.0)"),
+            ("1e-300", "0.5", "1e300", "adjoint overflows at (l, q, hbar) = "
+             "(1e-300, 0.5, 1e+300)"),
+        ],
+    )
+    def test_overflowing_parameters_exit_2(self, capsys, l, q, hbar, err):
+        code, out, got = run(capsys, "solve", "--l", l, "--q", q, "--hbar", hbar)
+        assert code == 2
+        assert out == ""
+        assert got == f"error: the {err}\n"
 
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "frobnicate")

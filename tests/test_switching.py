@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -66,6 +67,21 @@ class TestDeriveConstants:
         assert 0.0 < dc.lam_star < dc.i1
         assert dc.lam_star < dc.lam_starstar
         assert dc.i1 < dc.lam_starstar
+
+    @pytest.mark.parametrize(
+        "q, hbar", [(1.000000000001, 1e8), (1.0 + 1e-10, 1e4), (1.0 + 1e-8, 1e3), (1.0001, 100.0)]
+    )
+    def test_switch_line_intercept_is_exact_near_unit_weight(self, q, hbar):
+        # (sqrt(a1)/l)*(b1/a1 - 1) loses every digit once b1/a1 rounds to 1
+        dc = derive_constants(ScaledParams(l=50.0, q=q, hbar=hbar))
+        assert dc.is1 > 0.0
+        with mpmath.workdps(60):
+            want = float(oracles.constants(50.0, q, hbar)["is1"])
+        assert dc.is1 == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_overflowing_constants_are_a_parameter_error(self):
+        with pytest.raises(ParameterError, match=r"\(l, q, hbar\) = \(1e-12, 1e\+300, 1.0\)"):
+            derive_constants(ScaledParams(l=1e-12, q=1e300, hbar=1.0))
 
     def test_rejects_small_weight(self):
         with pytest.raises(ParameterError):

@@ -29,7 +29,7 @@ from coastharvest import (
     unscaled_min_length,
     unscaled_reserve_boundary,
 )
-from coastharvest.bvp import AdjointProfile
+from coastharvest.bvp import Profile
 from coastharvest.synthesis import _diagnose, extend_by_symmetry
 from coastharvest.analytic import SegmentSolution
 from coastharvest.policy import HarvestPolicy, constant_policy, single_reserve_policy
@@ -123,7 +123,8 @@ def _dense_grid_diagnostics(policy, q: float, points: int = 2001) -> list[tuple[
         h = policy.rate_at(0.5 * (seg.x0 + seg.x1))
         xs = np.linspace(seg.x0, seg.x1, points)
         u, v = state.eval_many(xs)
-        lam1, lam2 = adjoint.eval_many(xs)
+        lam2, d = adjoint.eval_many(xs)
+        lam1 = -d
         terms = ((h + q) * u / l, lam1 * v, lam2 * ((1.0 + h) * u - 1.0))
         ham.extend(sum(terms))
         ham_size = max(ham_size, float(np.max(sum(np.abs(t) for t in terms))))
@@ -216,7 +217,7 @@ class TestExactDiagnostics:
         ends = max(-0.1 - lam2 for s in adjoint.segments for lam2 in (s.u0, s.u1))
         got = _diagnose(pol, 2.0)[1].switching_violation
         xs = np.linspace(1.0, 5.0, 400001)
-        grid = float(np.max(-0.1 - adjoint.eval_many(xs)[1]))
+        grid = float(np.max(-0.1 - adjoint.eval_many(xs)[0]))
         assert got > ends + 1e-3
         # spacing 1e-5 and |lambda2''| < 0.1 bound the grid's shortfall by 1e-11
         assert grid - 1e-15 <= got <= grid + 1e-11
@@ -373,6 +374,43 @@ class TestHalfwidthRoot:
         assert unscaled_reserve_boundary(p) == pytest.approx(want_b, rel=rtol)
 
 
+    @pytest.mark.parametrize(
+        "l, q, hbar",
+        [
+            (6.161, 1.000001612, 33.24),
+            (50.0, 1.0 + 1e-8, 1e3),
+            (20.0, 1.0 + 1e-6, 5.0),
+            (8.0, 1.0001, 100.0),
+            (3.0, 1.0 + 1e-10, 1e4),
+            (12.0, 1.00000003, 250.0),
+        ],
+    )
+    def test_weight_near_one_both_routes_match_the_oracle(self, l, q, hbar):
+        # b1/a1 - 1 in the scaled switch-line intercept, and the branched
+        # coast-distance term in physical units, both cancel as q -> 1
+        with mpmath.workdps(60):
+            want = float(oracles.reserve_boundary(1, 1, hbar, q, l))
+        sol = optimal_policy(ScaledParams(l=l, q=q, hbar=hbar))
+        assert sol.reserve_halfwidth == pytest.approx(want, rel=1e-13, abs=0.0)
+        p = UnscaledParams(D=1.0, R=1.0, mu=1.0, Hbar=hbar, Q=q, L=l)
+        assert unscaled_reserve_boundary(p) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "l, q, hbar, where",
+        [
+            (1e-12, 1e300, 1.0, "switching constants"),
+            (1e-310, 0.5, 1.0, "adjoint"),
+            (1e-300, 0.5, 1e300, "adjoint"),
+        ],
+    )
+    def test_overflowing_parameters_are_a_parameter_error(self, l, q, hbar, where):
+        with pytest.raises(ParameterError, match=f"the {where} overflow") as err:
+            optimal_policy(ScaledParams(l=l, q=q, hbar=hbar))
+        assert f"{q!r}, {hbar!r})" in str(err.value)
+
+
 class TestExtendBySymmetry:
     def _half_profile(self):
         # the full constant-cap adjoint is symmetric, so its left half
@@ -380,51 +418,43 @@ class TestExtendBySymmetry:
         pol = constant_policy(2.0, 1.0)
         full = solve_adjoint(pol, 0.5)
         left = tuple(s for s in full.segments if s.x1 <= 0.0)
-        half = AdjointProfile(
-            segments=left,
-            lambda0=full.lambda0,
-            match_residual=full.match_residual,
-        )
+        half = Profile(left)
         return full, half
 
     def test_reflection_parity(self):
         _, half = self._half_profile()
         ext = extend_by_symmetry(half)
         for x in np.linspace(0.0, 1.0, 21):
-            lam1_p, lam2_p = ext.lambda_at(x)
-            lam1_m, lam2_m = ext.lambda_at(-x)
-            assert lam1_p == pytest.approx(-lam1_m, abs=1e-12)
+            lam2_p, lam1_p = ext.value(x)
+            lam2_m, lam1_m = ext.value(-x)
+            assert -lam1_p == pytest.approx(lam1_m, abs=1e-12)
             assert lam2_p == pytest.approx(lam2_m, abs=1e-12)
 
     def test_extension_satisfies_transversality(self):
         _, half = self._half_profile()
         ext = extend_by_symmetry(half)
-        assert abs(ext.lambda_at(-1.0)[1]) <= 1e-8
-        assert abs(ext.lambda_at(1.0)[1]) <= 1e-8
+        assert abs(ext.value(-1.0)[0]) <= 1e-8
+        assert abs(ext.value(1.0)[0]) <= 1e-8
 
     def test_extension_matches_the_direct_full_solve(self):
         full, half = self._half_profile()
         ext = extend_by_symmetry(half)
         for x in np.linspace(-1.0, 1.0, 81):
-            a = ext.lambda_at(x)
-            b = full.lambda_at(x)
+            a = ext.value(x)
+            b = full.value(x)
             assert abs(a[0] - b[0]) <= 1e-8
             assert abs(a[1] - b[1]) <= 1e-8
 
     def test_rejects_a_profile_with_nonzero_midpoint_slope(self):
         # lambda2 = sinh(x+1) has lambda1(0) = -cosh(1), far off zero
         seg = SegmentSolution(k=1.0, offset=0.0, u0=0.0, u1=math.sinh(1.0), x0=-1.0, x1=0.0)
-        bad = AdjointProfile(
-            segments=(seg,), lambda0=0.0, match_residual=0.0
-        )
+        bad = Profile((seg,))
         with pytest.raises(ParameterError):
             extend_by_symmetry(bad)
 
     def test_rejects_a_profile_not_ending_at_the_midpoint(self):
         seg = SegmentSolution(k=1.0, offset=0.0, u0=0.0, u1=math.sinh(1.5), x0=-1.0, x1=0.5)
-        bad = AdjointProfile(
-            segments=(seg,), lambda0=0.0, match_residual=0.0
-        )
+        bad = Profile((seg,))
         with pytest.raises(ParameterError):
             extend_by_symmetry(bad)
 
