@@ -4,17 +4,21 @@ Nothing here reuses the closed forms under test.  Policies are ranked
 by exhaustive search over bang-bang cell policies, all scored by one
 batched tridiagonal solve for the steady state at the cell edges, and
 by shooting over a grid of reserve blocks.  The hitting time is
-measured by event-detecting integration of the hybrid adjoint flow, the
-steady state is reproduced by implicit time stepping of the parabolic
-problem, and linearized stability is checked through the spectrum of
-the discretized operator.  The time stepper factors its SPD tridiagonal
-operators once as LDL^T (LAPACK ?pttrf) and takes each step with one
-?pttrs.  It steps the deviation from the discrete steady state, so once
-the transient has decayed the distance it reports is the discretisation
-gap, free of accumulated stepping rounding.  A mirror-symmetric policy
-(every optimum is one) is stepped on the half grid from the centre on
-and its state mirrored back, exactly symmetric; an asymmetric policy is
-stepped on the full grid.
+measured by event-detecting integration of the hybrid adjoint flow, and
+linearized stability is checked through the spectrum of the
+discretized operator.
+
+The steady state is checked in two parts.  The time stepper shows that
+the parabolic flow settles on its grid's own steady state u_h: it
+factors its SPD tridiagonal operators once as LDL^T (LAPACK ?pttrf),
+takes each step with one ?pttrs, and steps the deviation from u_h, so
+rounding decays with the deviation instead of accumulating, and it
+stops once the deviation can no longer move the state.  The steady gap
+shows that u_h converges to the shooting solution: it solves the steady
+system on a grid and on its bisection and Richardson-extrapolates, so
+its value does not grow with the coast length.  A mirror-symmetric
+policy (every optimum is one) is solved on the half grid from the
+centre on, and an asymmetric one on the full grid.
 """
 
 from __future__ import annotations
@@ -38,6 +42,10 @@ MAX_CELLS = 16
 
 # parabolic run cap: the default runs take 4000 to about 5000 steps
 MAX_STEPS = 10**6
+
+# grid cap, 8 MB per float array: the steady gap's coarse grid reaches it
+# at l = 2^15 and its bisection doubles it
+MAX_CELLS_PER_GRID = 2**20
 
 # event integration gives up after this many domain lengths
 _HORIZON_FACTOR = 10.0
@@ -239,12 +247,18 @@ def integrate_adjoint_with_events(
 
 @dataclass(frozen=True)
 class PdeRun:
-    """Final state of an implicit parabolic run and its approach history."""
+    """Final state of an implicit parabolic run and its approach history.
+
+    l2_distance is the weighted L2 distance of the final state to the
+    exact steady state; discrete_distance is its distance to the grid's
+    own steady state u_h, which is all that stepping longer can reduce.
+    """
 
     x: np.ndarray
     u: np.ndarray
     l2_distance: float
     history: tuple[tuple[float, float], ...]
+    discrete_distance: float
 
 
 def _aligned_grid(policy: HarvestPolicy, dx: float) -> tuple[np.ndarray, np.ndarray]:
@@ -254,13 +268,61 @@ def _aligned_grid(policy: HarvestPolicy, dx: float) -> tuple[np.ndarray, np.ndar
     Aligning nodes with the rate breakpoints keeps the spatial error at
     second order; a misaligned interface would degrade it locally.
     """
+    counts = [max(1, round((x1 - x0) / dx)) for x0, x1, _ in policy.segments()]
+    if sum(counts) > MAX_CELLS_PER_GRID:
+        raise ParameterError(
+            f"grid too fine: more than {MAX_CELLS_PER_GRID} cells at dx={dx!r} on l={policy.l!r}"
+        )
     nodes = [np.array(policy.breakpoints[:1])]
     rates = []
-    for x0, x1, r in policy.segments():
-        n = max(1, round((x1 - x0) / dx))
+    for (x0, x1, r), n in zip(policy.segments(), counts):
         nodes.append(x0 + (x1 - x0) * np.arange(1, n + 1) / n)
         rates.append(np.full(n, r))
     return np.concatenate(nodes), np.concatenate(rates)
+
+
+def _steady_solve(policy: HarvestPolicy, nodes: np.ndarray, rate: np.ndarray):
+    """The discrete steady state u_h on a grid, with its system.
+
+    A (diagonal, off-diagonal) is the symmetric second-order operator of
+    -u'' + (1+h)u with u = 0 at both ends, and u_h solves A u = lumped,
+    factored as LDL^T.  When the policy is its own mirror image about
+    x = 0 (breakpoints and rates compared exactly) so is u, and only the
+    unknowns from the centre on are kept: a centre node keeps half its
+    row, and a centre inside a cell folds its coupling onto the
+    diagonal.  Returns (u_h, diag, off, lumped, first kept unknown,
+    mirror).
+    """
+    steps_dx = np.diff(nodes)
+    n = len(nodes) - 2
+    if n < 1:
+        raise ParameterError("grid too coarse: no interior nodes")
+    lumped = 0.5 * (steps_dx[:-1] + steps_dx[1:])
+    diag = (
+        1.0 / steps_dx[:-1]
+        + 1.0 / steps_dx[1:]
+        + 0.5 * ((1.0 + rate[:-1]) * steps_dx[:-1] + (1.0 + rate[1:]) * steps_dx[1:])
+    )
+    off = -1.0 / steps_dx[1:-1]
+    mirror = policy.breakpoints == tuple(-b for b in reversed(policy.breakpoints)) and (
+        policy.rates == policy.rates[::-1]
+    )
+    c = n // 2 if mirror else 0
+    if mirror:
+        if n % 2:
+            lumped[c] *= 0.5
+            diag[c] *= 0.5
+        else:
+            diag[c] += off[c - 1]
+        diag, off, lumped = diag[c:], off[c:], lumped[c:]
+    d, e, _ = dpttrf(diag, off)
+    u_h, _ = dpttrs(d, e, lumped)
+    return u_h, diag, off, lumped, c, mirror
+
+
+def _weighted_norm(lumped: np.ndarray, mirror: bool, v: np.ndarray) -> float:
+    """Lumped-mass L2 norm over the coast of v on the kept unknowns."""
+    return float(np.sqrt((2.0 if mirror else 1.0) * np.sum(lumped * v**2)))
 
 
 def pde_time_stepper(
@@ -280,12 +342,14 @@ def pde_time_stepper(
     every solve is one forward and one backward sweep.  The iteration
     steps the deviation e = u - u_h, which starts at -u_h (u = 0) and
     obeys (M/dt + A) e' = (M/dt) e: rounding in each step decays with e
-    instead of accumulating in u.  When the policy is its own mirror
-    image about x = 0 (breakpoints and rates compared exactly) so is u,
-    and only the unknowns from the centre on are solved for: half the
-    work per step, and PdeRun.u is then exactly mirror-symmetric.  An
-    asymmetric policy is solved on the full grid.  Reports the final
-    weighted L2 distance to the shooting solution.
+    instead of accumulating in u.  A mirror-symmetric policy is solved
+    on the half grid, and PdeRun.u is then exactly mirror-symmetric.
+
+    Stepping stops early, without changing any output, once
+    |e| <= 2^-60 u_h at a history sample.  (M/dt + A)^-1 is nonnegative
+    and (M/dt + A) u_h = (M/dt) u_h + lumped >= (M/dt) u_h, so that bound
+    then holds at every later step, and below half an ulp u_h + e rounds
+    to u_h.  This also skips the slow subnormal tail of e on short coasts.
     """
     dx = sp.l / 512.0 if dx is None else dx
     dt = sp.l / 512.0 if dt is None else dt
@@ -298,62 +362,67 @@ def pde_time_stepper(
             f"t_max / dt must be at most {MAX_STEPS} steps, got t_max={t_max!r}, dt={dt!r}"
         )
     nodes, rate = _aligned_grid(policy, dx)
-    steps_dx = np.diff(nodes)
-    n = len(nodes) - 2
-    if n < 1:
-        raise ParameterError("grid too coarse: no interior nodes")
-    lumped = 0.5 * (steps_dx[:-1] + steps_dx[1:])
-    diag = (
-        1.0 / steps_dx[:-1]
-        + 1.0 / steps_dx[1:]
-        + 0.5 * ((1.0 + rate[:-1]) * steps_dx[:-1] + (1.0 + rate[1:]) * steps_dx[1:])
-    )
-    off = -1.0 / steps_dx[1:-1]
-    # first kept unknown, and the weight of the kept half in the distance
-    c, weight = 0, 1.0
-    mirror = policy.breakpoints == tuple(-b for b in reversed(policy.breakpoints)) and (
-        policy.rates == policy.rates[::-1]
-    )
-    if mirror:
-        # u is even about x = 0: keep the unknowns from the centre on.  A
-        # centre node keeps half its row; a centre inside a cell folds
-        # its coupling onto the diagonal.
-        c, weight = n // 2, 2.0
-        if n % 2:
-            lumped[c] *= 0.5
-            diag[c] *= 0.5
-        else:
-            diag[c] += off[c - 1]
-        lumped, diag, off = lumped[c:], diag[c:], off[c:]
+    u_h, diag, off, lumped, c, mirror = _steady_solve(policy, nodes, rate)
     mass = lumped / dt
-    steady_d, steady_e, _ = dpttrf(diag, off)
     step_d, step_e, _ = dpttrf(diag + mass, off)
-    u_h, _ = dpttrs(steady_d, steady_e, lumped)
 
     target = shoot_steady_state(policy)
     u_star = target.eval_many(nodes[1 + c : -1])[0]
 
     e = -u_h
+    settled_at = 2.0**-60 * u_h
     nsteps = max(1, math.ceil(steps))
     every = max(1, nsteps // 64)
+    samples = list(range(every, nsteps + 1, every))
+    if samples[-1] != nsteps:
+        samples.append(nsteps)
     history: list[tuple[float, float]] = []
-
-    def distance(dev: np.ndarray) -> float:
-        return float(np.sqrt(weight * np.sum(lumped * (u_h + dev - u_star) ** 2)))
-
-    for step in range(1, nsteps + 1):
-        e, _ = dpttrs(step_d, step_e, mass * e, overwrite_b=True)
-        if not np.abs(e).max() <= 1e8:
-            raise RuntimeError(f"time stepping blew up at step {step}")
-        if step % every == 0 or step == nsteps:
-            history.append((step * dt, distance(e)))
+    step, settled = 0, False
+    for sample in samples:
+        if not settled:
+            while step < sample:
+                step += 1
+                e, _ = dpttrs(step_d, step_e, mass * e, overwrite_b=True)
+                if not np.abs(e).max() <= 1e8:
+                    raise RuntimeError(f"time stepping blew up at step {step}")
+            settled = bool(np.all(np.abs(e) <= settled_at))
+            distance = _weighted_norm(lumped, mirror, u_h + e - u_star)
+        history.append((sample * dt, distance))
 
     u = u_h + e
-    mirrored = u[n % 2 :][::-1] if mirror else []
+    # a centre node, present when the interior count is odd, is not repeated
+    mirrored = u[len(nodes) % 2 :][::-1] if mirror else []
     full_u = np.concatenate([[0.0], mirrored, u, [0.0]])
     return PdeRun(
-        x=nodes, u=full_u, l2_distance=distance(e), history=tuple(history)
+        x=nodes,
+        u=full_u,
+        l2_distance=distance,
+        history=tuple(history),
+        discrete_distance=_weighted_norm(lumped, mirror, u - u_h),
     )
+
+
+def richardson_steady_gap(policy: HarvestPolicy) -> float:
+    """Weighted L2 distance from the extrapolated discrete steady state to the shooting one.
+
+    Solves A u = lumped on the breakpoint-aligned grid at
+    dx = min(l/8192, 1/32) and on its bisection (a midpoint inserted in
+    every cell, so the coarse nodes are fine nodes too).  The scheme is
+    second order within each uniform segment, so at the coarse nodes
+    (4 u_{h/2} - u_h)/3 cancels the h^2 term of the error, and what is
+    left measures the shooting solution, not the grid.  The spacing cap
+    1/32 resolves the unit-width boundary layers of long coasts.
+    """
+    nodes, rate = _aligned_grid(policy, min(policy.l / 8192.0, 1.0 / 32.0))
+    fine = np.empty(2 * nodes.size - 1)
+    fine[::2] = nodes
+    fine[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+    u_h, _, _, lumped, c, mirror = _steady_solve(policy, nodes, rate)
+    u_fine, _, _, _, c_fine, _ = _steady_solve(policy, fine, np.repeat(rate, 2))
+    # coarse interior node i is fine interior node 2i + 1
+    extrapolated = (4.0 * u_fine[2 * c + 1 - c_fine :: 2] - u_h) / 3.0
+    u_star = shoot_steady_state(policy).eval_many(nodes[1 + c : -1])[0]
+    return _weighted_norm(lumped, mirror, extrapolated - u_star)
 
 
 def stability_eigenvalues(

@@ -63,6 +63,15 @@ def derive_constants(sp: ScaledParams) -> DerivedConstants:
         raise ParameterError(
             f"the switching constants overflow at (l, q, hbar) = ({l!r}, {q!r}, {hbar!r})"
         )
+    # (sqrt(a1)/l)*(b1/a1 - 1) in exact form: b1/a1 rounds to 1 for q near 1
+    is1 = (q - 1.0) / (math.sqrt(a1) * l)
+    # is1 > 0 for q > 1, and the switch time divides by it at the reserve's
+    # edge; it underflows (or sqrt(a1)*l overflows) on a long coast with a
+    # large cap
+    if not is1 > 0.0:
+        raise ParameterError(
+            f"the switching constants underflow at (l, q, hbar) = ({l!r}, {q!r}, {hbar!r})"
+        )
     return DerivedConstants(
         a1=a1,
         b1=b1,
@@ -72,8 +81,7 @@ def derive_constants(sp: ScaledParams) -> DerivedConstants:
         i2=b2 / (math.sqrt(a2) * l),
         e1=-b1 / (a1 * l),
         e2=-b2 / (a2 * l),
-        # (sqrt(a1)/l)*(b1/a1 - 1) in exact form: b1/a1 rounds to 1 for q near 1
-        is1=(q - 1.0) / (math.sqrt(a1) * l),
+        is1=is1,
         is2=is2,
         lam_star=lam_star,
         lam_starstar=lam_starstar,
@@ -171,6 +179,9 @@ def min_length(sp: ScaledParams) -> float:
         raise ParameterError(f"threshold length requires q > 1, got q={sp.q!r}")
     hbar, q = sp.hbar, sp.q
     s = math.sqrt((hbar + 1.0) * (hbar + 2.0 * q - 1.0))
+    # the product under the root overflows once hbar is above about 1e154
+    if not math.isfinite(s):
+        raise ParameterError(f"the threshold length overflows at (q, hbar) = ({q!r}, {hbar!r})")
     return (2.0 / math.sqrt(hbar + 1.0)) * math.log1p((hbar + 1.0 + s) / (q - 1.0))
 
 

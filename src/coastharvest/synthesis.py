@@ -114,6 +114,12 @@ def optimal_policy(sp: ScaledParams) -> OptimalSolution:
         else:
             lam_bar = solve_lambda_bar(dc, sp.l)
     j, diag = _diagnose(pol, sp.q)
+    # the integral of (q + h) u, before its division by l, overflows when
+    # q * l is above about 1e308
+    if not math.isfinite(j):
+        raise ParameterError(
+            f"the objective overflows at (l, q, hbar) = ({sp.l!r}, {sp.q!r}, {sp.hbar!r})"
+        )
     return OptimalSolution(
         policy=pol,
         reserve_halfwidth=halfwidth,
@@ -139,6 +145,10 @@ def unscaled_min_length(p: UnscaledParams) -> float:
     if not p.Q > p.mu:
         raise ParameterError(f"threshold length requires Q > mu, got Q={p.Q!r}, mu={p.mu!r}")
     s = math.sqrt((p.Hbar + p.mu) * (p.Hbar + 2.0 * p.Q - p.mu))
+    if not math.isfinite(s):
+        raise ParameterError(
+            f"the threshold length overflows at (mu, Hbar, Q) = ({p.mu!r}, {p.Hbar!r}, {p.Q!r})"
+        )
     return 2.0 * math.sqrt(p.D / (p.Hbar + p.mu)) * math.log1p((p.Hbar + p.mu + s) / (p.Q - p.mu))
 
 

@@ -3,6 +3,7 @@
 One test runs `python -m coastharvest.cli` in a fresh interpreter.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -224,6 +225,30 @@ class TestVerify:
         assert hit["threshold"] == 1e-8
         assert hit["pass"] is True, err
 
+    @pytest.mark.parametrize(
+        "l, q, hbar", [("50", "2", "1"), ("100", "0.5", "1"), ("1000", "2", "1"), ("1e4", "2", "1")]
+    )
+    def test_long_coasts_pass(self, capsys, l, q, hbar):
+        # a fixed l/8192 grid alone misses the steady state by 2.4e-6 at
+        # l = 50 and by 2.0e-2 at l = 1e4
+        doc = run_json(
+            capsys, "verify", "--l", l, "--q", q, "--hbar", hbar,
+            "--cells", "6", "--centers", "5", "--widths", "9",
+        )
+        checks = {c["name"]: c for c in doc["checks"]}
+        assert checks["pde_l2_distance"]["threshold"] == 1e-6
+        assert checks["pde_l2_distance"]["value"] <= 1e-8
+        assert doc["all_pass"] is True
+
+    def test_coast_too_long_for_the_steady_grid_is_a_parameter_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--l", "1e5", "--q", "0.5", "--hbar", "1",
+            "--cells", "2", "--centers", "2", "--widths", "2", "--tmax", "0.05",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: grid too fine: more than 1048576 cells")
+
     def test_oversized_cell_count_is_an_error(self, capsys):
         code, _, err = run(
             capsys, "verify", "--l", "4", "--q", "2", "--hbar", "1", "--cells", "20"
@@ -440,6 +465,22 @@ class TestOutputBytes:
             "2,0\n"
         )
 
+    @pytest.mark.parametrize(
+        "l, digest",
+        [
+            ("0.3", "3512a9efc9725415ca7eb6635e2e88a42a90162a290d78e0461bb9fcaadb96c2"),
+            ("0.6", "ff9606b2f937854c4b3a10e66fb2bae7b62ef863c6934683d094b2f8128feeec"),
+        ],
+    )
+    def test_short_coast_simulated_state(self, capsys, tmp_path, l, digest):
+        # 513 rows, long after the run has settled; sha256 of the file
+        got = self.csv(
+            capsys, tmp_path, "simulate", "--l", l, "--q", "2", "--hbar", "1",
+            "--dt", "0.01", "--out",
+        )
+        assert got.count("\n") == 514
+        assert hashlib.sha256(got.encode("utf-8")).hexdigest() == digest
+
     def test_length_sweep(self, capsys, tmp_path):
         got = self.csv(
             capsys, tmp_path, "sweep", "--q", "2", "--hbar", "1", "--param", "l",
@@ -492,6 +533,12 @@ class TestParameterHandling:
              "(1.00000000000005e-310, 0.5, 1.0)"),
             ("1e-300", "0.5", "1e300", "adjoint overflows at (l, q, hbar) = "
              "(1e-300, 0.5, 1e+300)"),
+            # sqrt(a1)*l overflows, so is1 is 0 and the switch time would divide by it
+            ("1e300", "1.5", "1e150", "switching constants underflow at (l, q, hbar) = "
+             "(1e+300, 1.5, 1e+150)"),
+            ("1e8", "1.5", "1e300", "threshold length overflows at (q, hbar) = (1.5, 1e+300)"),
+            ("1e150", "1e300", "1", "objective overflows at (l, q, hbar) = "
+             "(1e+150, 1e+300, 1.0)"),
         ],
     )
     def test_overflowing_parameters_exit_2(self, capsys, l, q, hbar, err):

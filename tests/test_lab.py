@@ -1,5 +1,6 @@
 """Independent numerical checks: brute force, events, PDE, spectra."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from coastharvest import (
     switch_location,
 )
 from coastharvest import lab
+from coastharvest.lab import richardson_steady_gap
 from coastharvest.policy import cell_policy, single_reserve_policy
 
 OPTIMAL_SP = ScaledParams(l=4.0, q=2.0, hbar=1.0)
@@ -299,6 +301,109 @@ class TestPdeTimeStepper:
         monkeypatch.setattr(lab, "dpttrs", nan_solve)
         with pytest.raises(RuntimeError, match="blew up"):
             pde_time_stepper(self.RESERVE_POLICY, OPTIMAL_SP, dx=0.125, dt=0.5, t_max=2.0)
+
+
+    # verify's former run on short coasts, where e decays through the
+    # subnormal range: l2_distance.hex(), then sha256 of the history and
+    # of u; recorded before stepping stopped early
+    PINNED = [
+        (
+            0.3,
+            "0x1.2424f2e726c6bp-38",
+            "9cc1dd4a08989629c706414119a337cd0854374dbcdef31e933d918284c8504b",
+            "5cbc898789b4ea1257acca89534a3c7bbb8afdba60fd1c33a9fd90690d68150b",
+        ),
+        (
+            0.6,
+            "0x1.e99710d5f325fp-39",
+            "bcd3edb3e2d562c8cb023cf054140693880f65de9d1d69f49378b8a046bcffdf",
+            "0e1154d774251a85b1a59798fccd7aca931f48ed11b87b9ef85e492ccc49f4e0",
+        ),
+    ]
+
+    @pytest.mark.parametrize("l, distance, history, u", PINNED)
+    def test_short_coast_run_is_pinned_to_the_bit(self, l, distance, history, u):
+        sp = ScaledParams(l=l, q=2.0, hbar=1.0)
+        run = pde_time_stepper(optimal_policy(sp).policy, sp, dx=l / 8192.0, dt=0.01, t_max=40.0)
+        assert run.l2_distance.hex() == distance
+        assert hashlib.sha256(np.array(run.history).tobytes()).hexdigest() == history
+        assert hashlib.sha256(run.u.tobytes()).hexdigest() == u
+        assert run.discrete_distance == 0.0
+
+    def test_settled_run_stops_stepping(self, monkeypatch):
+        # 4000 steps are asked for; e is below 2^-60 u_h after a few dozen
+        calls = []
+        solve = lab.dpttrs
+
+        def counting_solve(d, e, b, overwrite_b=False):
+            calls.append(len(b))
+            return solve(d, e, b, overwrite_b=overwrite_b)
+
+        monkeypatch.setattr(lab, "dpttrs", counting_solve)
+        sp = ScaledParams(l=0.3, q=2.0, hbar=1.0)
+        run = pde_time_stepper(optimal_policy(sp).policy, sp, dx=sp.l / 8192.0, dt=0.01, t_max=40.0)
+        assert len(calls) < 200
+        assert len(run.history) == 65 and run.history[-1][0] == 40.0
+
+    def test_discrete_distance_is_the_gap_to_the_grid_steady_state(self):
+        run = pde_time_stepper(self.RESERVE_POLICY, OPTIMAL_SP, dx=0.125, dt=0.1, t_max=0.5)
+        lumped, steady = self._dense_operators(run, self.RESERVE_POLICY)
+        want = np.linalg.solve(steady, lumped)
+        gap = math.sqrt(np.sum(lumped * (run.u[1:-1] - want) ** 2))
+        assert run.discrete_distance == pytest.approx(gap, rel=1e-9)
+        assert run.discrete_distance > 1e-3
+
+
+class _ShiftedProfile:
+    """A steady-state profile whose values are all moved by `shift`."""
+
+    def __init__(self, profile, shift):
+        self.profile, self.shift = profile, shift
+
+    def eval_many(self, xs):
+        u, du = self.profile.eval_many(xs)
+        return u + self.shift, du
+
+
+class TestRichardsonSteadyGap:
+    LONG = [(4.0, 2.0, 1.0), (50.0, 2.0, 1.0), (100.0, 0.5, 1.0), (1000.0, 2.0, 1.0)]
+
+    @pytest.mark.parametrize("l, q, hbar", LONG + [(0.3, 2.0, 1.0), (28.0, 3.5, 2.5)])
+    def test_optimal_policy_is_the_extrapolated_steady_state(self, l, q, hbar):
+        sp = ScaledParams(l=l, q=q, hbar=hbar)
+        assert richardson_steady_gap(optimal_policy(sp).policy) <= 1e-8
+
+    def test_asymmetric_policy_on_the_full_grid(self):
+        assert richardson_steady_gap(TestPdeTimeStepper.RESERVE_POLICY) <= 1e-10
+
+    def test_extrapolation_beats_the_fine_grid(self):
+        # at l = 50 the l/8192 grid alone misses by 2.4e-6
+        sp = ScaledParams(l=50.0, q=2.0, hbar=1.0)
+        pol = optimal_policy(sp).policy
+        plain = pde_time_stepper(pol, sp, dx=sp.l / 8192.0, dt=0.01, t_max=40.0).l2_distance
+        assert plain > 1e-6
+        assert richardson_steady_gap(pol) <= 1e-3 * plain
+
+    @pytest.mark.parametrize("l, q, hbar", LONG)
+    def test_a_shifted_target_is_caught(self, monkeypatch, l, q, hbar):
+        real = lab.shoot_steady_state
+        monkeypatch.setattr(lab, "shoot_steady_state", lambda p: _ShiftedProfile(real(p), 1e-6))
+        sp = ScaledParams(l=l, q=q, hbar=hbar)
+        assert richardson_steady_gap(optimal_policy(sp).policy) > 1e-6
+
+    @pytest.mark.parametrize("l, q, hbar", [c for c in LONG if c[1] > 1.0])
+    def test_a_shifted_reserve_is_caught(self, monkeypatch, l, q, hbar):
+        sp = ScaledParams(l=l, q=q, hbar=hbar)
+        w = optimal_policy(sp).reserve_halfwidth
+        moved = single_reserve_policy(l, -w + 1e-4, w + 1e-4, hbar)
+        real = lab.shoot_steady_state
+        monkeypatch.setattr(lab, "shoot_steady_state", lambda p: real(moved))
+        assert richardson_steady_gap(optimal_policy(sp).policy) > 1e-6
+
+    def test_grid_size_is_capped(self):
+        # dx = 1/32 would put 3.2e6 cells on l = 1e5; refused before allocating
+        with pytest.raises(ParameterError, match="grid too fine"):
+            richardson_steady_gap(constant_policy(1e5, 1.0))
 
 
 class TestStabilityEigenvalues:

@@ -83,6 +83,10 @@ class TestDeriveConstants:
         with pytest.raises(ParameterError, match=r"\(l, q, hbar\) = \(1e-12, 1e\+300, 1.0\)"):
             derive_constants(ScaledParams(l=1e-12, q=1e300, hbar=1.0))
 
+    def test_underflowing_constants_are_a_parameter_error(self):
+        with pytest.raises(ParameterError, match=r"underflow at \(l, q, hbar\) = \(1e\+300, 1.5"):
+            derive_constants(ScaledParams(l=1e300, q=1.5, hbar=1e150))
+
     def test_rejects_small_weight(self):
         with pytest.raises(ParameterError):
             derive_constants(ScaledParams(l=2.0, q=1.0, hbar=1.0))
@@ -267,6 +271,12 @@ class TestMinLength:
     def test_rejects_small_weight(self):
         with pytest.raises(ParameterError):
             min_length(ScaledParams(l=2.0, q=0.5, hbar=1.0))
+
+    def test_overflow_is_a_parameter_error(self):
+        # (hbar + 1)(hbar + 2q - 1) overflows once hbar is above about 1e154
+        assert math.isfinite(min_length(ScaledParams(l=1.0, q=1.5, hbar=1e150)))
+        with pytest.raises(ParameterError, match=r"overflows at \(q, hbar\) = \(1.5, 1e\+300\)"):
+            min_length(ScaledParams(l=1e8, q=1.5, hbar=1e300))
 
 
 class TestSolveLambdaBar:

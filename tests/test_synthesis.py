@@ -403,12 +403,29 @@ class TestOverflow:
             (1e-12, 1e300, 1.0, "switching constants"),
             (1e-310, 0.5, 1.0, "adjoint"),
             (1e-300, 0.5, 1e300, "adjoint"),
+            (1e8, 1.5, 1e300, "threshold length"),
+            (1e150, 1e300, 1.0, "objective"),
         ],
     )
     def test_overflowing_parameters_are_a_parameter_error(self, l, q, hbar, where):
         with pytest.raises(ParameterError, match=f"the {where} overflow") as err:
             optimal_policy(ScaledParams(l=l, q=q, hbar=hbar))
         assert f"{q!r}, {hbar!r})" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "q", [1.0 + 2.0**-52, 1.000000000001, 1.5, 1e8, 1e150]
+    )
+    def test_underflowing_switch_constant_is_a_parameter_error(self, q):
+        # sqrt(a1)*l overflows or (q - 1)/(sqrt(a1)*l) underflows: is1 is 0,
+        # and the switch time at the reserve's edge would divide by it
+        with pytest.raises(ParameterError, match="switching constants underflow") as err:
+            optimal_policy(ScaledParams(l=1e300, q=q, hbar=1e150))
+        assert f"(1e+300, {q!r}, 1e+150)" in str(err.value)
+
+    def test_overflowing_physical_threshold_is_a_parameter_error(self):
+        p = UnscaledParams(D=1.0, R=1.0, mu=1.0, Hbar=1e300, Q=1.5, L=1e8)
+        with pytest.raises(ParameterError, match=r"threshold length overflows at \(mu, Hbar, Q\)"):
+            unscaled_reserve_boundary(p)
 
 
 class TestExtendBySymmetry:
