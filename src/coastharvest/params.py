@@ -80,4 +80,7 @@ def to_unscaled_length(x: float, p: UnscaledParams) -> float:
 
 def unscale_objective(j: float, p: UnscaledParams) -> float:
     """Scaled objective j is per-recruitment; the physical yield is R*j."""
-    return j * p.R
+    J = j * p.R
+    if not math.isfinite(J):
+        raise ParameterError(f"the physical objective R*j overflows at R = {p.R!r}, j = {j!r}")
+    return J

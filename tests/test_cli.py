@@ -132,6 +132,15 @@ class TestSolve:
         )
         assert doc["objective_J"] == pytest.approx(3.0 * doc["objective_j"], rel=1e-12)
 
+    def test_overflowing_physical_objective_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "solve", "--D", "1", "--R", "1.7e308", "--mu", "1",
+            "--Hbar", "1", "--Q", "2", "--L", "10",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the physical objective R*j overflows at R = 1.7e+308")
+
     def test_profile_csv(self, capsys, tmp_path):
         path = tmp_path / "profile.csv"
         doc = run_json(
@@ -211,6 +220,9 @@ class TestVerify:
         [
             (9.811278000808583, 3.297466230318146, 2.052804579830935),
             (16.764199905276822, 1.858223827549165, 1.5225018921202387),
+            # start 24 is 1e-5 above lam_star: the crossing and the hit
+            # share one integrator step
+            (20.0, 2.0, 2.7592213493803284),
         ],
     )
     def test_hitting_check_catches_a_grazing_start(self, capsys, l, q, hbar):

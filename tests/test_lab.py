@@ -1,7 +1,9 @@
 """Independent numerical checks: brute force, events, PDE, spectra."""
 
+import ast
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,14 +46,15 @@ class TestBruteForce:
         res = brute_force_bangbang(sp, cells=12)
         assert res.best_descriptor["mask"] == "1" * 12
         # the grid contains the analytic optimum here, so the gap is roundoff
-        assert abs(res.gap) <= 1e-9
+        assert abs(optimal_policy(sp).objective_j - res.best_objective) <= 1e-9
 
     def test_supercritical_winner_blocks_the_middle(self):
         res = brute_force_bangbang(OPTIMAL_SP, cells=12)
         assert res.best_descriptor["mask"] == "110000000011"
         # analytic optimum dominates every cell policy
-        assert res.gap >= -1e-9
-        assert res.analytic_objective > res.best_objective
+        analytic = optimal_policy(OPTIMAL_SP).objective_j
+        assert analytic - res.best_objective >= -1e-9
+        assert analytic > res.best_objective
 
     def test_single_cell_reduces_to_the_constant_comparison(self):
         res = brute_force_bangbang(OPTIMAL_SP, cells=1)
@@ -103,7 +106,7 @@ class TestReserveSweep:
         assert best["center"] == 0.0
         want_width = 2.0 * (OPTIMAL_SP.l / 2.0 - switch_location(OPTIMAL_SP))
         assert abs(best["width"] - want_width) <= 0.2  # one grid step
-        assert res.gap >= -1e-9
+        assert optimal_policy(OPTIMAL_SP).objective_j - res.best_objective >= -1e-9
 
     def test_short_coast_picks_zero_width(self):
         res = reserve_sweep(ScaledParams(l=2.0, q=2.0, hbar=1.0), centers=11, widths=21)
@@ -149,11 +152,42 @@ class TestEventIntegration:
         assert math.isinf(t)
         assert crossings == 1
 
+    @pytest.mark.parametrize(
+        "l, q, hbar",
+        [
+            (4.0, 2.0, 1.0),
+            (20.0, 2.0, 2.7592213493803284),
+            (9.811278000808583, 3.297466230318146, 2.052804579830935),
+            (16.764199905276822, 1.858223827549165, 1.5225018921202387),
+        ],
+    )
+    def test_grazing_starts_just_above_lam_star(self, l, q, hbar):
+        # the dip below the switching line shrinks as the start nears
+        # lam_star, until the crossing and the hit share one step
+        sp = ScaledParams(l=l, q=q, hbar=hbar)
+        dc = derive_constants(sp)
+        for r in (0.0, 1e-12, 1e-9, 1e-6, 1e-5, 3e-5, 1e-4, 1e-3):
+            lam0 = dc.lam_star * (1.0 + r)
+            t, _ = integrate_adjoint_with_events(lam0, sp)
+            assert abs(t - hitting_time(lam0, dc)) <= 1e-8, r
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             integrate_adjoint_with_events(0.0, OPTIMAL_SP)
         with pytest.raises(ParameterError):
             integrate_adjoint_with_events(0.3, ScaledParams(l=4.0, q=0.5, hbar=1.0))
+
+
+def test_lab_imports_none_of_the_closed_forms():
+    # relative imports by module name, and any absolute import of the package
+    package = set()
+    for node in ast.walk(ast.parse(Path(lab.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").startswith("coastharvest"):
+                package.add(node.module)
+        elif isinstance(node, ast.Import):
+            package.update(a.name for a in node.names if a.name.startswith("coastharvest"))
+    assert package == {"bvp", "params", "policy"}
 
 
 class TestPdeTimeStepper:
@@ -163,7 +197,7 @@ class TestPdeTimeStepper:
     def test_constant_policy_converges_to_the_closed_form(self):
         sp = ScaledParams(l=2.0, q=1.0, hbar=1.0)
         run = pde_time_stepper(
-            constant_policy(sp.l, sp.hbar), sp, dx=sp.l / 2048.0, t_max=20.0
+            constant_policy(sp.l, sp.hbar), dx=sp.l / 2048.0, t_max=20.0
         )
         assert run.l2_distance <= 1e-6
         assert run.x[0] == -1.0 and run.x[-1] == 1.0
@@ -174,7 +208,6 @@ class TestPdeTimeStepper:
     def test_optimal_policy_converges_on_a_fine_grid(self):
         run = pde_time_stepper(
             optimal_policy(OPTIMAL_SP).policy,
-            OPTIMAL_SP,
             dx=OPTIMAL_SP.l / 8192.0,
             dt=0.01,
             t_max=40.0,
@@ -183,7 +216,7 @@ class TestPdeTimeStepper:
 
     def test_approach_is_monotone_once_transients_die(self):
         sp = ScaledParams(l=2.0, q=1.0, hbar=1.0)
-        run = pde_time_stepper(constant_policy(sp.l, sp.hbar), sp, t_max=5.0)
+        run = pde_time_stepper(constant_policy(sp.l, sp.hbar), t_max=5.0)
         tail = [d for _, d in run.history[len(run.history) // 2 :]]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
         assert run.l2_distance <= 1e-4  # default grid is discretization-limited
@@ -193,9 +226,9 @@ class TestPdeTimeStepper:
         pol = constant_policy(sp.l, sp.hbar)
         for kw in ({"dx": -1.0}, {"dt": 0.0}, {"t_max": 0.0}):
             with pytest.raises(ParameterError):
-                pde_time_stepper(pol, sp, **kw)
+                pde_time_stepper(pol, **kw)
         with pytest.raises(ParameterError):
-            pde_time_stepper(pol, sp, dx=10.0)
+            pde_time_stepper(pol, dx=10.0)
 
     @pytest.mark.parametrize("field", ["dx", "dt", "t_max"])
     def test_non_finite_step_sizes_are_rejected(self, field):
@@ -203,17 +236,17 @@ class TestPdeTimeStepper:
         # infinite dx would run the whole stepper and fail only on output
         sp = ScaledParams(l=2.0, q=1.0, hbar=1.0)
         with pytest.raises(ParameterError, match=f"^{field} must be positive and finite"):
-            pde_time_stepper(constant_policy(sp.l, sp.hbar), sp, **{field: math.inf})
+            pde_time_stepper(constant_policy(sp.l, sp.hbar), **{field: math.inf})
 
     def test_step_count_is_capped(self, monkeypatch):
         sp = ScaledParams(l=2.0, q=1.0, hbar=1.0)
         pol = constant_policy(sp.l, sp.hbar)
         with pytest.raises(ParameterError, match=r"got t_max=1e\+300, dt=0\.5$"):
-            pde_time_stepper(pol, sp, dt=0.5, t_max=1e300)
+            pde_time_stepper(pol, dt=0.5, t_max=1e300)
         monkeypatch.setattr(lab, "MAX_STEPS", 10)
-        assert pde_time_stepper(pol, sp, dt=0.5, t_max=5.0).history[-1][0] == 5.0
+        assert pde_time_stepper(pol, dt=0.5, t_max=5.0).history[-1][0] == 5.0
         with pytest.raises(ParameterError, match="at most 10 steps"):
-            pde_time_stepper(pol, sp, dt=0.5, t_max=5.5)
+            pde_time_stepper(pol, dt=0.5, t_max=5.5)
 
     @staticmethod
     def _dense_operators(run, pol):
@@ -231,7 +264,7 @@ class TestPdeTimeStepper:
 
     def test_one_step_is_a_dense_backward_euler_step(self):
         dt = 0.1
-        run = pde_time_stepper(self.RESERVE_POLICY, OPTIMAL_SP, dx=0.125, dt=dt, t_max=dt)
+        run = pde_time_stepper(self.RESERVE_POLICY, dx=0.125, dt=dt, t_max=dt)
         lumped, steady = self._dense_operators(run, self.RESERVE_POLICY)
         # from u = 0: (M/dt + A) u1 = (M/dt) 0 + load, with load = lumped
         want = np.linalg.solve(np.diag(lumped / dt) + steady, lumped)
@@ -239,7 +272,7 @@ class TestPdeTimeStepper:
         assert run.u[0] == 0.0 and run.u[-1] == 0.0
 
     def test_long_run_reaches_the_dense_discrete_steady_state(self):
-        run = pde_time_stepper(self.RESERVE_POLICY, OPTIMAL_SP, dx=0.125, dt=0.5, t_max=60.0)
+        run = pde_time_stepper(self.RESERVE_POLICY, dx=0.125, dt=0.5, t_max=60.0)
         lumped, steady = self._dense_operators(run, self.RESERVE_POLICY)
         want = np.linalg.solve(steady, lumped)
         assert np.max(np.abs(run.u[1:-1] - want)) <= 1e-12
@@ -254,7 +287,7 @@ class TestPdeTimeStepper:
     @pytest.mark.parametrize("pol, centre_node", MIRROR_POLICIES)
     def test_mirror_step_is_a_dense_backward_euler_step(self, pol, centre_node):
         dt = 0.1
-        run = pde_time_stepper(pol, OPTIMAL_SP, dx=0.125, dt=dt, t_max=dt)
+        run = pde_time_stepper(pol, dx=0.125, dt=dt, t_max=dt)
         assert (0.0 in run.x) is centre_node
         lumped, steady = self._dense_operators(run, pol)
         want = np.linalg.solve(np.diag(lumped / dt) + steady, lumped)
@@ -263,7 +296,7 @@ class TestPdeTimeStepper:
 
     @pytest.mark.parametrize("pol, centre_node", MIRROR_POLICIES)
     def test_mirror_run_reaches_the_dense_discrete_steady_state(self, pol, centre_node):
-        run = pde_time_stepper(pol, OPTIMAL_SP, dx=0.125, dt=0.5, t_max=60.0)
+        run = pde_time_stepper(pol, dx=0.125, dt=0.5, t_max=60.0)
         assert (0.0 in run.x) is centre_node
         lumped, steady = self._dense_operators(run, pol)
         want = np.linalg.solve(steady, lumped)
@@ -290,7 +323,7 @@ class TestPdeTimeStepper:
             return solve(d, e, b, overwrite_b=overwrite_b)
 
         monkeypatch.setattr(lab, "dpttrs", recording_solve)
-        run = pde_time_stepper(pol, OPTIMAL_SP, dx=0.125, dt=0.5, t_max=2.0)
+        run = pde_time_stepper(pol, dx=0.125, dt=0.5, t_max=2.0)
         n = len(run.x) - 2
         assert sizes == [n - n // 2 if mirror else n] * 5
 
@@ -300,7 +333,7 @@ class TestPdeTimeStepper:
 
         monkeypatch.setattr(lab, "dpttrs", nan_solve)
         with pytest.raises(RuntimeError, match="blew up"):
-            pde_time_stepper(self.RESERVE_POLICY, OPTIMAL_SP, dx=0.125, dt=0.5, t_max=2.0)
+            pde_time_stepper(self.RESERVE_POLICY, dx=0.125, dt=0.5, t_max=2.0)
 
 
     # verify's former run on short coasts, where e decays through the
@@ -324,7 +357,7 @@ class TestPdeTimeStepper:
     @pytest.mark.parametrize("l, distance, history, u", PINNED)
     def test_short_coast_run_is_pinned_to_the_bit(self, l, distance, history, u):
         sp = ScaledParams(l=l, q=2.0, hbar=1.0)
-        run = pde_time_stepper(optimal_policy(sp).policy, sp, dx=l / 8192.0, dt=0.01, t_max=40.0)
+        run = pde_time_stepper(optimal_policy(sp).policy, dx=l / 8192.0, dt=0.01, t_max=40.0)
         assert run.l2_distance.hex() == distance
         assert hashlib.sha256(np.array(run.history).tobytes()).hexdigest() == history
         assert hashlib.sha256(run.u.tobytes()).hexdigest() == u
@@ -341,12 +374,12 @@ class TestPdeTimeStepper:
 
         monkeypatch.setattr(lab, "dpttrs", counting_solve)
         sp = ScaledParams(l=0.3, q=2.0, hbar=1.0)
-        run = pde_time_stepper(optimal_policy(sp).policy, sp, dx=sp.l / 8192.0, dt=0.01, t_max=40.0)
+        run = pde_time_stepper(optimal_policy(sp).policy, dx=sp.l / 8192.0, dt=0.01, t_max=40.0)
         assert len(calls) < 200
         assert len(run.history) == 65 and run.history[-1][0] == 40.0
 
     def test_discrete_distance_is_the_gap_to_the_grid_steady_state(self):
-        run = pde_time_stepper(self.RESERVE_POLICY, OPTIMAL_SP, dx=0.125, dt=0.1, t_max=0.5)
+        run = pde_time_stepper(self.RESERVE_POLICY, dx=0.125, dt=0.1, t_max=0.5)
         lumped, steady = self._dense_operators(run, self.RESERVE_POLICY)
         want = np.linalg.solve(steady, lumped)
         gap = math.sqrt(np.sum(lumped * (run.u[1:-1] - want) ** 2))
@@ -380,7 +413,7 @@ class TestRichardsonSteadyGap:
         # at l = 50 the l/8192 grid alone misses by 2.4e-6
         sp = ScaledParams(l=50.0, q=2.0, hbar=1.0)
         pol = optimal_policy(sp).policy
-        plain = pde_time_stepper(pol, sp, dx=sp.l / 8192.0, dt=0.01, t_max=40.0).l2_distance
+        plain = pde_time_stepper(pol, dx=sp.l / 8192.0, dt=0.01, t_max=40.0).l2_distance
         assert plain > 1e-6
         assert richardson_steady_gap(pol) <= 1e-3 * plain
 
@@ -410,23 +443,23 @@ class TestStabilityEigenvalues:
     def test_no_harvest_spectrum_is_exact(self):
         # u'' - u on a length-pi interval: top eigenvalue -1 - 1
         sp = ScaledParams(l=math.pi, q=0.5, hbar=1.0)
-        top, stable = stability_eigenvalues(constant_policy(sp.l, 0.0), sp, n=512)
+        top, stable = stability_eigenvalues(constant_policy(sp.l, 0.0), n=512)
         assert top == pytest.approx(-2.0, abs=1e-4)
         assert stable
 
     def test_optimal_policy_is_uniformly_stable(self):
         pol = optimal_policy(OPTIMAL_SP).policy
-        top, stable = stability_eigenvalues(pol, OPTIMAL_SP, n=512)
+        top, stable = stability_eigenvalues(pol, n=512)
         assert stable
         assert top <= -1.0 + 1e-6
         assert top == pytest.approx(-1.6807645765110901, abs=1e-10)
 
     def test_grid_refinement_is_settled(self):
         pol = optimal_policy(OPTIMAL_SP).policy
-        a, _ = stability_eigenvalues(pol, OPTIMAL_SP, n=256)
-        b, _ = stability_eigenvalues(pol, OPTIMAL_SP, n=512)
+        a, _ = stability_eigenvalues(pol, n=256)
+        b, _ = stability_eigenvalues(pol, n=512)
         assert abs(a - b) <= 1e-3
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            stability_eigenvalues(constant_policy(2.0, 1.0), ScaledParams(l=2.0, q=1.0, hbar=1.0), n=15)
+            stability_eigenvalues(constant_policy(2.0, 1.0), n=15)

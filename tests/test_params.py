@@ -102,6 +102,11 @@ class TestObjectiveScaling:
         J = 0.7
         assert unscale_objective(J / p.R, p) == pytest.approx(J, rel=1e-15)
 
+    def test_overflowing_yield_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match=r"R\*j overflows at R = 1\.7e\+308"):
+            unscale_objective(1.61, up(R=1.7e308))
+        assert unscale_objective(0.5, up(R=1.7e308)) == 0.85e308
+
 
 @given(
     D=st.floats(0.01, 100.0),
