@@ -219,11 +219,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     record("reserve_sweep_gap", -(sol.objective_j - rs.best_objective), 1e-9)
     if sp.q > 1.0:
         dc = derive_constants(sp)
+        starts = [dc.lam_starstar * i / 26.0 for i in range(1, 26)]
         worst = 0.0
-        for i in range(1, 26):
-            lam0 = dc.lam_starstar * i / 26.0
+        for lam0, (measured, _) in zip(starts, integrate_adjoint_with_events(starts, sp)):
             closed = hitting_time(lam0, dc)
-            measured, _ = integrate_adjoint_with_events(lam0, sp)
             if math.isinf(closed) != math.isinf(measured):
                 worst = math.inf
                 break

@@ -4,9 +4,11 @@ Nothing here reuses the closed forms under test.  Policies are ranked
 by exhaustive search over bang-bang cell policies, all scored by one
 batched tridiagonal solve for the steady state at the cell edges, and
 by shooting over a grid of reserve blocks.  The hitting time is
-measured by event-detecting integration of the hybrid adjoint flow, and
-linearized stability is checked through the spectrum of the
-discretized operator.
+measured by event-detecting integration of the hybrid adjoint flow,
+all starts at once as one stacked system per phase, and linearized
+stability is checked through the spectrum of the discretized operator.
+Only the event integration needs scipy.integrate, and it imports it on
+first use.
 
 The steady state is checked in two parts.  The time stepper shows that
 the parabolic flow settles on its grid's own steady state u_h: it
@@ -25,12 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.optimize import brentq
 
 from .bvp import evaluate_objective, shoot_steady_state
 from .params import ParameterError, ScaledParams
@@ -174,64 +175,95 @@ def reserve_sweep(sp: ScaledParams, centers: int, widths: int) -> SweepResult:
     return _rank(candidates)
 
 
-def integrate_adjoint_with_events(lambda0: float, sp: ScaledParams) -> tuple[float, int]:
-    """Hitting time of the lambda2-axis by direct hybrid integration.
+def integrate_adjoint_with_events(
+    lambda0s: Sequence[float], sp: ScaledParams
+) -> tuple[tuple[float, int], ...]:
+    """Hitting times of the lambda2-axis by direct hybrid integration.
 
-    Starts at (lambda0, 0) in the maximal-harvest phase and stops at the
+    Each start (lambda0, 0) runs in the maximal-harvest phase until its
     first lambda1 = 0 event.  lambda2 falls while lambda1 > 0, so the
     orbit crosses the switching line lambda2 = -1/l at most once before
     that hit, downward, and from there runs in the no-take phase.
-    Returns (hit time, number of line crossings); the hit time is inf
-    when the horizon 10*l is exhausted.  An orbit that grazes the line
-    can cross it and reach the axis within one step, where the line
-    shows no sign change; the hit then lies below the line, and the
-    harvest phase is rerun with dense output (same steps) to find the
-    crossing as a root of the interpolant.
+    Returns one (hit time, number of line crossings) per start; the hit
+    time is inf when a phase runs for 10*l without the start's event.
+
+    Both phases are autonomous, so all starts are integrated as one
+    stacked system (lambda1_1..lambda1_n, lambda2_1..lambda2_n) per
+    phase, and each no-take run starts at s = 0 from its own crossing
+    state.  In the harvest phase a start's event is
+    g = min(lambda1, lambda2 + 1/l), whose first zero is the axis hit or
+    the line crossing, whichever comes first; the smaller term there
+    tells which, and a tie is a touch at the axis.  g never turns
+    positive again once it reaches 0: lambda1 falls wherever
+    lambda2 > -(h+q)/((1+h)l), which lies below -1/l when q > 1, and
+    lambda2 falls while lambda1 > 0, so the flow leaves neither
+    lambda1 <= 0 nor lambda2 <= -1/l towards the quadrant where both are
+    above.  A crossing and a hit within one step, where lambda2 + 1/l
+    alone would show no sign change, are therefore still one sign change
+    of g.  In the no-take phase the event is lambda1, which falls while
+    lambda2 > -q/l, and lambda2 rises while lambda1 < 0, so it too stays
+    <= 0 once it gets there.  Each run stops once every event is below
+    -margin; the margin puts the stop strictly after the last start's
+    event, which the stop's root could otherwise precede.
     """
-    if not lambda0 > 0.0:
-        raise ParameterError(f"lambda0 must be positive, got {lambda0!r}")
+    from scipy.integrate import solve_ivp
+
+    starts = [float(x) for x in lambda0s]
+    if not starts or not all(x > 0.0 for x in starts):
+        raise ParameterError(f"every lambda0 must be positive, got {lambda0s!r}")
     if not sp.q > 1.0:
         raise ParameterError(f"event oracle applies to q > 1, got q={sp.q!r}")
     l, q = sp.l, sp.q
+    horizon = _HORIZON_FACTOR * l
+    margin = 1e-3 / l
 
-    def axis(x, s):
-        return s[0]
-
-    def line(x, s):
-        return s[1] + 1.0 / l
-
-    axis.terminal, axis.direction = True, -1.0
-    line.terminal, line.direction = True, -1.0
-
-    def phase(h, t0, y0, events, dense_output=False):
+    def phase(h, y0, span, g):
+        """First event of each stacked start, as (time, (lambda1, lambda2)) or None."""
         a, b = 1.0 + h, h + q
-        return solve_ivp(
-            lambda x, s: (-a * s[1] - b / l, -s[0]),
-            (t0, _HORIZON_FACTOR * l),
+        m = len(y0) // 2
+
+        def event(j):
+            def gj(x, y):
+                return g(y[j], y[m + j])
+
+            gj.direction = -1.0
+            return gj
+
+        def stop(x, y):
+            return max(map(g, y[:m], y[m:])) + margin
+
+        stop.terminal, stop.direction = True, -1.0
+        run = solve_ivp(
+            lambda x, y: np.concatenate((-a * y[m:] - b / l, -y[:m])),
+            (0.0, span),
             y0,
             method="DOP853",
             rtol=1e-12,
             atol=1e-14,
-            events=events,
-            dense_output=dense_output,
+            events=[*(event(j) for j in range(m)), stop],
         )
+        return [
+            (t[0], y[0][[j, m + j]]) if t.size else None
+            for j, (t, y) in enumerate(zip(run.t_events[:m], run.y_events[:m]))
+        ]
 
-    harvest = phase(sp.hbar, 0.0, (lambda0, 0.0), (axis, line))
-    if harvest.t_events[1].size:
-        t, y = harvest.t_events[1][0], harvest.y_events[1][0]
-    elif not harvest.t_events[0].size:
-        return math.inf, 0
-    else:
-        hit = harvest.t_events[0][0]
-        if harvest.y_events[0][0][1] >= -1.0 / l:
-            return hit, 0
-        dense = phase(sp.hbar, 0.0, (lambda0, 0.0), (axis, line), dense_output=True).sol
-        t = brentq(lambda x: dense(x)[1] + 1.0 / l, 0.0, hit)
-        y = dense(t)
-        if y[0] <= 0.0:
-            return hit, 0  # the orbit only touched the line at the axis
-    notake = phase(0.0, t, y, (axis,))
-    return (notake.t_events[0][0] if notake.t_events[0].size else math.inf), 1
+    n = len(starts)
+    firsts = phase(
+        sp.hbar,
+        np.concatenate((starts, np.zeros(n))),
+        horizon,
+        lambda lam1, lam2: min(lam1, lam2 + 1.0 / l),
+    )
+    results = [(math.inf if f is None else float(f[0]), 0) for f in firsts]
+    crossed = [
+        (i, *f) for i, f in enumerate(firsts) if f is not None and f[1][1] + 1.0 / l < f[1][0]
+    ]
+    if crossed:
+        y0 = np.array([y for _, _, y in crossed]).T.ravel()
+        hits = phase(0.0, y0, horizon, lambda lam1, lam2: lam1)
+        for (i, t, _), hit in zip(crossed, hits):
+            results[i] = (math.inf if hit is None else float(t + hit[0]), 1)
+    return tuple(results)
 
 
 @dataclass(frozen=True)

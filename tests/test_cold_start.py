@@ -42,6 +42,34 @@ def test_closed_form_commands_do_not_load_scipy(tmp_path):
     assert proc.stdout == "[]\n"
 
 
+LAB_CHILD = """
+import contextlib, io, sys
+from coastharvest.cli import main
+
+commands = [
+    ["simulate", "--l", "2", "--q", "0.5", "--hbar", "1", "--dx", "0.125", "--tmax", "2",
+     "--out", sys.argv[1]],
+    ["verify", "--l", "2", "--q", "0.5", "--hbar", "1"],
+]
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sorted(m for m in ("scipy.integrate", "scipy.optimize", "scipy.linalg") if m in sys.modules))
+"""
+
+
+def test_simulate_and_verify_without_events_do_not_load_the_event_solver(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", LAB_CHILD, str(tmp_path / "state.csv")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['scipy.linalg']\n"
+
+
 NO_NUMPY_CHILD = """
 import contextlib, io, sys
 import coastharvest

@@ -131,51 +131,111 @@ class TestReserveSweep:
             reserve_sweep(OPTIMAL_SP, centers=11, widths=1)
 
 
+GRAZING_SETS = [
+    (4.0, 2.0, 1.0),
+    (20.0, 2.0, 2.7592213493803284),
+    (9.811278000808583, 3.297466230318146, 2.052804579830935),
+    (16.764199905276822, 1.858223827549165, 1.5225018921202387),
+]
+GRAZING_RATIOS = (0.0, 1e-12, 1e-9, 1e-6, 1e-5, 3e-5, 1e-4, 1e-3)
+
+
 class TestEventIntegration:
     def test_matches_the_closed_form_before_any_switch(self):
         dc = derive_constants(OPTIMAL_SP)
-        t, crossings = integrate_adjoint_with_events(0.3, OPTIMAL_SP)
+        ((t, crossings),) = integrate_adjoint_with_events([0.3], OPTIMAL_SP)
         assert crossings == 0
         assert abs(t - hitting_time(0.3, dc)) <= 1e-8
 
     @pytest.mark.parametrize("lambda0", [0.52, 0.54])
     def test_matches_the_closed_form_through_one_switch(self, lambda0):
         dc = derive_constants(OPTIMAL_SP)
-        t, crossings = integrate_adjoint_with_events(lambda0, OPTIMAL_SP)
+        ((t, crossings),) = integrate_adjoint_with_events([lambda0], OPTIMAL_SP)
         assert crossings == 1
         assert abs(t - hitting_time(lambda0, dc)) <= 1e-8
 
     def test_escaping_orbit_reports_no_hit(self):
         dc = derive_constants(OPTIMAL_SP)
         assert math.isinf(hitting_time(0.7, dc))
-        t, crossings = integrate_adjoint_with_events(0.7, OPTIMAL_SP)
+        ((t, crossings),) = integrate_adjoint_with_events([0.7], OPTIMAL_SP)
         assert math.isinf(t)
         assert crossings == 1
 
-    @pytest.mark.parametrize(
-        "l, q, hbar",
-        [
-            (4.0, 2.0, 1.0),
-            (20.0, 2.0, 2.7592213493803284),
-            (9.811278000808583, 3.297466230318146, 2.052804579830935),
-            (16.764199905276822, 1.858223827549165, 1.5225018921202387),
-        ],
-    )
+    def test_escaping_start_in_one_batch_with_hitting_starts(self):
+        # the escaping orbit keeps both phases running to the horizon
+        dc = derive_constants(OPTIMAL_SP)
+        starts = [0.3, 0.52, 0.54, 0.7]
+        results = integrate_adjoint_with_events(starts, OPTIMAL_SP)
+        assert [c for _, c in results] == [0, 1, 1, 1]
+        for lam0, (t, _) in zip(starts[:3], results):
+            assert abs(t - hitting_time(lam0, dc)) <= 1e-8, lam0
+        assert math.isinf(results[3][0])
+
+    @pytest.mark.parametrize("l, q, hbar", GRAZING_SETS)
     def test_grazing_starts_just_above_lam_star(self, l, q, hbar):
         # the dip below the switching line shrinks as the start nears
         # lam_star, until the crossing and the hit share one step
         sp = ScaledParams(l=l, q=q, hbar=hbar)
         dc = derive_constants(sp)
-        for r in (0.0, 1e-12, 1e-9, 1e-6, 1e-5, 3e-5, 1e-4, 1e-3):
-            lam0 = dc.lam_star * (1.0 + r)
-            t, _ = integrate_adjoint_with_events(lam0, sp)
+        starts = [dc.lam_star * (1.0 + r) for r in GRAZING_RATIOS]
+        results = integrate_adjoint_with_events(starts, sp)
+        for r, lam0, (t, _) in zip(GRAZING_RATIOS, starts, results):
             assert abs(t - hitting_time(lam0, dc)) <= 1e-8, r
 
+    @pytest.mark.parametrize(
+        "l, q, hbar, last",
+        [
+            (20.0, 2.0, 2.7592213493803284, 1e-5),
+            # the tangent start's one event is its axis hit, the latest of
+            # the run; without the stop's margin this hit is lost
+            (9.811278000808583, 3.297466230318146, 2.052804579830935, 0.0),
+        ],
+    )
+    def test_grazing_start_last_to_finish_keeps_its_hit(self, l, q, hbar, last):
+        sp = ScaledParams(l=l, q=q, hbar=hbar)
+        dc = derive_constants(sp)
+        ratios = [r for r in GRAZING_RATIOS if r != last] + [last]
+        starts = [dc.lam_star * (1.0 + r) for r in ratios]
+        for r, lam0, (t, _) in zip(ratios, starts, integrate_adjoint_with_events(starts, sp)):
+            assert abs(t - hitting_time(lam0, dc)) <= 1e-8, r
+
+    @pytest.mark.parametrize("l, q, hbar", GRAZING_SETS)
+    def test_a_start_alone_crosses_as_often_as_in_the_batch(self, l, q, hbar):
+        sp = ScaledParams(l=l, q=q, hbar=hbar)
+        dc = derive_constants(sp)
+        starts = [dc.lam_starstar * i / 26.0 for i in range(1, 26, 3)]
+        starts += [dc.lam_star * (1.0 + r) for r in (1e-6, 1e-3)]
+        batch = integrate_adjoint_with_events(starts, sp)
+        for lam0, (_, crossings) in zip(starts, batch):
+            ((_, alone),) = integrate_adjoint_with_events([lam0], sp)
+            assert alone == crossings, lam0
+
+    def test_verify_makes_at_most_two_solver_calls(self, monkeypatch, capsys):
+        import scipy.integrate
+
+        from coastharvest.cli import main
+
+        calls = []
+        solve_ivp = scipy.integrate.solve_ivp
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[2]))
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
+        assert main(["verify", "--l", "4", "--q", "2", "--hbar", "1"]) == 0
+        capsys.readouterr()
+        assert 1 <= len(calls) <= 2
+        assert calls[0] == 50  # all 25 starts in one harvest run
+
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            integrate_adjoint_with_events(0.0, OPTIMAL_SP)
-        with pytest.raises(ParameterError):
-            integrate_adjoint_with_events(0.3, ScaledParams(l=4.0, q=0.5, hbar=1.0))
+        # a non-positive (or NaN) start anywhere in the batch, or no start
+        for starts in ([0.0], [0.3, 0.52, -0.1], [0.3, math.nan], []):
+            with pytest.raises(ParameterError):
+                integrate_adjoint_with_events(starts, OPTIMAL_SP)
+        for q in (0.5, 1.0):
+            with pytest.raises(ParameterError):
+                integrate_adjoint_with_events([0.3, 0.5], ScaledParams(l=4.0, q=q, hbar=1.0))
 
 
 def test_lab_imports_none_of_the_closed_forms():
