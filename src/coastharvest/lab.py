@@ -3,7 +3,8 @@
 Nothing here reuses the closed forms under test.  Policies are ranked
 by exhaustive search over bang-bang cell policies, all scored by one
 batched tridiagonal solve for the steady state at the cell edges, and
-by shooting over a grid of reserve blocks.  The hitting time is
+over a grid of reserve blocks, all scored by one batched flux-map pass
+per block shape.  The hitting time is
 measured by event-detecting integration of the hybrid adjoint flow,
 all starts at once as one stacked system per phase, and linearized
 stability is checked through the spectrum of the discretized operator.
@@ -27,19 +28,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .bvp import evaluate_objective, shoot_steady_state
+from .bvp import shoot_steady_state
 from .params import ParameterError, ScaledParams
-from .policy import HarvestPolicy, single_reserve_policy
+from .policy import HarvestPolicy
 
 # exhaustive search cap: 2^16 candidates, for which the batched solve holds
 # 2(cells-1) float arrays of 2^cells entries (16 MB)
 MAX_CELLS = 16
+
+# reserve-sweep cap: 2^16 candidates, for which the batched pass holds
+# float arrays of at most 3 x 2^16 entries (1.5 MB)
+MAX_SWEEP_CANDIDATES = 2**16
 
 # parabolic run cap: verify's default run asks for 4000 steps and stops
 # early once settled (after 62 at l = 0.3, 2542 at l = 4)
@@ -53,26 +58,33 @@ MAX_CELLS_PER_GRID = 2**20
 _HORIZON_FACTOR = 10.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Ranked candidate policies from an exhaustive or grid search."""
+    """Objectives of the candidates of an exhaustive or grid search.
 
-    candidates: tuple[tuple[dict, float], ...]
-    best: int
+    describe(i) is the descriptor of candidate i; best is the index of
+    the first largest objective.
+    """
+
+    objectives: np.ndarray
+    describe: Callable[[int], dict]
+
+    @property
+    def best(self) -> int:
+        return int(np.argmax(self.objectives))
 
     @property
     def best_objective(self) -> float:
-        return self.candidates[self.best][1]
+        return float(self.objectives[self.best])
 
     @property
     def best_descriptor(self) -> dict:
-        return self.candidates[self.best][0]
+        return self.describe(self.best)
 
-
-def _rank(candidates: list[tuple[dict, float]]) -> SweepResult:
-    """The candidates with the index of the first largest objective."""
-    best = max(range(len(candidates)), key=lambda i: candidates[i][1])
-    return SweepResult(candidates=tuple(candidates), best=best)
+    @property
+    def candidates(self) -> tuple[tuple[dict, float], ...]:
+        """(descriptor, objective) of every candidate, built on each read."""
+        return tuple((self.describe(i), obj) for i, obj in enumerate(self.objectives.tolist()))
 
 
 def _cell_objectives(sp: ScaledParams, cells: int) -> np.ndarray:
@@ -146,11 +158,63 @@ def brute_force_bangbang(sp: ScaledParams, cells: int) -> SweepResult:
     """
     if not 1 <= cells <= MAX_CELLS:
         raise ParameterError(f"cells must lie in [1, {MAX_CELLS}], got {cells!r}")
-    objectives = _cell_objectives(sp, cells).tolist()
-    candidates = [
-        ({"mask": format(mask, f"0{cells}b")}, obj) for mask, obj in enumerate(objectives)
-    ]
-    return _rank(candidates)
+    return SweepResult(
+        objectives=_cell_objectives(sp, cells),
+        describe=lambda mask: {"mask": format(mask, f"0{cells}b")},
+    )
+
+
+def _piece_objectives(sp: ScaledParams, edges: np.ndarray, rates: Sequence[float]) -> np.ndarray:
+    """Objective j of every policy with the given rates on its pieces.
+
+    edges has one row per piece edge and one column per policy, from
+    -l/2 to l/2.  The steady state is solved exactly, as in
+    bvp._dtn_sweep: a piece of width d, k = sqrt(1+h), off = 1/(1+h),
+    t = tanh(kd) and c = sech(kd) maps the flux map (S, F) of the
+    pieces before it to
+        S' = k (S + k t) / (k + S t),
+        F' = k (F c - off (S (1 - c) + k t)) / (k + S t),
+    swept from both ends over all columns at once.  Each inner edge
+    value is -(F_l + F_r) / (S_l + S_r), and a piece with edge values
+    u0, u1 integrates to off*d + (u0 + u1 - 2*off)*tanh(kd/2)/k.  Every
+    term keeps its sign, so a piece of a few ulps or a long coast stays
+    exact.
+    """
+    h = np.array(rates)[:, None]
+    k = np.sqrt(1.0 + h)
+    off = 1.0 / (1.0 + h)
+    d = np.diff(edges, axis=0)
+    kd = k * d
+    t = np.tanh(kd)
+    half_t = np.tanh(0.5 * kd)
+    e = np.exp(-kd)
+    c = 2.0 * e / (1.0 + e * e)
+    one_minus_c = np.expm1(-kd) ** 2 / (1.0 + e * e)
+
+    def sweep(order):
+        """Flux maps (S, F) at the far edge of each piece but the last of order."""
+        first, *rest = order[:-1]
+        s, f = k[first] / t[first], -k[first] * off[first] * half_t[first]
+        maps = [(s, f)]
+        for i in rest:
+            denom = k[i] + s * t[i]
+            f = k[i] * (f * c[i] - off[i] * (s * one_minus_c[i] + k[i] * t[i])) / denom
+            s = k[i] * (s + k[i] * t[i]) / denom
+            maps.append((s, f))
+        return maps
+
+    pieces = list(range(len(rates)))
+    inner = []
+    if len(pieces) > 1:
+        left, right = sweep(pieces), sweep(pieces[::-1])[::-1]
+        inner = [-(fl + fr) / (sl + sr) for (sl, fl), (sr, fr) in zip(left, right)]
+    zero = np.zeros(edges.shape[1])
+    u = [zero, *inner, zero]
+    total = zero
+    for i in pieces:
+        piece = off[i] * d[i] + (u[i] + u[i + 1] - 2.0 * off[i]) * half_t[i] / k[i]
+        total = total + (sp.q + rates[i]) * piece
+    return total / sp.l
 
 
 def reserve_sweep(sp: ScaledParams, centers: int, widths: int) -> SweepResult:
@@ -158,21 +222,42 @@ def reserve_sweep(sp: ScaledParams, centers: int, widths: int) -> SweepResult:
 
     Centers span the middle half of the coast, widths go from zero (the
     constant policy) to the whole domain; blocks are clipped to the coast.
+    Candidates come center-major.  They are grouped by shape (no block,
+    a block touching neither end, the left end only, the right end only,
+    or the whole coast), and each group is scored in one batched pass.
     """
     if centers < 2 or widths < 2:
         raise ParameterError(f"need grids >= 2, got {(centers, widths)!r}")
-    candidates: list[tuple[dict, float]] = []
-    for c in np.linspace(-sp.l / 4.0, sp.l / 4.0, centers):
-        for w in np.linspace(0.0, sp.l, widths):
-            pol = single_reserve_policy(sp.l, c - w / 2.0, c + w / 2.0, sp.hbar)
-            profile = shoot_steady_state(pol)
-            candidates.append(
-                (
-                    {"center": float(c), "width": float(w)},
-                    evaluate_objective(pol, profile, sp.q),
-                )
-            )
-    return _rank(candidates)
+    if centers * widths > MAX_SWEEP_CANDIDATES:
+        raise ParameterError(
+            f"reserve sweep grid too large: {centers} x {widths} candidates, "
+            f"at most {MAX_SWEEP_CANDIDATES}"
+        )
+    cs = np.linspace(-sp.l / 4.0, sp.l / 4.0, centers)
+    ws = np.linspace(0.0, sp.l, widths)
+    c, w = np.repeat(cs, widths), np.tile(ws, centers)
+    end = sp.l / 2.0
+    lo = np.maximum(c - w / 2.0, -end)
+    hi = np.minimum(c + w / 2.0, end)
+    block = lo < hi
+    opens_left, opens_right = block & (lo > -end), block & (hi < end)
+    hbar = sp.hbar
+    groups = (
+        (~block, (-end, end), (hbar,)),
+        (opens_left & opens_right, (-end, lo, hi, end), (hbar, 0.0, hbar)),
+        (~opens_left & opens_right, (-end, hi, end), (0.0, hbar)),
+        (opens_left & ~opens_right, (-end, lo, end), (hbar, 0.0)),
+        (block & ~(opens_left | opens_right), (-end, end), (0.0,)),
+    )
+    objectives = np.empty(c.size)
+    for members, edges, rates in groups:
+        if members.any():
+            columns = np.array([np.broadcast_to(x, c.shape)[members] for x in edges])
+            objectives[members] = _piece_objectives(sp, columns, rates)
+    return SweepResult(
+        objectives=objectives,
+        describe=lambda i: {"center": float(cs[i // widths]), "width": float(ws[i % widths])},
+    )
 
 
 def integrate_adjoint_with_events(
@@ -403,9 +488,11 @@ def pde_time_stepper(
             while step < sample:
                 step += 1
                 e, _ = dpttrs(step_d, step_e, mass * e, overwrite_b=True)
-                if not np.abs(e).max() <= 1e8:
-                    raise RuntimeError(f"time stepping blew up at step {step}")
-            settled = bool(np.all(np.abs(e) <= settled_at))
+            # NaN and inf carry through every later step to the sample
+            size = np.abs(e)
+            if not size.max() <= 1e8:
+                raise RuntimeError(f"time stepping blew up by step {step}")
+            settled = bool(np.all(size <= settled_at))
             distance = _weighted_norm(lumped, mirror, u_h + e - u_star)
         history.append((sample * dt, distance))
 
@@ -445,6 +532,15 @@ def richardson_steady_gap(policy: HarvestPolicy) -> float:
     return _weighted_norm(lumped, mirror, extrapolated - u_star)
 
 
+def _average_rates(policy: HarvestPolicy, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """HarvestPolicy.average_rate over every cell [a_i, b_i], in the same operations."""
+    total = np.zeros(a.shape)
+    for x0, x1, r in policy.segments():
+        lo, hi = np.maximum(a, x0), np.minimum(b, x1)
+        total += np.where(lo < hi, r * (hi - lo), 0.0)
+    return total / (b - a)
+
+
 def stability_eigenvalues(policy: HarvestPolicy, n: int) -> tuple[float, bool]:
     """Largest eigenvalue of w -> w'' - (1+h)w with absorbing boundaries.
 
@@ -458,9 +554,7 @@ def stability_eigenvalues(policy: HarvestPolicy, n: int) -> tuple[float, bool]:
     l = policy.l
     dx = l / (n + 1)
     xs = -l / 2.0 + dx * np.arange(1, n + 1)
-    pot = np.array(
-        [1.0 + policy.average_rate(x - dx / 2.0, x + dx / 2.0) for x in xs]
-    )
+    pot = 1.0 + _average_rates(policy, xs - dx / 2.0, xs + dx / 2.0)
     diag = -2.0 / dx**2 - pot
     off = np.full(n - 1, 1.0 / dx**2)
     top = float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(n - 1, n - 1))[0])

@@ -261,6 +261,15 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: grid too fine: more than 1048576 cells")
 
+    def test_oversized_reserve_grid_is_a_parameter_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--l", "4", "--q", "2", "--hbar", "1",
+            "--centers", "3000", "--widths", "3000",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: reserve sweep grid too large: 3000 x 3000 candidates")
+
     def test_oversized_cell_count_is_an_error(self, capsys):
         code, _, err = run(
             capsys, "verify", "--l", "4", "--q", "2", "--hbar", "1", "--cells", "20"

@@ -115,20 +115,80 @@ class TestReserveSweep:
         # the first index
         assert res.best == 0
 
+    @staticmethod
+    def _block_objective(sp, left, right):
+        pol = single_reserve_policy(sp.l, left, right, sp.hbar)
+        return evaluate_objective(pol, shoot_steady_state(pol), sp.q)
+
     @pytest.mark.parametrize(
         "sp", [OPTIMAL_SP, ScaledParams(l=20.0, q=0.5, hbar=3.0), ScaledParams(l=2.0, q=2.0, hbar=1.0)]
     )
     def test_every_candidate_is_the_objective_of_its_block_policy(self, sp):
-        for desc, obj in reserve_sweep(sp, centers=5, widths=7).candidates:
+        # verify's default grid; the batched pass does not split at x = 0
+        # as bvp does, so the two differ in the last bits
+        for desc, obj in reserve_sweep(sp, centers=11, widths=21).candidates:
             c, w = desc["center"], desc["width"]
-            pol = single_reserve_policy(sp.l, c - w / 2.0, c + w / 2.0, sp.hbar)
-            assert obj == evaluate_objective(pol, shoot_steady_state(pol), sp.q)
+            want = self._block_objective(sp, c - w / 2.0, c + w / 2.0)
+            assert obj == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_block_edge_next_to_the_centre_matches_bvp(self):
+        # center -0.3, width 0.6: the block's right edge lands at 5.55e-17,
+        # which bvp splits off as a piece of that width
+        sp = ScaledParams(l=2.0, q=2.0, hbar=1.0)
+        res = reserve_sweep(sp, centers=11, widths=21)
+        i = 2 * 21 + 6
+        desc, obj = res.candidates[i]
+        c, w = desc["center"], desc["width"]
+        assert c + w / 2.0 == 5.551115123125783e-17
+        assert math.isfinite(obj)
+        assert obj == pytest.approx(self._block_objective(sp, c - w / 2.0, c + w / 2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("ulps", [1, 2, 5])
+    def test_block_edge_a_few_ulps_from_a_coast_end_matches_bvp(self, ulps):
+        # a harvested piece a few ulps wide at either coast end
+        sp = OPTIMAL_SP
+        end = sp.l / 2.0
+        near = end
+        for _ in range(ulps):
+            near = math.nextafter(near, 0.0)
+        blocks = [(-near, 0.5), (-0.5, near), (-near, near)]
+        edges = np.array([[-end, lo, hi, end] for lo, hi in blocks]).T
+        got = lab._piece_objectives(sp, edges, (sp.hbar, 0.0, sp.hbar))
+        assert np.all(np.isfinite(got))
+        for (lo, hi), obj in zip(blocks, got):
+            assert obj == pytest.approx(self._block_objective(sp, lo, hi), rel=1e-12, abs=0.0)
+
+    def test_scores_without_the_shooting_solver(self, monkeypatch):
+        def refuse(policy):
+            raise AssertionError("reserve_sweep called shoot_steady_state")
+
+        monkeypatch.setattr(lab, "shoot_steady_state", refuse)
+        res = reserve_sweep(OPTIMAL_SP, centers=11, widths=21)
+        assert res.objectives.shape == (231,)
+        assert res.best_descriptor["center"] == 0.0
+
+    def test_candidates_are_center_major(self):
+        res = reserve_sweep(OPTIMAL_SP, centers=3, widths=4)
+        descs = [d for d, _ in res.candidates]
+        assert descs == [
+            {"center": c, "width": w}
+            for c in np.linspace(-1.0, 1.0, 3).tolist()
+            for w in np.linspace(0.0, 4.0, 4).tolist()
+        ]
+        assert [o for _, o in res.candidates] == res.objectives.tolist()
+        assert res.best_objective == max(res.objectives.tolist())
 
     def test_grid_validation(self):
         with pytest.raises(ParameterError):
             reserve_sweep(OPTIMAL_SP, centers=1, widths=21)
         with pytest.raises(ParameterError):
             reserve_sweep(OPTIMAL_SP, centers=11, widths=1)
+
+    def test_grid_size_is_capped(self):
+        assert lab.MAX_SWEEP_CANDIDATES == 256 * 256
+        assert reserve_sweep(OPTIMAL_SP, centers=256, widths=256).objectives.size == 256 * 256
+        with pytest.raises(ParameterError, match="reserve sweep grid too large"):
+            reserve_sweep(OPTIMAL_SP, centers=256, widths=257)
 
 
 GRAZING_SETS = [
@@ -395,6 +455,24 @@ class TestPdeTimeStepper:
         with pytest.raises(RuntimeError, match="blew up"):
             pde_time_stepper(self.RESERVE_POLICY, dx=0.125, dt=0.5, t_max=2.0)
 
+    def test_blow_up_is_caught_at_the_next_history_sample(self, monkeypatch):
+        # 200 steps are sampled every 3; an inf at step 1 carries to step 3.
+        # The first solve is the steady state's, the second step 1's.
+        calls = []
+        solve = lab.dpttrs
+
+        def inf_solve(d, e, b, overwrite_b=False):
+            calls.append(1)
+            x, info = solve(d, e, b, overwrite_b=overwrite_b)
+            if len(calls) == 2:
+                x[0] = np.inf
+            return x, info
+
+        monkeypatch.setattr(lab, "dpttrs", inf_solve)
+        with pytest.raises(RuntimeError, match="blew up by step 3$"):
+            pde_time_stepper(self.RESERVE_POLICY, dx=0.125, dt=0.01, t_max=2.0)
+        assert len(calls) == 1 + 3
+
 
     # verify's former run on short coasts, where e decays through the
     # subnormal range: l2_distance.hex(), then sha256 of the history and
@@ -519,6 +597,22 @@ class TestStabilityEigenvalues:
         a, _ = stability_eigenvalues(pol, n=256)
         b, _ = stability_eigenvalues(pol, n=512)
         assert abs(a - b) <= 1e-3
+
+    @pytest.mark.parametrize(
+        "pol",
+        [
+            single_reserve_policy(4.0, -1.5, 0.5, 1.0),
+            cell_policy(3.0, [0.0, 2.5, 2.5, 0.0, 1.0, 0.0, 2.5]),
+        ],
+    )
+    def test_potential_is_the_per_node_average_rate(self, pol):
+        # the spectrum's cells: n = 512 nodes, each cell dx wide
+        n = 512
+        dx = pol.l / (n + 1)
+        xs = -pol.l / 2.0 + dx * np.arange(1, n + 1)
+        a, b = xs - dx / 2.0, xs + dx / 2.0
+        want = [pol.average_rate(lo, hi) for lo, hi in zip(a, b)]
+        assert lab._average_rates(pol, a, b).tolist() == want
 
     def test_validation(self):
         with pytest.raises(ParameterError):
