@@ -14,7 +14,6 @@ from .analytic import (
     constant_control_objective,
     constant_control_steady_state,
     optimal_shoot_slope,
-    state_return_time,
     switch_level,
 )
 from .bvp import (
@@ -126,7 +125,6 @@ __all__ = [
     "solve_adjoint",
     "solve_lambda_bar",
     "stability_eigenvalues",
-    "state_return_time",
     "switch_level",
     "switch_line_intercept",
     "switch_location",

@@ -1,9 +1,9 @@
-"""Clamped inverse hyperbolic helpers and a bisection root finder.
+"""A clamped arctanh, sech and a bisection root finder.
 
-The return-time and switch-location formulas divide by expressions that
-vanish at branch endpoints, so the raw library functions produce NaN or
-raise one ulp past the boundary.  The inverse hyperbolics here clamp
-their argument just inside the open domain first.
+The hitting-time, adjoint and half-length formulas take arctanh of
+ratios that reach 1 at branch endpoints, so math.atanh raises one ulp
+past the boundary.  The arctanh here clamps its argument just inside
+the open domain first.
 """
 
 from __future__ import annotations
@@ -11,24 +11,13 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-# Arguments are pulled this far inside the open interval (-1, 1);
-# matches the divergence cap used by the return-time code.
+# Arguments are pulled this far inside the open interval (-1, 1).
 _ATANH_CLAMP = 1.0 - 1e-15
 
 
 def arctanh(x: float) -> float:
     """math.atanh, with the argument clamped at +-(1 - 1e-15)."""
     return math.atanh(min(max(x, -_ATANH_CLAMP), _ATANH_CLAMP))
-
-
-def arccoth(y: float) -> float:
-    """arccoth(y) = arctanh(1/y) for |y| > 1, clamped at |y| = 1 + 1e-15."""
-    lo = 1.0 + 1e-15
-    if 0.0 <= y < lo:
-        y = lo
-    elif -lo < y < 0.0:
-        y = -lo
-    return arctanh(1.0 / y)
 
 
 def sech(x: float) -> float:

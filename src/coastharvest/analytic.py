@@ -3,10 +3,9 @@
 Every constant-rate segment of the model solves u'' = (1+h)u - 1, whose
 solutions are a constant offset plus a cosh/sinh pair.  SegmentSolution
 captures that structure exactly, through the segment's two edge values;
-the module-level functions build the specific solutions used by the
-optimality analysis: the constant-control steady state on the full
-interval, the matching adjoint pair, and the return-time functions that
-decide the small-q regime.
+the module-level functions are the closed forms of the constant-control
+case: the steady state on the full interval, its shooting slope and
+objective, and the matching adjoint pair.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._specfun import arccoth, arctanh, sech
+from ._specfun import arctanh, sech
 from .params import ParameterError
 
 
@@ -71,9 +70,6 @@ class SegmentSolution:
     def deriv(self, x: float) -> float:
         return self.value_and_deriv(x)[1]
 
-    def second_deriv(self, x: float) -> float:
-        return self.k * self.k * (self.value(x) - self.offset)
-
     def integral(self) -> float:
         """Exact integral of u over [x0, x1]."""
         w = self.x1 - self.x0
@@ -112,18 +108,6 @@ def optimal_shoot_slope(hbar: float, l: float) -> float:
     return math.tanh(c * l / 2.0) / c
 
 
-def state_return_time(v0: float, hbar: float, l: float) -> float:
-    """Return time of the state orbit started at (0, v0) to the u = 0 axis.
-
-    T0(v0) = (2/c)*arccoth(1/(v0*c)) - l/2, c = sqrt(hbar+1).  Increasing
-    in v0, tends to -l/2 as v0 -> 0 and diverges as v0 -> 1/c.
-    """
-    c = math.sqrt(hbar + 1.0)
-    if not 0.0 < v0 < 1.0 / c:
-        raise ParameterError(f"v0 must lie in (0, {1.0 / c!r}), got {v0!r}")
-    return (2.0 / c) * arccoth(1.0 / (v0 * c)) - l / 2.0
-
-
 def switch_level(hbar: float, q: float, l: float) -> float:
     """Largest admissible adjoint shooting value, (hbar+q)/(sqrt(hbar+1)*l)."""
     return (hbar + q) / (math.sqrt(hbar + 1.0) * l)
@@ -146,20 +130,6 @@ def adjoint_constant_hbar(
     lam1 = -lam_s * sech(c * beta) * math.sinh(arg)
     lam2 = (lam_s / c) * (sech(c * beta) * math.cosh(arg) - 1.0)
     return lam1, lam2
-
-
-def adjoint_return_time_q_le_1(lambda0: float, hbar: float, q: float, l: float) -> float:
-    """Return time of the adjoint orbit to the lambda1-axis.
-
-    T(lambda0) = (2/c)*arctanh(lambda0/lam_s) - l/2.  The transversality
-    solve picks the lambda0 with T = l/2; for q <= 1 that root stays
-    below the switch line, so the constant-hbar control is optimal.
-    """
-    lam_s = switch_level(hbar, q, l)
-    if not 0.0 < lambda0 < lam_s:
-        raise ParameterError(f"lambda0 must lie in (0, {lam_s!r}), got {lambda0!r}")
-    c = math.sqrt(hbar + 1.0)
-    return (2.0 / c) * arctanh(lambda0 / lam_s) - l / 2.0
 
 
 def constant_control_objective(hhat: float, q: float, l: float) -> float:

@@ -16,7 +16,6 @@ use, so solving and checking a policy load no numpy.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,11 +45,6 @@ class Profile:
             (abs(a.deriv(a.x1) - b.deriv(b.x0)) for a, b in zip(self.segments, self.segments[1:])),
             default=0.0,
         )
-
-    def value(self, x: float) -> tuple[float, float]:
-        """(w, w') at x."""
-        inner = [s.x1 for s in self.segments[:-1]]
-        return self.segments[bisect.bisect_right(inner, x)].value_and_deriv(x)
 
     def eval_many(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """(w, w') at every point of xs."""

@@ -10,8 +10,8 @@ shooting value.
 
 Naming: lam_star and lam_starstar are the two critical shooting values
 (orbit tangent to the switching line, and orbit asymptotic to the second
-stable manifold).  i1, i2 are stable-manifold axis intercepts, e1, e2
-equilibrium heights, is1, is2 the manifold/switch-line intersections.
+stable manifold).  i1 is the first stable manifold's axis intercept, and
+is1, is2 are the manifold/switch-line intersections.
 """
 
 from __future__ import annotations
@@ -30,23 +30,11 @@ class DerivedConstants:
     a2: float
     b2: float
     i1: float
-    i2: float
-    e1: float
-    e2: float
     is1: float
     is2: float
     lam_star: float
     lam_starstar: float
     l_min: float
-
-
-@dataclass(frozen=True)
-class SaddleGeometry:
-    """Equilibrium and invariant-line slopes of a constant-rate adjoint flow."""
-
-    equilibrium: tuple[float, float]
-    stable_slope: float
-    unstable_slope: float
 
 
 def derive_constants(sp: ScaledParams) -> DerivedConstants:
@@ -58,7 +46,8 @@ def derive_constants(sp: ScaledParams) -> DerivedConstants:
     is2 = (math.sqrt(a2) / l) * (b2 / a2 - 1.0)
     lam_star = math.sqrt(2.0 * b1 - a1) / l
     lam_starstar = math.hypot(lam_star, is2)
-    # i1, e1 and is1 are at most lam_starstar in size, and e2 = -i2
+    # i1 and is1 are at most lam_starstar in size; b2/l is the size of the
+    # adjoint's offset in the reserve
     if not (math.isfinite(lam_starstar) and math.isfinite(b2 / l)):
         raise ParameterError(
             f"the switching constants overflow at (l, q, hbar) = ({l!r}, {q!r}, {hbar!r})"
@@ -78,24 +67,11 @@ def derive_constants(sp: ScaledParams) -> DerivedConstants:
         a2=a2,
         b2=b2,
         i1=b1 / (math.sqrt(a1) * l),
-        i2=b2 / (math.sqrt(a2) * l),
-        e1=-b1 / (a1 * l),
-        e2=-b2 / (a2 * l),
         is1=is1,
         is2=is2,
         lam_star=lam_star,
         lam_starstar=lam_starstar,
         l_min=min_length(sp),
-    )
-
-
-def saddle_geometry(a: float, b: float, l: float) -> SaddleGeometry:
-    if not (a > 0.0 and b > 0.0 and l > 0.0):
-        raise ParameterError(f"a, b, l must be positive, got {(a, b, l)!r}")
-    return SaddleGeometry(
-        equilibrium=(0.0, -b / (a * l)),
-        stable_slope=1.0 / math.sqrt(a),
-        unstable_slope=-1.0 / math.sqrt(a),
     )
 
 
@@ -160,8 +136,8 @@ def hitting_time(lambda0: float, dc: DerivedConstants) -> float:
     if tilde >= dc.is2:
         return math.inf
     if tilde == 0.0:
-        return switch_time(lambda0, dc)
-    return switch_time(lambda0, dc) + post_switch_time(tilde, dc)
+        return _switch_time(lambda0, tilde, dc)
+    return _switch_time(lambda0, tilde, dc) + post_switch_time(tilde, dc)
 
 
 def min_length(sp: ScaledParams) -> float:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._specfun import arctanh, bisect_root
-from .analytic import SegmentSolution
 from .bvp import (
     Profile,
     evaluate_objective,
@@ -215,31 +214,7 @@ def unscaled_reserve_boundary(p: UnscaledParams) -> Optional[float]:
 
 
 # ---------------------------------------------------------------------------
-# symmetry extension and the zero-flux variant
-
-
-def extend_by_symmetry(half: Profile) -> Profile:
-    """Reflect an adjoint profile, lambda2 on [-l/2, 0], to the full interval.
-
-    With lambda1 = -lambda2', the reflection (lambda1, lambda2) ->
-    (-lambda1, lambda2) maps solutions to solutions, so a half profile
-    with lambda1(0) = 0 extends to one satisfying both transversality
-    conditions.  Inputs with |lambda1(0)| > 1e-8 are rejected.
-    """
-    end = half.segments[-1].x1
-    if abs(end) > 1e-9:
-        raise ParameterError(f"profile must end at 0 to be extended, ends at {end!r}")
-    lam1_mid = -half.value(end)[1]
-    if abs(lam1_mid) > 1e-8:
-        raise ParameterError(
-            f"profile is not symmetric-extensible: lambda1(0)={lam1_mid!r}"
-        )
-    # u(-x) solves the same segment ODE: mirror each segment and swap its edge values
-    mirrored = tuple(
-        SegmentSolution(k=s.k, offset=s.offset, u0=s.u1, u1=s.u0, x0=-s.x1, x1=-s.x0)
-        for s in reversed(half.segments)
-    )
-    return Profile(tuple(half.segments) + mirrored)
+# the zero-flux variant
 
 
 def neumann_objective(hhat: float, q: float) -> float:

@@ -96,9 +96,6 @@ def constants(l, q, hbar) -> dict:
         "a2": a2,
         "b2": b2,
         "i1": b1 / (mp.sqrt(a1) * l),
-        "i2": b2 / (mp.sqrt(a2) * l),
-        "e1": -b1 / (a1 * l),
-        "e2": -b2 / (a2 * l),
         "is1": (mp.sqrt(a1) / l) * (b1 / a1 - 1),
         "is2": (mp.sqrt(a2) / l) * (b2 / a2 - 1),
         "lam_star": mp.sqrt(2 * b1 - a1) / l,

@@ -1,4 +1,4 @@
-"""Closed-form constant-control solutions and their return-time functions."""
+"""Closed-form constant-control solutions: steady state, shooting slope, adjoint, objective."""
 
 import math
 
@@ -12,10 +12,8 @@ from coastharvest import (
     constant_control_objective,
     constant_control_steady_state,
     optimal_shoot_slope,
-    state_return_time,
     switch_level,
 )
-from coastharvest.analytic import adjoint_return_time_q_le_1
 
 
 class TestConstantControlSteadyState:
@@ -41,7 +39,8 @@ class TestConstantControlSteadyState:
         seg = constant_control_steady_state(hhat, l)
         xs = np.linspace(-l / 2.0, l / 2.0, 1000)
         for x in xs:
-            resid = seg.second_deriv(x) - (1.0 + hhat) * seg.value(x) + 1.0
+            u = seg.value(x)
+            resid = seg.k * seg.k * (u - seg.offset) - (1.0 + hhat) * u + 1.0
             assert abs(resid) <= 1e-10
         interior = xs[1:-1]
         assert all(seg.value(x) > 0.0 for x in interior)
@@ -76,33 +75,12 @@ class TestOptimalShootSlope:
                 v = optimal_shoot_slope(hbar, l)
                 assert 0.0 < v < 1.0 / math.sqrt(hbar + 1.0)
 
-
-class TestStateReturnTime:
-    def test_optimal_slope_returns_at_the_far_boundary(self):
-        hbar, l = 1.0, 2.0
+    # short coasts only: the return time diverges as the slope nears 1/c,
+    # so on long coasts it amplifies the slope's last-bit rounding
+    @pytest.mark.parametrize("hbar, l", [(1.0, 2.0), (0.5, 0.5), (4.0, 2.0)])
+    def test_state_orbit_returns_at_the_far_boundary(self, hbar, l):
         v0 = optimal_shoot_slope(hbar, l)
-        assert state_return_time(v0, hbar, l) == pytest.approx(l / 2.0, abs=1e-12)
-
-    def test_small_slope_limit(self):
-        assert state_return_time(1e-14, 1.0, 2.0) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_reference_value(self):
-        # (2/sqrt(2)) * arccoth(1/(0.5*sqrt(2))) - 1 = sqrt(2)*arccoth(sqrt(2)) - 1
-        expected = math.sqrt(2.0) * math.atanh(1.0 / math.sqrt(2.0)) - 1.0
-        assert state_return_time(0.5, 1.0, 2.0) == pytest.approx(expected, abs=1e-14)
-
-    def test_strictly_increasing(self):
-        hbar, l = 1.0, 2.0
-        top = 1.0 / math.sqrt(hbar + 1.0)
-        vs = np.linspace(1e-6, top * (1.0 - 1e-9), 1000)
-        ts = [state_return_time(v, hbar, l) for v in vs]
-        assert all(a < b for a, b in zip(ts, ts[1:]))
-
-    def test_domain_errors(self):
-        with pytest.raises(ParameterError):
-            state_return_time(0.0, 1.0, 2.0)
-        with pytest.raises(ParameterError):
-            state_return_time(1.0 / math.sqrt(2.0) + 1e-9, 1.0, 2.0)
+        assert float(oracles.state_return_time(v0, hbar, l)) == pytest.approx(l / 2.0, abs=1e-12)
 
 
 class TestConstantControlAdjoint:
@@ -142,36 +120,15 @@ class TestConstantControlAdjoint:
             assert got[0] == pytest.approx(float(want[0]), abs=1e-13)
             assert got[1] == pytest.approx(float(want[1]), abs=1e-13)
 
-    def test_domain_errors(self):
-        lam_s = switch_level(1.0, 0.5, 2.0)
-        with pytest.raises(ParameterError):
-            adjoint_constant_hbar(0.0, 1.0, 0.5, 2.0, 0.0)
-        with pytest.raises(ParameterError):
-            adjoint_constant_hbar(lam_s, 1.0, 0.5, 2.0, 0.0)
-
-
-class TestAdjointReturnTime:
-    def test_small_level_limit(self):
-        assert adjoint_return_time_q_le_1(1e-14, 1.0, 0.5, 2.0) == pytest.approx(
-            -1.0, abs=1e-12
-        )
-
-    def test_analytic_inversion_of_the_boundary_condition(self):
-        # T = l/2 solves to lambda0 = lam_s * tanh(sqrt(hbar+1) * l/2)
+    def test_transversal_root_returns_at_the_far_boundary(self):
+        # the return time T = l/2 inverts to lambda0 = lam_s * tanh(sqrt(hbar+1) * l/2)
         hbar, q, l = 1.0, 0.5, 2.0
         lam_s = switch_level(hbar, q, l)
-        root = lam_s * math.tanh(math.sqrt(2.0))
-        assert adjoint_return_time_q_le_1(root, hbar, q, l) == pytest.approx(
+        root = lam_s * math.tanh(math.sqrt(1.0 + hbar) * l / 2.0)
+        assert float(oracles.adjoint_return_time(root, hbar, q, l)) == pytest.approx(
             l / 2.0, abs=1e-12
         )
         assert root / lam_s == pytest.approx(0.8884, abs=5e-5)
-
-    def test_strictly_increasing(self):
-        hbar, q, l = 1.0, 0.5, 2.0
-        lam_s = switch_level(hbar, q, l)
-        lams = np.linspace(1e-8, lam_s * (1.0 - 1e-9), 1000)
-        ts = [adjoint_return_time_q_le_1(v, hbar, q, l) for v in lams]
-        assert all(a < b for a, b in zip(ts, ts[1:]))
 
     def test_root_stays_below_the_switch_line_for_small_q(self):
         # with q <= 1 the whole orbit keeps lambda2 above -1/l, so the
@@ -188,9 +145,9 @@ class TestAdjointReturnTime:
     def test_domain_errors(self):
         lam_s = switch_level(1.0, 0.5, 2.0)
         with pytest.raises(ParameterError):
-            adjoint_return_time_q_le_1(-0.1, 1.0, 0.5, 2.0)
+            adjoint_constant_hbar(0.0, 1.0, 0.5, 2.0, 0.0)
         with pytest.raises(ParameterError):
-            adjoint_return_time_q_le_1(lam_s * 1.0001, 1.0, 0.5, 2.0)
+            adjoint_constant_hbar(lam_s, 1.0, 0.5, 2.0, 0.0)
 
 
 class TestConstantControlObjective:

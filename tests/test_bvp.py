@@ -60,7 +60,7 @@ class TestSegmentSolution:
         seg = SegmentSolution(k=0.9, offset=0.3, u0=0.0, u1=0.6, x0=-1.0, x1=2.0)
         x, eps = 0.4, 1e-4
         fd = (seg.value(x + eps) - 2.0 * seg.value(x) + seg.value(x - eps)) / eps**2
-        assert fd == pytest.approx(seg.second_deriv(x), abs=1e-6)
+        assert fd == pytest.approx(seg.k * seg.k * (seg.value(x) - seg.offset), abs=1e-6)
 
     def test_integral_matches_quadrature(self):
         seg = SegmentSolution(k=1.4, offset=0.6, u0=0.0, u1=0.2, x0=-0.5, x1=1.5)
@@ -100,14 +100,15 @@ class TestShootSteadyState:
 
         hbar, l = 1.0, 2.0
         prof = shoot_steady_state(constant_policy(l, hbar))
-        assert abs(prof.value(-l / 2.0)[1] - optimal_shoot_slope(hbar, l)) <= 1e-10
+        _, du = prof.eval_many([-l / 2.0])
+        assert abs(du[0] - optimal_shoot_slope(hbar, l)) <= 1e-10
 
     def test_boundary_residuals(self):
         pol = three_segment_policy()
         prof = shoot_steady_state(pol)
         l = pol.l
-        assert abs(prof.value(-l / 2.0)[0]) <= 1e-12
-        assert abs(prof.value(l / 2.0)[0]) <= 1e-12
+        u, _ = prof.eval_many([-l / 2.0, l / 2.0])
+        assert np.max(np.abs(u)) <= 1e-12
         assert prof.match_residual <= 1e-12
 
     def test_three_segment_profile_is_positive_and_symmetric(self):
@@ -126,8 +127,8 @@ class TestShootSteadyState:
         for seg in prof.segments:
             h = pol.rate_at(0.5 * (seg.x0 + seg.x1))
             assert seg.offset == pytest.approx(1.0 / (1.0 + h), rel=1e-15)
-            x = 0.5 * (seg.x0 + seg.x1)
-            resid = seg.second_deriv(x) - (1.0 + h) * seg.value(x) + 1.0
+            u = seg.value(0.5 * (seg.x0 + seg.x1))
+            resid = seg.k * seg.k * (u - seg.offset) - (1.0 + h) * u + 1.0
             assert abs(resid) <= 1e-10
 
 
@@ -216,7 +217,8 @@ class TestSolveAdjoint:
         adj = solve_adjoint(pol, q)
         lam_s = switch_level(hbar, q, l)
         lam0 = lam_s * math.tanh(math.sqrt(1.0 + hbar) * l / 2.0)
-        assert abs(-adj.value(-l / 2.0)[1] - lam0) <= 1e-10
+        _, d0 = adj.eval_many([-l / 2.0])
+        assert abs(-d0[0] - lam0) <= 1e-10
         xs = np.linspace(-l / 2.0, l / 2.0, 301)
         lam2, d = adj.eval_many(xs)
         lam1 = -d
@@ -229,15 +231,15 @@ class TestSolveAdjoint:
         pol = three_segment_policy()
         adj = solve_adjoint(pol, OPTIMAL_SP.q)
         l = pol.l
-        assert abs(adj.value(-l / 2.0)[0]) <= 1e-10
-        assert abs(adj.value(l / 2.0)[0]) <= 1e-10
+        lam2, _ = adj.eval_many([-l / 2.0, l / 2.0])
+        assert np.max(np.abs(lam2)) <= 1e-10
 
     def test_multiplier_meets_the_switch_line_at_the_breakpoints(self):
         pol = three_segment_policy()
         adj = solve_adjoint(pol, OPTIMAL_SP.q)
         line = -1.0 / pol.l
-        for bp in pol.breakpoints[1:-1]:
-            assert abs(adj.value(bp)[0] - line) <= 1e-8
+        lam2, _ = adj.eval_many(pol.breakpoints[1:-1])
+        assert np.max(np.abs(lam2 - line)) <= 1e-8
 
     def test_sign_consistency_with_the_bang_bang_law(self):
         pol = three_segment_policy()
@@ -245,12 +247,9 @@ class TestSolveAdjoint:
         line = -1.0 / pol.l
         left, right = pol.breakpoints[1], pol.breakpoints[2]
         margin = 1e-3
-        for x in np.linspace(-pol.l / 2.0, left - margin, 50):
-            assert adj.value(x)[0] > line
-        for x in np.linspace(left + margin, right - margin, 50):
-            assert adj.value(x)[0] < line
-        for x in np.linspace(right + margin, pol.l / 2.0, 50):
-            assert adj.value(x)[0] > line
+        assert np.all(adj.eval_many(np.linspace(-pol.l / 2.0, left - margin, 50))[0] > line)
+        assert np.all(adj.eval_many(np.linspace(left + margin, right - margin, 50))[0] < line)
+        assert np.all(adj.eval_many(np.linspace(right + margin, pol.l / 2.0, 50))[0] > line)
 
     def test_segment_offsets_encode_the_adjoint_ode(self):
         pol = three_segment_policy()

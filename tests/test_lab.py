@@ -310,6 +310,46 @@ def test_lab_imports_none_of_the_closed_forms():
     assert package == {"bvp", "params", "policy"}
 
 
+# top-level names that no code in the package calls, and why each stays
+KEEP = {
+    "adjoint_constant_hbar": "reference closed form the adjoint solver is tested against",
+    "constant_control_objective": "reference closed form the objective is tested against",
+    "constant_control_steady_state": "reference closed form the state solver is tested against",
+    "optimal_shoot_slope": "reference closed form the state solver is tested against",
+    "switch_time": "reference form the reserve half-width and Ts are tested against",
+    "cell_policy": "public API",
+    "half_length_function": "public API",
+    "unscaled_reserve_boundary": "public API",
+    "monotonicity_witness": "read by the acceptance criteria",
+    "neumann_objective": "read by the acceptance criteria",
+    "neumann_variant_policy": "read by the acceptance criteria",
+    "switch_location": "read by the acceptance criteria",
+}
+
+
+def test_package_keeps_no_test_only_helpers():
+    # a top-level def or class counts as used when a top-level statement
+    # other than its own definition names it; __init__'s re-exports do not
+    statements = [
+        node
+        for path in Path(lab.__file__).parent.glob("*.py")
+        if path.name != "__init__.py"
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    defined = {
+        id(node): node.name
+        for node in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    used = set()
+    for node in statements:
+        for sub in ast.walk(node):
+            name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+            if name is not None and name != defined.get(id(node)):
+                used.add(name)
+    assert set(defined.values()) - used == set(KEEP)
+
+
 class TestPdeTimeStepper:
     # an off-centre reserve on an aligned grid: three segments, two rates
     RESERVE_POLICY = single_reserve_policy(4.0, -1.5, 0.5, 1.0)

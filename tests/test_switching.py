@@ -19,7 +19,7 @@ from coastharvest import (
     switch_location,
     switch_time,
 )
-from coastharvest.switching import monotonicity_witness, saddle_geometry
+from coastharvest.switching import monotonicity_witness
 
 GRID = [
     ScaledParams(l=l, q=q, hbar=hbar)
@@ -37,9 +37,6 @@ class TestDeriveConstants:
         assert dc.a2 == 1.0
         assert dc.b2 == 2.0
         assert dc.i1 == pytest.approx(3.0 / (2.0 * math.sqrt(2.0)), rel=1e-15)
-        assert dc.i2 == pytest.approx(1.0, rel=1e-15)
-        assert dc.e1 == pytest.approx(-0.75, rel=1e-15)
-        assert dc.e2 == pytest.approx(-1.0, rel=1e-15)
         assert dc.is1 == pytest.approx(math.sqrt(2.0) / 4.0, rel=1e-15)
         assert dc.is2 == pytest.approx(0.5, rel=1e-15)
         assert dc.lam_star == pytest.approx(1.0, rel=1e-15)
@@ -55,14 +52,13 @@ class TestDeriveConstants:
     def test_matches_the_high_precision_evaluator(self):
         dc = derive_constants(ScaledParams(l=4.0, q=2.0, hbar=1.0))
         want = oracles.constants(4, 2, 1)
-        for name in ("i1", "i2", "e1", "e2", "is1", "is2", "lam_star"):
+        for name in ("i1", "is1", "is2", "lam_star"):
             assert getattr(dc, name) == pytest.approx(float(want[name]), rel=1e-15)
         assert dc.lam_starstar == pytest.approx(float(want["lam_starstar"]), rel=1e-15)
 
     @pytest.mark.parametrize("sp", GRID, ids=lambda s: f"l{s.l}-q{s.q}-h{s.hbar}")
     def test_ordering_inequalities(self, sp):
         dc = derive_constants(sp)
-        assert dc.e1 > dc.e2
         assert dc.is1 < dc.is2
         assert 0.0 < dc.lam_star < dc.i1
         assert dc.lam_star < dc.lam_starstar
@@ -92,26 +88,6 @@ class TestDeriveConstants:
             derive_constants(ScaledParams(l=2.0, q=1.0, hbar=1.0))
         with pytest.raises(ParameterError):
             derive_constants(ScaledParams(l=2.0, q=0.5, hbar=1.0))
-
-
-class TestSaddleGeometry:
-    def test_reference_portraits(self):
-        g = saddle_geometry(2.0, 1.5, 2.0)
-        assert g.equilibrium == (0.0, pytest.approx(-0.375, rel=1e-15))
-        assert g.stable_slope == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
-        assert g.unstable_slope == pytest.approx(-1.0 / math.sqrt(2.0), rel=1e-15)
-
-        g = saddle_geometry(1.0, 0.5, 2.0)
-        assert g.equilibrium == (0.0, pytest.approx(-0.25, rel=1e-15))
-        assert g.stable_slope == 1.0
-        assert g.unstable_slope == -1.0
-
-    def test_all_ones(self):
-        assert saddle_geometry(1.0, 1.0, 1.0).equilibrium == (0.0, -1.0)
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            saddle_geometry(0.0, 1.0, 1.0)
 
 
 class TestHittingTime:

@@ -29,9 +29,7 @@ from coastharvest import (
     unscaled_min_length,
     unscaled_reserve_boundary,
 )
-from coastharvest.bvp import Profile
-from coastharvest.synthesis import _diagnose, extend_by_symmetry
-from coastharvest.analytic import SegmentSolution
+from coastharvest.synthesis import _diagnose
 from coastharvest.policy import HarvestPolicy, constant_policy, single_reserve_policy
 
 EPS = np.finfo(float).eps
@@ -428,52 +426,20 @@ class TestOverflow:
             unscaled_reserve_boundary(p)
 
 
-class TestExtendBySymmetry:
-    def _half_profile(self):
-        # the full constant-cap adjoint is symmetric, so its left half
-        # (the solver splits segments at 0) is a valid extension input
-        pol = constant_policy(2.0, 1.0)
-        full = solve_adjoint(pol, 0.5)
-        left = tuple(s for s in full.segments if s.x1 <= 0.0)
-        half = Profile(left)
-        return full, half
-
-    def test_reflection_parity(self):
-        _, half = self._half_profile()
-        ext = extend_by_symmetry(half)
-        for x in np.linspace(0.0, 1.0, 21):
-            lam2_p, lam1_p = ext.value(x)
-            lam2_m, lam1_m = ext.value(-x)
-            assert -lam1_p == pytest.approx(lam1_m, abs=1e-12)
-            assert lam2_p == pytest.approx(lam2_m, abs=1e-12)
-
-    def test_extension_satisfies_transversality(self):
-        _, half = self._half_profile()
-        ext = extend_by_symmetry(half)
-        assert abs(ext.value(-1.0)[0]) <= 1e-8
-        assert abs(ext.value(1.0)[0]) <= 1e-8
-
-    def test_extension_matches_the_direct_full_solve(self):
-        full, half = self._half_profile()
-        ext = extend_by_symmetry(half)
-        for x in np.linspace(-1.0, 1.0, 81):
-            a = ext.value(x)
-            b = full.value(x)
-            assert abs(a[0] - b[0]) <= 1e-8
-            assert abs(a[1] - b[1]) <= 1e-8
-
-    def test_rejects_a_profile_with_nonzero_midpoint_slope(self):
-        # lambda2 = sinh(x+1) has lambda1(0) = -cosh(1), far off zero
-        seg = SegmentSolution(k=1.0, offset=0.0, u0=0.0, u1=math.sinh(1.0), x0=-1.0, x1=0.0)
-        bad = Profile((seg,))
-        with pytest.raises(ParameterError):
-            extend_by_symmetry(bad)
-
-    def test_rejects_a_profile_not_ending_at_the_midpoint(self):
-        seg = SegmentSolution(k=1.0, offset=0.0, u0=0.0, u1=math.sinh(1.5), x0=-1.0, x1=0.5)
-        bad = Profile((seg,))
-        with pytest.raises(ParameterError):
-            extend_by_symmetry(bad)
+class TestAdjointParity:
+    @pytest.mark.parametrize(
+        "pol, q",
+        [(constant_policy(2.0, 1.0), 0.5), (single_reserve_policy(4.0, -0.9, 0.9, 1.0), 2.0)],
+        ids=["constant", "reserve"],
+    )
+    def test_mirror_policy_has_an_even_lambda2_and_an_odd_lambda1(self, pol, q):
+        adj = solve_adjoint(pol, q)
+        xs = np.linspace(0.0, pol.l / 2.0, 41)
+        lam2_p, d_p = adj.eval_many(xs)
+        lam2_m, d_m = adj.eval_many(-xs)
+        # lambda1 = -lambda2', so lambda1(x) = -lambda1(-x) is lambda2'(x) = -lambda2'(-x)
+        assert np.max(np.abs(lam2_p - lam2_m)) <= 1e-12
+        assert np.max(np.abs(d_p + d_m)) <= 1e-12
 
 
 class TestNeumannVariant:
