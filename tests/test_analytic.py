@@ -130,6 +130,17 @@ class TestConstantControlAdjoint:
         )
         assert root / lam_s == pytest.approx(0.8884, abs=5e-5)
 
+    @pytest.mark.parametrize("hbar, q, l", [(0.5, 1.0, 1.0), (4.0, 0.25, 3.0), (1.0, 0.9, 0.5)])
+    def test_transversal_root_returns_at_the_far_boundary_across_parameters(self, hbar, q, l):
+        lam_s = switch_level(hbar, q, l)
+        root = lam_s * math.tanh(math.sqrt(1.0 + hbar) * l / 2.0)
+        assert float(oracles.adjoint_return_time(root, hbar, q, l)) == pytest.approx(
+            l / 2.0, abs=1e-12
+        )
+        # the closed form meets transversality at the far end too
+        _, lam2 = adjoint_constant_hbar(root, hbar, q, l, l / 2.0)
+        assert abs(lam2) <= 1e-12
+
     def test_root_stays_below_the_switch_line_for_small_q(self):
         # with q <= 1 the whole orbit keeps lambda2 above -1/l, so the
         # constant-cap control never violates the bang-bang law

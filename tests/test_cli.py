@@ -376,6 +376,18 @@ class TestSweep:
             assert code == 2
             assert err
 
+    @pytest.mark.parametrize("param", ["x", "L", "lmin"])
+    def test_unknown_parameter_is_rejected_by_the_parser(self, capsys, tmp_path, param):
+        path = tmp_path / "x.csv"
+        code, out, err = run(
+            capsys, "sweep", "--l", "4", "--q", "2", "--hbar", "1", "--param", param,
+            "--from", "2", "--to", "6", "--steps", "5", "--out", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--param: invalid choice: '{param}'" in err
+        assert not path.exists()
+
     def test_missing_fixed_parameter_is_an_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "sweep", "--q", "2", "--param", "l",

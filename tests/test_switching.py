@@ -133,6 +133,18 @@ class TestHittingTime:
             above = hitting_time(join + 1e-12, dc)
             assert abs(above - below) <= 1e-9
 
+    @pytest.mark.parametrize("sp", GRID, ids=lambda s: f"l{s.l}-q{s.q}-h{s.hbar}")
+    def test_is_the_switch_time_plus_the_post_switch_time(self, sp):
+        # hitting_time reuses the intercept it already holds, so past
+        # tangency it is the same float as the two public pieces summed
+        dc = derive_constants(sp)
+        assert hitting_time(dc.lam_star, dc) == switch_time(dc.lam_star, dc)
+        for lam0 in (0.5 * (dc.lam_star + dc.lam_starstar), dc.lam_starstar * (1.0 - 1e-6)):
+            tilde = switch_line_intercept(lam0, dc)
+            want = switch_time(lam0, dc) + post_switch_time(tilde, dc)
+            assert math.isfinite(want)
+            assert hitting_time(lam0, dc) == want
+
     def test_strictly_increasing(self):
         dc = derive_constants(ScaledParams(l=4.0, q=2.0, hbar=1.0))
         lams = np.linspace(1e-4 * dc.lam_starstar, dc.lam_starstar * (1.0 - 1e-6), 10_000)

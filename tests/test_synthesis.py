@@ -441,6 +441,19 @@ class TestAdjointParity:
         assert np.max(np.abs(lam2_p - lam2_m)) <= 1e-12
         assert np.max(np.abs(d_p + d_m)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "pol",
+        [constant_policy(2.0, 1.0), single_reserve_policy(4.0, -0.9, 0.9, 1.0)],
+        ids=["constant", "reserve"],
+    )
+    def test_mirror_policy_has_an_even_state_with_an_odd_slope(self, pol):
+        prof = shoot_steady_state(pol)
+        xs = np.linspace(0.0, pol.l / 2.0, 41)
+        u_p, du_p = prof.eval_many(xs)
+        u_m, du_m = prof.eval_many(-xs)
+        assert np.max(np.abs(u_p - u_m)) <= 1e-12
+        assert np.max(np.abs(du_p + du_m)) <= 1e-12
+
 
 class TestNeumannVariant:
     def test_small_weight_keeps_the_cap(self):
