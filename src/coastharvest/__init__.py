@@ -4,8 +4,9 @@ The package decides, from closed-form optimality conditions, whether a
 finite coastline supports a centered no-take reserve, places it, and
 cross-checks the answer with independent numerics: an exact edge-value
 two-point solve for the steady state and adjoint, brute-force policy
-enumeration, an event-detecting integrator for the switching structure,
-an implicit parabolic solver, and a spectral stability check.
+enumeration, an event oracle that marches the adjoint's exact flow maps
+through the switching structure, an implicit parabolic solver, and a
+spectral stability check.  The checks need numpy and scipy.linalg only.
 """
 
 from .analytic import (

@@ -11,6 +11,7 @@ a verification check fails, 2 on usage or parameter errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -311,7 +312,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="coastharvest",
         description="Optimal harvesting and marine-reserve placement for a 1-D coastline",

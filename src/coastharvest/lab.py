@@ -5,11 +5,11 @@ by exhaustive search over bang-bang cell policies, all scored by one
 batched tridiagonal solve for the steady state at the cell edges, and
 over a grid of reserve blocks, all scored by one batched flux-map pass
 per block shape.  The hitting time is
-measured by event-detecting integration of the hybrid adjoint flow,
-all starts at once as one stacked system per phase, and linearized
-stability is checked through the spectrum of the discretized operator.
-Only the event integration needs scipy.integrate, and it imports it on
-first use.
+measured by marching the hybrid adjoint flow with its exact flow maps
+(each phase is affine, so one step is a 3x3 matrix exponential), all
+starts at once, and bisecting each event's bracket with the same maps.
+Linearized stability is checked through the spectrum of the discretized
+operator.  Of scipy, only scipy.linalg is needed.
 
 The steady state is checked in two parts.  The time stepper shows that
 the parabolic flow settles on its grid's own steady state u_h: it
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal, expm
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .bvp import shoot_steady_state
@@ -54,8 +54,12 @@ MAX_STEPS = 10**6
 # at l = 2^15 and its bisection doubles it
 MAX_CELLS_PER_GRID = 2**20
 
-# event integration gives up after this many domain lengths
+# event marching gives up after this many domain lengths
 _HORIZON_FACTOR = 10.0
+
+# halvings of each event bracket: tau*2^-60 is at most one ulp of any
+# event time from tau/256 on
+_REFINE_LEVELS = 60
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,95 +264,106 @@ def reserve_sweep(sp: ScaledParams, centers: int, widths: int) -> SweepResult:
     )
 
 
+def _first_events(
+    a: float, b: float, l: float, z: np.ndarray, g: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """First zero of g along z' = J z from each column of z, within 10*l.
+
+    z = (lambda1, lambda2, 1) holds one start per column, and
+    J = [[0, -a, -b/l], [-1, 0, 0], [0, 0, 0]] is the affine flow of a
+    phase with rate h, a = 1+h and b = h+q.  g must never turn positive
+    again once it reaches 0.  All starts march together on one grid of
+    step tau <= min(l/16, 1/sqrt(a)) with the exact one-step map
+    expm(J*tau), whose eigenvalues exp(+-sqrt(a)*tau) lie within [1/e, e]
+    so that it stays finite on any coast; a start leaves the march at
+    the first grid point where g <= 0 or where it is no longer finite.
+    Each bracket is then halved _REFINE_LEVELS times, all at once, level
+    j with the one map expm(J*tau*2^-j); one stacked expm call builds the
+    step and every level.  Returns the event times (inf for none) and
+    the states there (NaN for none).
+    """
+    horizon = _HORIZON_FACTOR * l
+    steps = math.ceil(horizon / min(l / 16.0, 1.0 / math.sqrt(a)))
+    tau = horizon / steps
+    jac = np.array([[0.0, -a, -b / l], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    # maps[j] advances by tau*2^-j
+    maps = expm(jac * (tau * 0.5 ** np.arange(_REFINE_LEVELS + 1))[:, None, None])
+    step = maps[0]
+    n = z.shape[1]
+    times = np.full(n, math.inf)
+    states = np.full((3, n), math.nan)
+    # the last grid point before each event and its time; a start with
+    # g <= 0 already at 0 refines to the left end of its first step
+    lo, t_lo = np.empty((3, n)), np.zeros(n)
+    live, cur = np.arange(n), z
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            if not live.size:
+                break
+            nxt = step @ cur
+            finite = np.isfinite(nxt).all(axis=0)
+            hit = finite & (g(nxt) <= 0.0)
+            event = live[hit]
+            lo[:, event], t_lo[event], states[:, event] = cur[:, hit], k * tau, nxt[:, hit]
+            keep = finite & ~hit
+            live, cur = live[keep], nxt[:, keep]
+    found = ~np.isnan(states[0])
+    lo, hi, t_lo = lo[:, found], states[:, found], t_lo[found]
+    width = tau
+    for half in maps[1:]:
+        width *= 0.5
+        mid = half @ lo
+        below = g(mid) <= 0.0
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid)
+        t_lo = np.where(below, t_lo, t_lo + width)
+    times[found], states[:, found] = t_lo + width, hi
+    return times, states
+
+
 def integrate_adjoint_with_events(
     lambda0s: Sequence[float], sp: ScaledParams
 ) -> tuple[tuple[float, int], ...]:
-    """Hitting times of the lambda2-axis by direct hybrid integration.
+    """Hitting times of the lambda2-axis by marching the hybrid adjoint flow.
 
     Each start (lambda0, 0) runs in the maximal-harvest phase until its
     first lambda1 = 0 event.  lambda2 falls while lambda1 > 0, so the
     orbit crosses the switching line lambda2 = -1/l at most once before
     that hit, downward, and from there runs in the no-take phase.
     Returns one (hit time, number of line crossings) per start; the hit
-    time is inf when a phase runs for 10*l without the start's event.
+    time is inf when a phase runs for 10*l, on its own clock, without the
+    start's event, or when the start's state stops being finite first.
 
-    Both phases are autonomous, so all starts are integrated as one
-    stacked system (lambda1_1..lambda1_n, lambda2_1..lambda2_n) per
-    phase, and each no-take run starts at s = 0 from its own crossing
-    state.  In the harvest phase a start's event is
-    g = min(lambda1, lambda2 + 1/l), whose first zero is the axis hit or
-    the line crossing, whichever comes first; the smaller term there
-    tells which, and a tie is a touch at the axis.  g never turns
-    positive again once it reaches 0: lambda1 falls wherever
-    lambda2 > -(h+q)/((1+h)l), which lies below -1/l when q > 1, and
-    lambda2 falls while lambda1 > 0, so the flow leaves neither
-    lambda1 <= 0 nor lambda2 <= -1/l towards the quadrant where both are
-    above.  A crossing and a hit within one step, where lambda2 + 1/l
-    alone would show no sign change, are therefore still one sign change
-    of g.  In the no-take phase the event is lambda1, which falls while
-    lambda2 > -q/l, and lambda2 rises while lambda1 < 0, so it too stays
-    <= 0 once it gets there.  Each run stops once every event is below
-    -margin; the margin puts the stop strictly after the last start's
-    event, which the stop's root could otherwise precede.
+    Both phases are affine and autonomous, so each is marched with its
+    exact flow map (see _first_events), all starts at once, and each
+    no-take run starts at s = 0 from its own crossing state.  In the
+    harvest phase a start's event is g = min(lambda1, lambda2 + 1/l),
+    whose first zero is the axis hit or the line crossing, whichever
+    comes first; the smaller term there tells which, and a tie is a touch
+    at the axis.  g never turns positive again once it reaches 0:
+    lambda1 falls wherever lambda2 > -(h+q)/((1+h)l), which lies below
+    -1/l when q > 1, and lambda2 falls while lambda1 > 0, so the flow
+    leaves neither lambda1 <= 0 nor lambda2 <= -1/l towards the quadrant
+    where both are above.  The first grid point with g <= 0 therefore
+    brackets the first zero, whatever the step, even where a crossing
+    and a hit fall within one step.  In the no-take phase the event is
+    lambda1, which falls while lambda2 > -q/l, and lambda2 rises while
+    lambda1 < 0, so it too stays <= 0 once it gets there.
     """
-    from scipy.integrate import solve_ivp
-
     starts = [float(x) for x in lambda0s]
     if not starts or not all(x > 0.0 for x in starts):
         raise ParameterError(f"every lambda0 must be positive, got {lambda0s!r}")
     if not sp.q > 1.0:
         raise ParameterError(f"event oracle applies to q > 1, got q={sp.q!r}")
-    l, q = sp.l, sp.q
-    horizon = _HORIZON_FACTOR * l
-    margin = 1e-3 / l
-
-    def phase(h, y0, span, g):
-        """First event of each stacked start, as (time, (lambda1, lambda2)) or None."""
-        a, b = 1.0 + h, h + q
-        m = len(y0) // 2
-
-        def event(j):
-            def gj(x, y):
-                return g(y[j], y[m + j])
-
-            gj.direction = -1.0
-            return gj
-
-        def stop(x, y):
-            return max(map(g, y[:m], y[m:])) + margin
-
-        stop.terminal, stop.direction = True, -1.0
-        run = solve_ivp(
-            lambda x, y: np.concatenate((-a * y[m:] - b / l, -y[:m])),
-            (0.0, span),
-            y0,
-            method="DOP853",
-            rtol=1e-12,
-            atol=1e-14,
-            events=[*(event(j) for j in range(m)), stop],
-        )
-        return [
-            (t[0], y[0][[j, m + j]]) if t.size else None
-            for j, (t, y) in enumerate(zip(run.t_events[:m], run.y_events[:m]))
-        ]
-
-    n = len(starts)
-    firsts = phase(
-        sp.hbar,
-        np.concatenate((starts, np.zeros(n))),
-        horizon,
-        lambda lam1, lam2: min(lam1, lam2 + 1.0 / l),
+    l, q, hbar = sp.l, sp.q, sp.hbar
+    z = np.array([starts, np.zeros(len(starts)), np.ones(len(starts))])
+    times, states = _first_events(
+        1.0 + hbar, hbar + q, l, z, lambda z: np.minimum(z[0], z[1] + 1.0 / l)
     )
-    results = [(math.inf if f is None else float(f[0]), 0) for f in firsts]
-    crossed = [
-        (i, *f) for i, f in enumerate(firsts) if f is not None and f[1][1] + 1.0 / l < f[1][0]
-    ]
-    if crossed:
-        y0 = np.array([y for _, _, y in crossed]).T.ravel()
-        hits = phase(0.0, y0, horizon, lambda lam1, lam2: lam1)
-        for (i, t, _), hit in zip(crossed, hits):
-            results[i] = (math.inf if hit is None else float(t + hit[0]), 1)
-    return tuple(results)
+    crossed = states[1] + 1.0 / l < states[0]
+    if crossed.any():
+        times[crossed] += _first_events(1.0, q, l, states[:, crossed], lambda z: z[0])[0]
+    return tuple(zip(times.tolist(), crossed.astype(int).tolist()))
 
 
 @dataclass(frozen=True)

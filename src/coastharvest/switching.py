@@ -93,12 +93,8 @@ def switch_time(lambda0: float, dc: DerivedConstants) -> float:
         (1/sqrt(a1)) * log((i1 + lambda0) / (is1 + tilde)),
     via the identity i1^2 - lam_star^2 = is1^2.  The merged form stays
     accurate through both joins, where the separate branches cancel
-    catastrophically.
+    catastrophically.  switch_line_intercept rejects lambda0 < lam_star.
     """
-    if lambda0 < dc.lam_star:
-        raise ParameterError(
-            f"switch time defined for lambda0 >= lam_star={dc.lam_star!r}, got {lambda0!r}"
-        )
     return _switch_time(lambda0, switch_line_intercept(lambda0, dc), dc)
 
 

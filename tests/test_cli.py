@@ -16,7 +16,7 @@ import pytest
 
 import oracles
 from coastharvest import ScaledParams, derive_constants, optimal_policy
-from coastharvest.cli import main
+from coastharvest.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -221,7 +221,7 @@ class TestVerify:
             (9.811278000808583, 3.297466230318146, 2.052804579830935),
             (16.764199905276822, 1.858223827549165, 1.5225018921202387),
             # start 24 is 1e-5 above lam_star: the crossing and the hit
-            # share one integrator step
+            # fall 0.011 apart, within one 0.52-long march step
             (20.0, 2.0, 2.7592213493803284),
         ],
     )
@@ -583,3 +583,15 @@ class TestParameterHandling:
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 2
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # the parser is built once per process; a usage error or an earlier
+        # parse leaves nothing behind in it
+        assert build_parser() is build_parser()
+        code, out, err = run(capsys, "verify", "--l", "x", "--q", "2", "--hbar", "1")
+        assert (code, out) == (2, "")
+        assert "argument --l: invalid float value: 'x'" in err
+        first = build_parser().parse_args(["verify", "--l", "4", "--q", "2", "--hbar", "1",
+                                           "--cells", "6"])
+        again = build_parser().parse_args(["verify", "--l", "4", "--q", "2", "--hbar", "1"])
+        assert (first.cells, again.cells) == (6, 12)

@@ -50,6 +50,7 @@ commands = [
     ["simulate", "--l", "2", "--q", "0.5", "--hbar", "1", "--dx", "0.125", "--tmax", "2",
      "--out", sys.argv[1]],
     ["verify", "--l", "2", "--q", "0.5", "--hbar", "1"],
+    ["verify", "--l", "4", "--q", "2", "--hbar", "1"],
 ]
 for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -58,7 +59,9 @@ print(sorted(m for m in ("scipy.integrate", "scipy.optimize", "scipy.linalg") if
 """
 
 
-def test_simulate_and_verify_without_events_do_not_load_the_event_solver(tmp_path):
+def test_simulate_and_verify_load_only_scipy_linalg(tmp_path):
+    # the event oracle marches exact flow maps (scipy.linalg.expm), so a
+    # q > 1 verify loads neither scipy.integrate nor scipy.optimize
     proc = subprocess.run(
         [sys.executable, "-c", LAB_CHILD, str(tmp_path / "state.csv")],
         capture_output=True,

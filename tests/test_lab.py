@@ -270,23 +270,29 @@ class TestEventIntegration:
             ((_, alone),) = integrate_adjoint_with_events([lam0], sp)
             assert alone == crossings, lam0
 
-    def test_verify_makes_at_most_two_solver_calls(self, monkeypatch, capsys):
-        import scipy.integrate
+    @pytest.mark.parametrize("l, q, hbar", GRAZING_SETS)
+    def test_a_start_alone_hits_when_it_does_in_the_batch(self, l, q, hbar):
+        sp = ScaledParams(l=l, q=q, hbar=hbar)
+        dc = derive_constants(sp)
+        starts = [dc.lam_starstar * i / 26.0 for i in range(1, 26, 3)]
+        starts += [dc.lam_star * (1.0 + r) for r in GRAZING_RATIOS]
+        batch = integrate_adjoint_with_events(starts, sp)
+        for lam0, (t, _) in zip(starts, batch):
+            ((alone, _),) = integrate_adjoint_with_events([lam0], sp)
+            assert abs(alone - t) <= 1e-14, lam0
 
-        from coastharvest.cli import main
-
-        calls = []
-        solve_ivp = scipy.integrate.solve_ivp
-
-        def counted(*args, **kwargs):
-            calls.append(len(args[2]))
-            return solve_ivp(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
-        assert main(["verify", "--l", "4", "--q", "2", "--hbar", "1"]) == 0
-        capsys.readouterr()
-        assert 1 <= len(calls) <= 2
-        assert calls[0] == 50  # all 25 starts in one harvest run
+    def test_long_coast_keeps_every_hit_and_the_escape(self):
+        # verify's 25 starts at l = 1e4, where the march steps 1/sqrt(1+hbar)
+        # and not l/16, plus a start whose no-take run escapes to overflow
+        sp = ScaledParams(l=1e4, q=2.0, hbar=1.0)
+        dc = derive_constants(sp)
+        starts = [dc.lam_starstar * i / 26.0 for i in range(1, 26)]
+        starts.append(1.1 * dc.lam_starstar)
+        results = integrate_adjoint_with_events(starts, sp)
+        for lam0, (t, _) in zip(starts[:-1], results):
+            assert abs(t - hitting_time(lam0, dc)) <= 1e-8, lam0
+        assert math.isinf(hitting_time(starts[-1], dc))
+        assert results[-1] == (math.inf, 1)
 
     def test_validation(self):
         # a non-positive (or NaN) start anywhere in the batch, or no start
