@@ -11,7 +11,7 @@ objective, and the matching adjoint pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._specfun import arctanh, sech
 from .params import ParameterError
@@ -36,15 +36,7 @@ def edge_profile(exp, expm1, k, x0, x1, x, off, d0, d1):
     return u, du
 
 
-@dataclass(frozen=True)
-class SegmentSolution:
-    """Solution of u'' = k^2 (u - offset) on [x0, x1] with edge values u0, u1.
-
-    Edge values stay bounded whatever the segment length, so evaluation
-    neither overflows nor cancels on long segments, and the mirror
-    u(-x) just swaps them.
-    """
-
+class _SegmentFields(NamedTuple):
     k: float
     offset: float
     u0: float
@@ -52,17 +44,32 @@ class SegmentSolution:
     x0: float
     x1: float
 
-    def __post_init__(self) -> None:
-        if not self.k > 0.0:
-            raise ParameterError(f"segment stiffness must be positive, got {self.k!r}")
-        if not self.x0 < self.x1:
-            raise ParameterError(f"empty segment [{self.x0!r}, {self.x1!r}]")
+
+class SegmentSolution(_SegmentFields):
+    """Solution of u'' = k^2 (u - offset) on [x0, x1] with edge values u0, u1.
+
+    Edge values stay bounded whatever the segment length, so evaluation
+    neither overflows nor cancels on long segments, and the mirror
+    u(-x) just swaps them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k: float, offset: float, u0: float, u1: float, x0: float, x1: float):
+        if not k > 0.0:
+            raise ParameterError(f"segment stiffness must be positive, got {k!r}")
+        if not x0 < x1:
+            raise ParameterError(f"empty segment [{x0!r}, {x1!r}]")
+        return super().__new__(cls, k, offset, u0, u1, x0, x1)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: validate there too
+        return cls(*iterable)
 
     def value_and_deriv(self, x: float) -> tuple[float, float]:
-        off = self.offset
-        return edge_profile(
-            math.exp, math.expm1, self.k, self.x0, self.x1, x, off, self.u0 - off, self.u1 - off
-        )
+        k, off, u0, u1, x0, x1 = self
+        return edge_profile(math.exp, math.expm1, k, x0, x1, x, off, u0 - off, u1 - off)
 
     def value(self, x: float) -> float:
         return self.value_and_deriv(x)[0]
@@ -72,9 +79,10 @@ class SegmentSolution:
 
     def integral(self) -> float:
         """Exact integral of u over [x0, x1]."""
-        w = self.x1 - self.x0
-        t = math.tanh(0.5 * self.k * w)
-        return self.offset * w + (self.u0 + self.u1 - 2.0 * self.offset) * t / self.k
+        k, off, u0, u1, x0, x1 = self
+        w = x1 - x0
+        t = math.tanh(0.5 * k * w)
+        return off * w + (u0 + u1 - 2.0 * off) * t / k
 
 
 def constant_control_steady_state(hhat: float, l: float) -> SegmentSolution:

@@ -17,9 +17,7 @@ use, so solving and checking a policy load no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .analytic import SegmentSolution, edge_profile
 from .params import ParameterError
@@ -29,8 +27,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     """Exact solution w of a two-point problem, as segments: the state u or the adjoint lambda2.
 
     For the adjoint, lambda1 = -lambda2'.
@@ -38,9 +35,9 @@ class Profile:
 
     segments: tuple[SegmentSolution, ...]
 
-    @cached_property
+    @property
     def match_residual(self) -> float:
-        """Largest jump of w' across the interior edges."""
+        """Largest jump of w' across the interior edges, computed on each read."""
         return max(
             (abs(a.deriv(a.x1) - b.deriv(b.x0)) for a, b in zip(self.segments, self.segments[1:])),
             default=0.0,
@@ -159,8 +156,9 @@ def hamiltonian_diagnostic(
     l = policy.l
     ham = []
     for seg, adj in zip(state.segments, adjoint.segments):
-        h = policy.rate_at(0.5 * (seg.x0 + seg.x1))
-        for x in (seg.x0, seg.x1):
+        x0, x1 = seg.x0, seg.x1
+        h = policy.rate_at(0.5 * (x0 + x1))
+        for x in (x0, x1):
             u, v = seg.value_and_deriv(x)
             lam2, d = adj.value_and_deriv(x)
             ham.append((h + q) * u / l - d * v + lam2 * ((1.0 + h) * u - 1.0))

@@ -4,8 +4,9 @@ Subcommands: scale, lmin, solve, verify, sweep, simulate.  JSON reports
 go to standard output with floats at 17 significant digits and fixed key
 order, so identical inputs produce byte-identical bytes; CSV tables go
 to files named by --out or --profile, written by one writer with floats
-at 17 significant digits as well.  Exit codes: 0 on success, 1 when
-a verification check fails, 2 on usage or parameter errors.
+at 17 significant digits as well, before the report is printed.  Exit
+codes: 0 on success, 1 when a verification check fails, 2 on usage or
+parameter errors and on a file that cannot be written.
 """
 
 from __future__ import annotations
@@ -179,13 +180,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "hamiltonian_deviation": sol.diagnostics.hamiltonian_deviation,
         "switching_violation": sol.diagnostics.switching_violation,
     }
-    _emit(doc)
     if args.profile:
         import numpy as np
 
         profile = shoot_steady_state(sol.policy)
         xs = np.linspace(profile.segments[0].x0, profile.segments[-1].x1, args.samples)
         _write_csv(args.profile, ("x", "u", "v"), zip(xs, *profile.eval_many(xs)))
+    _emit(doc)
     return 0
 
 
@@ -248,6 +249,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _linspace(start: float, stop: float, steps: int) -> list[float]:
+    """np.linspace(start, stop, steps) bit for bit, without loading numpy.
+
+    The same float operations in the same order: start + i*step, with
+    i/div*delta where the step underflows to 0, and stop as the last point.
+    """
+    div = steps - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:
+        grid = [start + i / div * delta for i in range(div)]
+    else:
+        grid = [start + i * step for i in range(div)]
+    return grid + [stop]
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     if any(getattr(args, f) is not None for f in _UNSCALED_FIELDS):
         raise CliError("sweep works on scaled parameters; give the fixed ones of --l/--q/--hbar")
@@ -264,16 +281,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     missing = [k for k, v in fixed.items() if v is None]
     if missing:
         raise CliError(f"sweep over {args.param} needs --{' and --'.join(missing)}")
-    import numpy as np
-
     rows = []
-    for value in np.linspace(args.start, args.stop, args.steps):
+    for value in _linspace(args.start, args.stop, args.steps):
         kw = dict(fixed)
-        kw[args.param] = float(value)
+        kw[args.param] = value
         sol = optimal_policy(ScaledParams(**kw))
         rows.append(
             (
-                float(value),
+                value,
                 "" if sol.lmin is None else sol.lmin,
                 "true" if sol.reserve_halfwidth > 0.0 else "false",
                 sol.reserve_halfwidth,
@@ -306,9 +321,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "nodes": len(run.x),
         "monotone_tail": monotone,
     }
-    _emit(doc)
     if args.out:
         _write_csv(args.out, ("x", "u"), zip(run.x, run.u))
+    _emit(doc)
     return 0
 
 
@@ -370,7 +385,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,8 +27,7 @@ centre on, and an asymmetric one on the full grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, expm
@@ -62,8 +61,7 @@ _HORIZON_FACTOR = 10.0
 _REFINE_LEVELS = 60
 
 
-@dataclass(frozen=True, eq=False)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Objectives of the candidates of an exhaustive or grid search.
 
     describe(i) is the descriptor of candidate i; best is the index of
@@ -366,8 +364,7 @@ def integrate_adjoint_with_events(
     return tuple(zip(times.tolist(), crossed.astype(int).tolist()))
 
 
-@dataclass(frozen=True)
-class PdeRun:
+class PdeRun(NamedTuple):
     """Final state of an implicit parabolic run and its approach history.
 
     l2_distance is the weighted L2 distance of the final state to the
@@ -436,6 +433,10 @@ def _steady_solve(policy: HarvestPolicy, nodes: np.ndarray, rate: np.ndarray):
         else:
             diag[c] += off[c - 1]
         diag, off, lumped = diag[c:], off[c:], lumped[c:]
+    if not off.size:
+        # one unknown: LAPACK reads no off-diagonal, but scipy's wrappers
+        # of ?pttrf and ?pttrs want one entry
+        off = np.zeros(1)
     d, e, _ = dpttrf(diag, off)
     u_h, _ = dpttrs(d, e, lumped)
     return u_h, diag, off, lumped, c, mirror

@@ -9,23 +9,20 @@ collapses them to three numbers (l, q, hbar) that the solver works in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ParameterError(ValueError):
     """Raised when a parameter set violates its finiteness or positivity constraints."""
 
 
-def _require_finite(obj, names: tuple[str, ...]) -> None:
-    for name in names:
-        if not math.isfinite(getattr(obj, name)):
-            raise ParameterError(f"{name} must be finite, got {getattr(obj, name)!r}")
+def _require_finite(record: tuple) -> None:
+    for name, value in zip(record._fields, record):
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True)
-class UnscaledParams:
-    """Physical inputs. All finite and strictly positive except Q, which may be zero."""
-
+class _UnscaledFields(NamedTuple):
     D: float
     R: float
     mu: float
@@ -33,13 +30,26 @@ class UnscaledParams:
     Q: float
     L: float
 
-    def __post_init__(self) -> None:
-        _require_finite(self, ("D", "R", "mu", "Hbar", "Q", "L"))
+
+class UnscaledParams(_UnscaledFields):
+    """Physical inputs. All finite and strictly positive except Q, which may be zero."""
+
+    __slots__ = ()
+
+    def __new__(cls, D: float, R: float, mu: float, Hbar: float, Q: float, L: float):
+        self = super().__new__(cls, D, R, mu, Hbar, Q, L)
+        _require_finite(self)
         for name in ("D", "R", "mu", "Hbar", "L"):
             if not getattr(self, name) > 0.0:
                 raise ParameterError(f"{name} must be positive, got {getattr(self, name)!r}")
-        if self.Q < 0.0:
-            raise ParameterError(f"Q must be nonnegative, got {self.Q!r}")
+        if Q < 0.0:
+            raise ParameterError(f"Q must be nonnegative, got {Q!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: validate there too
+        return cls(*iterable)
 
     @property
     def length_unit(self) -> float:
@@ -47,22 +57,32 @@ class UnscaledParams:
         return math.sqrt(self.D / self.mu)
 
 
-@dataclass(frozen=True)
-class ScaledParams:
-    """Nondimensional inputs: domain length l, weight q, harvest cap hbar."""
-
+class _ScaledFields(NamedTuple):
     l: float
     q: float
     hbar: float
 
-    def __post_init__(self) -> None:
-        _require_finite(self, ("l", "q", "hbar"))
-        if not self.l > 0.0:
-            raise ParameterError(f"l must be positive, got {self.l!r}")
-        if not self.hbar > 0.0:
-            raise ParameterError(f"hbar must be positive, got {self.hbar!r}")
-        if self.q < 0.0:
-            raise ParameterError(f"q must be nonnegative, got {self.q!r}")
+
+class ScaledParams(_ScaledFields):
+    """Nondimensional inputs: domain length l, weight q, harvest cap hbar."""
+
+    __slots__ = ()
+
+    def __new__(cls, l: float, q: float, hbar: float):
+        self = super().__new__(cls, l, q, hbar)
+        _require_finite(self)
+        if not l > 0.0:
+            raise ParameterError(f"l must be positive, got {l!r}")
+        if not hbar > 0.0:
+            raise ParameterError(f"hbar must be positive, got {hbar!r}")
+        if q < 0.0:
+            raise ParameterError(f"q must be nonnegative, got {q!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: validate there too
+        return cls(*iterable)
 
 
 def to_scaled(p: UnscaledParams) -> ScaledParams:

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .params import ParameterError
 
@@ -12,21 +11,22 @@ from .params import ParameterError
 _SYMMETRY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class HarvestPolicy:
+class _PolicyFields(NamedTuple):
+    breakpoints: tuple[float, ...]
+    rates: tuple[float, ...]
+
+
+class HarvestPolicy(_PolicyFields):
     """Harvest rate h(x), constant on each [breakpoints[i], breakpoints[i+1]).
 
     The control is right-continuous; the value at an interior breakpoint
     is the rate of the segment to its right.
     """
 
-    breakpoints: tuple[float, ...]
-    rates: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        bp, rates = tuple(self.breakpoints), tuple(self.rates)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "rates", rates)
+    def __new__(cls, breakpoints: Sequence[float], rates: Sequence[float]):
+        bp, rates = tuple(breakpoints), tuple(rates)
         if len(bp) < 2:
             raise ParameterError("need at least two breakpoints")
         for name, values in (("breakpoints", bp), ("rates", rates)):
@@ -44,29 +44,36 @@ class HarvestPolicy:
         for r in rates:
             if r < 0.0:
                 raise ParameterError(f"rates must be nonnegative, got {r!r}")
+        return super().__new__(cls, bp, rates)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: validate and normalise there too
+        return cls(*iterable)
 
     @property
     def l(self) -> float:
-        return self.breakpoints[-1] - self.breakpoints[0]
+        bp = self.breakpoints
+        return bp[-1] - bp[0]
 
     @property
     def max_rate(self) -> float:
         return max(self.rates)
 
     def segments(self) -> Iterator[tuple[float, float, float]]:
-        """Yield (x_left, x_right, rate) for each segment in order."""
-        for i, r in enumerate(self.rates):
-            yield self.breakpoints[i], self.breakpoints[i + 1], r
+        """(x_left, x_right, rate) for each segment in order."""
+        bp, rates = self
+        return zip(bp, bp[1:], rates)
 
     def rate_at(self, x: float) -> float:
-        bp = self.breakpoints
+        bp, rates = self
         if not bp[0] <= x <= bp[-1]:
             raise ParameterError(f"x={x!r} outside [{bp[0]!r}, {bp[-1]!r}]")
         # right-continuous: first segment whose right end lies beyond x
-        for i in range(len(self.rates)):
-            if x < bp[i + 1]:
-                return self.rates[i]
-        return self.rates[-1]
+        for right, r in zip(bp[1:], rates):
+            if x < right:
+                return r
+        return rates[-1]
 
     def average_rate(self, a: float, b: float) -> float:
         """Mean of h over [a, b], for cell-averaged discretizations."""

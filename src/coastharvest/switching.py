@@ -17,14 +17,13 @@ is1, is2 are the manifold/switch-line intersections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._specfun import arctanh, bisect_root
 from .params import ParameterError, ScaledParams
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
+class DerivedConstants(NamedTuple):
     a1: float
     b1: float
     a2: float
@@ -40,7 +39,7 @@ class DerivedConstants:
 def derive_constants(sp: ScaledParams) -> DerivedConstants:
     if not sp.q > 1.0:
         raise ParameterError(f"switching analysis requires q > 1, got q={sp.q!r}")
-    l, q, hbar = sp.l, sp.q, sp.hbar
+    l, q, hbar = sp
     a1, b1 = hbar + 1.0, hbar + q
     a2, b2 = 1.0, q
     is2 = (math.sqrt(a2) / l) * (b2 / a2 - 1.0)
@@ -167,13 +166,17 @@ def solve_halfwidth(dc: DerivedConstants, l: float) -> tuple[float, float]:
     already >= 0 at tau = 0 up to l_min, where tau is 0.
     """
     half, rate = l / 2.0, math.sqrt(dc.a2)
+    # _switch_time with the constants read once: the residual runs about
+    # 55 times per root
+    i1, is1, is2, lam_star, sqrt_a1 = dc.i1, dc.is1, dc.is2, dc.lam_star, math.sqrt(dc.a1)
 
     def residual(tau: float) -> float:
-        tilde = dc.is2 * math.tanh(rate * tau)
-        return _switch_time(math.hypot(dc.lam_star, tilde), tilde, dc) - (half - tau)
+        tilde = is2 * math.tanh(rate * tau)
+        lambda0 = math.hypot(lam_star, tilde)
+        return math.log((i1 + lambda0) / (is1 + tilde)) / sqrt_a1 - (half - tau)
 
     tau = bisect_root(residual, 0.0, half)
-    return tau, math.hypot(dc.lam_star, dc.is2 * math.tanh(rate * tau))
+    return tau, math.hypot(lam_star, is2 * math.tanh(rate * tau))
 
 
 def solve_lambda_bar(dc: DerivedConstants, l: float) -> float:

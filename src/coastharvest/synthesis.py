@@ -12,8 +12,7 @@ against each other rather than sharing code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ._specfun import arctanh, bisect_root
 from .bvp import (
@@ -32,16 +31,14 @@ class IndeterminateError(ValueError):
     """Raised when the model genuinely does not single out a policy."""
 
 
-@dataclass(frozen=True)
-class SolutionDiagnostics:
+class SolutionDiagnostics(NamedTuple):
     boundary_residual: float
     transversality_residual: float
     hamiltonian_deviation: float
     switching_violation: float
 
 
-@dataclass(frozen=True)
-class OptimalSolution:
+class OptimalSolution(NamedTuple):
     policy: HarvestPolicy
     reserve_halfwidth: float
     objective_j: float
@@ -63,14 +60,15 @@ def _switching_violation(adjoint: Profile, policy: HarvestPolicy) -> float:
     line = -1.0 / policy.l
     worst = 0.0
     for seg in adjoint.segments:
-        sign = 1.0 if policy.rate_at(0.5 * (seg.x0 + seg.x1)) > 0.0 else -1.0
-        lam2 = [seg.u0, seg.u1]
-        d0, d1 = seg.u0 - seg.offset, seg.u1 - seg.offset
-        e = math.exp(-seg.k * (seg.x1 - seg.x0))
+        k, off, u0, u1, x0, x1 = seg
+        sign = 1.0 if policy.rate_at(0.5 * (x0 + x1)) > 0.0 else -1.0
+        lam2 = [u0, u1]
+        d0, d1 = u0 - off, u1 - off
+        e = math.exp(-k * (x1 - x0))
         a, b = d0 - d1 * e, d1 - d0 * e
         if a * b > 0.0:
-            x = 0.5 * (seg.x0 + seg.x1 + math.log(a / b) / seg.k)
-            if seg.x0 < x < seg.x1:
+            x = 0.5 * (x0 + x1 + math.log(a / b) / k)
+            if x0 < x < x1:
                 lam2.append(seg.value(x))
         worst = max(worst, *(sign * (line - v) for v in lam2))
     return worst
@@ -98,26 +96,27 @@ def optimal_policy(sp: ScaledParams) -> OptimalSolution:
     places a single centered no-take zone whose edges sit where the
     transversality-consistent adjoint crosses the switching line.
     """
+    l, q, hbar = sp
     lam_bar: Optional[float] = None
     ts: Optional[float] = None
     lmin: Optional[float] = None
     halfwidth = 0.0
-    pol = constant_policy(sp.l, sp.hbar)
-    if sp.q > 1.0:
+    pol = constant_policy(l, hbar)
+    if q > 1.0:
         dc = derive_constants(sp)
         lmin = dc.l_min
-        if sp.l > lmin:
-            halfwidth, lam_bar = solve_halfwidth(dc, sp.l)
-            ts = sp.l / 2.0 - halfwidth
-            pol = single_reserve_policy(sp.l, -halfwidth, halfwidth, sp.hbar)
+        if l > lmin:
+            halfwidth, lam_bar = solve_halfwidth(dc, l)
+            ts = l / 2.0 - halfwidth
+            pol = single_reserve_policy(l, -halfwidth, halfwidth, hbar)
         else:
-            lam_bar = solve_lambda_bar(dc, sp.l)
-    j, diag = _diagnose(pol, sp.q)
+            lam_bar = solve_lambda_bar(dc, l)
+    j, diag = _diagnose(pol, q)
     # the integral of (q + h) u, before its division by l, overflows when
     # q * l is above about 1e308
     if not math.isfinite(j):
         raise ParameterError(
-            f"the objective overflows at (l, q, hbar) = ({sp.l!r}, {sp.q!r}, {sp.hbar!r})"
+            f"the objective overflows at (l, q, hbar) = ({l!r}, {q!r}, {hbar!r})"
         )
     return OptimalSolution(
         policy=pol,
@@ -141,22 +140,24 @@ def unscaled_min_length(p: UnscaledParams) -> float:
     2*sqrt(D/(Hbar+mu)) * log1p((Hbar+mu+s)/(Q-mu)) with
     s = sqrt((Hbar+mu)(Hbar+2Q-mu)), exact as Q -> mu.
     """
-    if not p.Q > p.mu:
-        raise ParameterError(f"threshold length requires Q > mu, got Q={p.Q!r}, mu={p.mu!r}")
-    s = math.sqrt((p.Hbar + p.mu) * (p.Hbar + 2.0 * p.Q - p.mu))
+    D, mu, Hbar, Q = p.D, p.mu, p.Hbar, p.Q
+    if not Q > mu:
+        raise ParameterError(f"threshold length requires Q > mu, got Q={Q!r}, mu={mu!r}")
+    s = math.sqrt((Hbar + mu) * (Hbar + 2.0 * Q - mu))
     if not math.isfinite(s):
         raise ParameterError(
-            f"the threshold length overflows at (mu, Hbar, Q) = ({p.mu!r}, {p.Hbar!r}, {p.Q!r})"
+            f"the threshold length overflows at (mu, Hbar, Q) = ({mu!r}, {Hbar!r}, {Q!r})"
         )
-    return 2.0 * math.sqrt(p.D / (p.Hbar + p.mu)) * math.log1p((p.Hbar + p.mu + s) / (p.Q - p.mu))
+    return 2.0 * math.sqrt(D / (Hbar + mu)) * math.log1p((Hbar + mu + s) / (Q - mu))
 
 
 def half_length_domain(p: UnscaledParams) -> tuple[float, float]:
     """Admissible interval [lo, hi) for the half-length function argument."""
-    if not p.Q > p.mu:
-        raise ParameterError(f"half-length function requires Q > mu, got Q={p.Q!r}")
-    lo = math.sqrt((p.Hbar + 2.0 * p.Q - p.mu) * (p.Hbar + p.mu)) / (p.Hbar + p.Q)
-    hi = math.sqrt((p.Hbar + p.Q * p.Q / p.mu) * (p.Hbar + p.mu)) / (p.Hbar + p.Q)
+    mu, Hbar, Q = p.mu, p.Hbar, p.Q
+    if not Q > mu:
+        raise ParameterError(f"half-length function requires Q > mu, got Q={Q!r}")
+    lo = math.sqrt((Hbar + 2.0 * Q - mu) * (Hbar + mu)) / (Hbar + Q)
+    hi = math.sqrt((Hbar + Q * Q / mu) * (Hbar + mu)) / (Hbar + Q)
     return lo, hi
 
 
@@ -201,16 +202,19 @@ def unscaled_reserve_boundary(p: UnscaledParams) -> Optional[float]:
     if p.L <= unscaled_min_length(p):
         return None
     lo = half_length_domain(p)[0]
-    r = (p.Q - p.mu) / (p.Q + p.Hbar)
-    s1 = math.sqrt(p.D / (p.Hbar + p.mu))
-    s2 = math.sqrt(p.D / p.mu)
-    c = ((p.Hbar + p.Q) / (p.Q - p.mu)) * math.sqrt(p.mu / (p.Hbar + p.mu))
+    # the fields are read once: the residual runs about 55 times per root
+    D, mu, Hbar, Q, half = p.D, p.mu, p.Hbar, p.Q, p.L / 2.0
+    r = (Q - mu) / (Q + Hbar)
+    s1 = math.sqrt(D / (Hbar + mu))
+    s2 = math.sqrt(D / mu)
+    c = ((Hbar + Q) / (Q - mu)) * math.sqrt(mu / (Hbar + mu))
 
     def residual(b: float) -> float:
         w = math.tanh(b / s2) / c
-        return s1 * _coast_distance_term(math.hypot(lo, w), w, r) - (p.L / 2.0 - b)
+        # s1 * _coast_distance_term(hypot(lo, w), w, r), inlined
+        return s1 * math.log((1.0 + math.hypot(lo, w)) / (r + w)) - (half - b)
 
-    return bisect_root(residual, 0.0, p.L / 2.0)
+    return bisect_root(residual, 0.0, half)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Exact edge-value boundary-value solvers and Pontryagin diagnostics."""
 
-import dataclasses
 import math
 import warnings
 
@@ -141,7 +140,7 @@ class TestLongCoastsAndThinSegments:
             sol = optimal_policy(sp)
         want = constant_control_objective(sp.hbar, sp.q, l)
         assert sol.objective_j == pytest.approx(want, rel=1e-13)
-        assert max(dataclasses.astuple(sol.diagnostics)) <= 1e-8
+        assert max(tuple(sol.diagnostics)) <= 1e-8
 
     def test_sliver_segment_matches_the_edge_at_zero(self):
         # reserve_sweep produces block edges such as 5.55e-17; splitting
@@ -157,8 +156,8 @@ class TestLongCoastsAndThinSegments:
         segs = list(shoot_steady_state(three_segment_policy()).segments)
         assert Profile(tuple(segs)).match_residual <= 1e-12
         u = segs[1].u1 + 1e-6
-        segs[1] = dataclasses.replace(segs[1], u1=u)
-        segs[2] = dataclasses.replace(segs[2], u0=u)
+        segs[1] = segs[1]._replace(u1=u)
+        segs[2] = segs[2]._replace(u0=u)
         assert Profile(tuple(segs)).match_residual > 1e-8
 
 
@@ -201,8 +200,8 @@ class TestEvaluateObjective:
         for s in prof.segments:
             mid = 0.5 * (s.x0 + s.x1)
             u_mid = s.value(mid)
-            halves.append(dataclasses.replace(s, u1=u_mid, x1=mid))
-            halves.append(dataclasses.replace(s, u0=u_mid, x0=mid))
+            halves.append(s._replace(u1=u_mid, x1=mid))
+            halves.append(s._replace(u0=u_mid, x0=mid))
         a = evaluate_objective(pol, prof, 2.0)
         b = evaluate_objective(pol, Profile(tuple(halves)), 2.0)
         assert abs(a - b) <= 1e-12

@@ -13,10 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from coastharvest import ScaledParams, derive_constants, optimal_policy
-from coastharvest.cli import build_parser, main
+from coastharvest.cli import _linspace, build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -398,6 +399,39 @@ class TestSweep:
         assert "--hbar" in err
 
 
+def _ulps_above(x, n):
+    for _ in range(n):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+# start < stop over many binades, ranges a few ulps wide, and subnormal
+# ranges whose step underflows to 0
+_wide = st.tuples(
+    st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)
+).filter(lambda r: r[0] != r[1]).map(sorted)
+_narrow = st.builds(
+    lambda x, n: (x, _ulps_above(x, n)), st.floats(-1e300, 1e300), st.integers(1, 8)
+)
+_subnormal = st.builds(
+    lambda a, n: (a * 5e-324, (a + n) * 5e-324), st.integers(-4, 4), st.integers(1, 4)
+)
+
+
+class TestSweepGrid:
+    @given(bounds=st.one_of(_wide, _narrow, _subnormal), steps=st.integers(2, 500))
+    def test_grid_is_numpy_linspace_bit_for_bit(self, bounds, steps):
+        start, stop = bounds
+        want = np.linspace(start, stop, steps)
+        assert np.array(_linspace(start, stop, steps)).tobytes() == want.tobytes()
+
+    def test_an_underflowing_step_takes_numpy_branch(self):
+        # (5e-324 - 0)/2 rounds to 0, so numpy scales i/div by delta instead
+        start, stop = 0.0, 5e-324
+        assert (stop - start) / 2 == 0.0
+        assert _linspace(start, stop, 3) == list(np.linspace(start, stop, 3)) == [0.0, 0.0, 5e-324]
+
+
 class TestSimulate:
     def test_reports_convergence_to_the_steady_state(self, capsys):
         doc = run_json(
@@ -419,6 +453,20 @@ class TestSimulate:
         assert lines[0] == "x,u"
         assert len(lines) == doc["nodes"] + 1
 
+    @pytest.mark.parametrize(
+        "l, q, hbar, dx, nodes",
+        [
+            # two interior nodes, folded by mirror symmetry into one unknown
+            ("4", "2", "1", "10", 4),
+            # a single interior node
+            ("4", "0.5", "1", "2", 3),
+        ],
+    )
+    def test_a_grid_of_one_unknown_runs(self, capsys, l, q, hbar, dx, nodes):
+        doc = run_json(capsys, "simulate", "--l", l, "--q", q, "--hbar", hbar, "--dx", dx)
+        assert doc["nodes"] == nodes
+        assert doc["monotone_tail"] is True
+
     @pytest.mark.parametrize("flag, field", [("--dt", "dt"), ("--tmax", "t_max")])
     def test_infinite_step_sizes_are_parameter_errors(self, capsys, flag, field):
         code, out, err = run(
@@ -437,6 +485,29 @@ class TestSimulate:
         assert err == (
             "error: t_max / dt must be at most 1000000 steps, got t_max=1e+300, dt=0.00390625\n"
         )
+
+
+class TestUnwritableOutput:
+    """A file that cannot be written is reported, with exit 2 and no report."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--q", "2", "--hbar", "1", "--param", "l", "--from", "2", "--to", "6",
+             "--steps", "5", "--out"],
+            ["solve", "--l", "4", "--q", "2", "--hbar", "1", "--profile"],
+            ["simulate", "--l", "2", "--q", "0.5", "--hbar", "1", "--dx", "0.5", "--tmax", "1",
+             "--out"],
+        ],
+        ids=["sweep --out", "solve --profile", "simulate --out"],
+    )
+    def test_a_missing_directory_exits_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "no" / "such" / "x.csv"
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: [Errno 2] No such file or directory")
+        assert str(path) in err
 
 
 class TestOutputBytes:

@@ -85,17 +85,22 @@ commands = [
     ["solve", "--D", "2", "--mu", "1", "--Hbar", "1", "--Q", "2", "--L", "8"],
     ["lmin", "--q", "2", "--hbar", "1"],
     ["scale", "--D", "4", "--R", "3", "--mu", "1", "--Hbar", "1", "--Q", "0.5", "--L", "4"],
+    ["sweep", "--q", "2", "--hbar", "1", "--param", "l", "--from", "2", "--to", "6",
+     "--steps", "5", "--out", sys.argv[1]],
 ]
 for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
-print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+heavy = ("numpy", "scipy", "dataclasses", "inspect")
+print(sorted(m for m in sys.modules if m.split(".")[0] in heavy))
 """
 
 
-def test_import_and_closed_form_solves_do_not_load_numpy():
+def test_import_and_closed_form_solves_do_not_load_numpy(tmp_path):
+    # the records are NamedTuples: dataclasses would pull in inspect, dis,
+    # ast and tokenize, about half of the package's import time
     proc = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY_CHILD],
+        [sys.executable, "-c", NO_NUMPY_CHILD, str(tmp_path / "sweep.csv")],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},

@@ -380,6 +380,37 @@ class TestPdeTimeStepper:
         )
         assert run.l2_distance <= 1e-6
 
+    @staticmethod
+    def dense_steady_state(x, policy):
+        """u_h from the full, unfolded system, assembled and solved densely."""
+        dx = np.diff(x)
+        pot = np.array([1.0 + policy.rate_at(0.5 * (a + b)) for a, b in zip(x, x[1:])])
+        n = len(x) - 2
+        a = np.zeros((n, n))
+        for i in range(n):
+            a[i, i] = 1.0 / dx[i] + 1.0 / dx[i + 1] + 0.5 * (pot[i] * dx[i] + pot[i + 1] * dx[i + 1])
+            if i + 1 < n:
+                a[i, i + 1] = a[i + 1, i] = -1.0 / dx[i + 1]
+        return np.linalg.solve(a, 0.5 * (dx[:-1] + dx[1:]))
+
+    @pytest.mark.parametrize(
+        "policy, dx, interior",
+        [
+            # one interior node, at the centre
+            (constant_policy(4.0, 1.0), 2.0, 1),
+            # two interior nodes, which the mirror fold makes one unknown
+            (optimal_policy(OPTIMAL_SP).policy, 10.0, 2),
+            # one interior node of an asymmetric policy
+            (single_reserve_policy(4.0, -2.0, 0.0, 1.0), 2.0, 1),
+        ],
+    )
+    def test_a_single_unknown_is_solved(self, policy, dx, interior):
+        run = pde_time_stepper(policy, dx=dx, dt=0.5, t_max=40.0)
+        assert len(run.x) == interior + 2
+        assert run.u[0] == 0.0 and run.u[-1] == 0.0
+        assert run.u[1:-1] == pytest.approx(self.dense_steady_state(run.x, policy), rel=1e-14)
+        assert run.discrete_distance <= 1e-15
+
     def test_approach_is_monotone_once_transients_die(self):
         sp = ScaledParams(l=2.0, q=1.0, hbar=1.0)
         run = pde_time_stepper(constant_policy(sp.l, sp.hbar), t_max=5.0)

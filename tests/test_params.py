@@ -1,13 +1,16 @@
 """Parameter validation and the physical/dimensionless conversion."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from coastharvest import (
+    HarvestPolicy,
     ParameterError,
     ScaledParams,
+    SegmentSolution,
     UnscaledParams,
     to_scaled,
     to_unscaled_length,
@@ -128,3 +131,57 @@ def test_scaling_is_monotone_in_length_and_diffusion():
     base = up()
     assert to_scaled(up(L=3.0)).l > to_scaled(base).l
     assert to_scaled(up(D=2.0)).l < to_scaled(base).l
+
+
+class TestRecordsValidate:
+    """The records are NamedTuples; _replace and unpickling re-run their checks."""
+
+    RECORDS = [
+        ScaledParams(4.0, 2.0, 1.0),
+        UnscaledParams(D=1.0, R=1.0, mu=1.0, Hbar=1.0, Q=2.0, L=2.0),
+        HarvestPolicy((-2.0, -0.5, 0.5, 2.0), (1.0, 0.0, 1.0)),
+        SegmentSolution(k=1.0, offset=0.5, u0=0.0, u1=0.1, x0=-1.0, x1=1.0),
+    ]
+
+    def test_replace_validates_scaled_params(self):
+        with pytest.raises(ParameterError, match="l must be positive"):
+            ScaledParams(4, 2, 1)._replace(l=-1)
+        with pytest.raises(ParameterError, match="hbar must be finite"):
+            ScaledParams(4, 2, 1)._replace(hbar=math.nan)
+        assert ScaledParams(4, 2, 1)._replace(q=3) == ScaledParams(4, 3, 1)
+
+    def test_replace_validates_unscaled_params(self):
+        with pytest.raises(ParameterError, match="Q must be nonnegative"):
+            up()._replace(Q=-1.0)
+
+    def test_replace_validates_a_policy(self):
+        pol = HarvestPolicy((-1.0, 1.0), (1.0,))
+        with pytest.raises(ParameterError, match="rates must be nonnegative"):
+            pol._replace(rates=(-1.0,))
+        with pytest.raises(ParameterError, match="require 1 rates"):
+            pol._replace(rates=(1.0, 0.0))
+
+    def test_replace_normalises_a_policy_to_tuples(self):
+        pol = HarvestPolicy([-1.0, 1.0], [1.0])
+        assert pol.breakpoints == (-1.0, 1.0) and pol.rates == (1.0,)
+        moved = pol._replace(rates=[0.5])
+        assert type(moved) is HarvestPolicy
+        assert type(moved.rates) is tuple and moved.rates == (0.5,)
+
+    def test_replace_validates_a_segment(self):
+        seg = self.RECORDS[3]
+        with pytest.raises(ParameterError, match="empty segment"):
+            seg._replace(x1=-1.0)
+        with pytest.raises(ParameterError, match="stiffness"):
+            seg._replace(k=0.0)
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_pickle_round_trip(self, record):
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is type(record)
+        assert back == record
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_fields_are_read_only(self, record):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], 1.0)
