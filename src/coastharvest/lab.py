@@ -37,23 +37,24 @@ from .bvp import shoot_steady_state
 from .params import ParameterError, ScaledParams
 from .policy import HarvestPolicy
 
-# exhaustive search cap: 2^16 candidates, for which the batched solve holds
-# 2(cells-1) float arrays of 2^cells entries (16 MB)
+# exhaustive search cap: 2^16 candidates, for which the meet-in-the-middle
+# solve holds a few float arrays of 2^cells entries (0.5 MB each)
 MAX_CELLS = 16
 
 # reserve-sweep cap: 2^16 candidates, for which the batched pass holds
 # float arrays of at most 3 x 2^16 entries (1.5 MB)
 MAX_SWEEP_CANDIDATES = 2**16
 
-# parabolic run cap: verify's default run asks for 4000 steps and stops
-# early once settled (after 62 at l = 0.3, 2542 at l = 4)
+# parabolic run cap: verify's default run asks for 1000 steps and stops
+# early once settled (after 30 at l = 0.3, 600 at l = 4)
 MAX_STEPS = 10**6
 
 # grid cap, 8 MB per float array: the steady gap's coarse grid reaches it
 # at l = 2^15 and its bisection doubles it
 MAX_CELLS_PER_GRID = 2**20
 
-# event marching gives up after this many domain lengths
+# event marching gives up after this many of the flow's time scales,
+# max(l, 1/sqrt(a))
 _HORIZON_FACTOR = 10.0
 
 # halvings of each event bracket: tau*2^-60 is at most one ulp of any
@@ -100,9 +101,17 @@ def _cell_objectives(sp: ScaledParams, cells: int) -> np.ndarray:
     t = tanh(kw/2), contributes k*coth(kw) to the diagonal entries of
     its two edges, -k*csch(kw) to their coupling and k*off*t to their
     loads, and its exact integral is off*w + (u_L + u_R - 2*off)*t/k.
-    Thomas elimination runs one edge at a time over all masks at once,
-    and the objective is summed during back-substitution.  No step is
-    amplified by e^(k*l), so long coasts stay exact.
+
+    The system is solved by meeting in the middle.  Each half of the
+    coast, from its end to the middle edge m, is eliminated by Thomas
+    steps over all of its 2^(cells/2) half-masks at once, which leaves
+    u_j = d_j - c_j u_{j+1} at each edge and the half's objective
+    share as alpha + beta*u_{j+1}.  At the middle edge a half reduces to
+    its flux S*u_m + F and its share alpha + beta*u_m, so each of the
+    2^cells pairs costs O(1): u_m = -(F_l + F_r)/(S_l + S_r).  The right
+    half is eliminated from the right coast end, so its bits come
+    reversed.  Every term keeps its sign, and no step is amplified by
+    e^(k*l), so long coasts stay exact.
     """
     w = sp.l / cells
     h = np.array([0.0, sp.hbar])
@@ -118,37 +127,34 @@ def _cell_objectives(sp: ScaledParams, cells: int) -> np.ndarray:
     load = k * off * t
     edge_weight = (sp.q + h) * t / k
     cell_const = (sp.q + h) * off * (w - 2.0 * t / k)
+    if cells == 1:
+        return cell_const / sp.l
 
-    masks = np.arange(1 << cells)
-
-    def rate_bit(i: int) -> np.ndarray:
-        return (masks >> (cells - 1 - i)) & 1
-
-    # forward sweep: row j couples u_j to u_{j-1} through cell j-1
-    sup: list[np.ndarray] = []
-    rhs: list[np.ndarray] = []
-    prev = rate_bit(0)
-    c_prev = d_prev = np.zeros(masks.size)
-    total = cell_const[prev]
-    for j in range(1, cells):
-        cur = rate_bit(j)
+    def half(bits: list[np.ndarray]):
+        """(S, F, alpha, beta) at the middle edge of a half, cells from its coast end."""
+        prev = bits[0]
+        c = d = 0.0
+        alpha, beta = cell_const[prev], edge_weight[prev]
+        for cur in bits[1:]:
+            sub = couple[prev]
+            piv = diag[prev] + diag[cur] - sub * c
+            c = couple[cur] / piv
+            d = (load[prev] + load[cur] - sub * d) / piv
+            # cell cur adds its integral; then u_j = d - c u_{j+1}
+            share = beta + edge_weight[cur]
+            alpha = alpha + cell_const[cur] + share * d
+            beta = edge_weight[cur] - share * c
+            prev = cur
         sub = couple[prev]
-        piv = diag[prev] + diag[cur] - sub * c_prev
-        c_prev = couple[cur] / piv
-        d_prev = (load[prev] + load[cur] - sub * d_prev) / piv
-        sup.append(c_prev)
-        rhs.append(d_prev)
-        total += cell_const[cur]
-        prev = cur
-    # back-substitution from u_c = 0, adding each edge value's weight
-    u = np.zeros(masks.size)
-    nxt = prev
-    for j in range(cells - 1, 0, -1):
-        cur = rate_bit(j - 1)
-        u = rhs[j - 1] - sup[j - 1] * u
-        total += u * (edge_weight[cur] + edge_weight[nxt])
-        nxt = cur
-    return total / sp.l
+        return diag[prev] - sub * c, sub * d - load[prev], alpha, beta
+
+    m = cells // 2
+    left_masks, right_masks = np.arange(1 << m), np.arange(1 << (cells - m))
+    s_l, f_l, a_l, b_l = half([(left_masks >> (m - 1 - i)) & 1 for i in range(m)])
+    s_r, f_r, a_r, b_r = half([(right_masks >> i) & 1 for i in range(cells - m)])
+    u_mid = -(f_l[:, None] + f_r) / (s_l[:, None] + s_r)
+    total = a_l[:, None] + a_r + (b_l[:, None] + b_r) * u_mid
+    return total.ravel() / sp.l
 
 
 def brute_force_bangbang(sp: ScaledParams, cells: int) -> SweepResult:
@@ -265,13 +271,16 @@ def reserve_sweep(sp: ScaledParams, centers: int, widths: int) -> SweepResult:
 def _first_events(
     a: float, b: float, l: float, z: np.ndarray, g: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First zero of g along z' = J z from each column of z, within 10*l.
+    """First zero of g along z' = J z from each column of z, within 10*max(l, 1/sqrt(a)).
 
     z = (lambda1, lambda2, 1) holds one start per column, and
     J = [[0, -a, -b/l], [-1, 0, 0], [0, 0, 0]] is the affine flow of a
     phase with rate h, a = 1+h and b = h+q.  g must never turn positive
-    again once it reaches 0.  All starts march together on one grid of
-    step tau <= min(l/16, 1/sqrt(a)) with the exact one-step map
+    again once it reaches 0.  The horizon follows the flow's own time
+    scale: on short coasts the hitting time is 10-30 l but of order
+    1/sqrt(a), and each phase marches at most max(160, 10 l sqrt(a))
+    steps.  All starts march together on one grid of step
+    tau <= min(max(l, 1/sqrt(a))/16, 1/sqrt(a)) with the exact one-step map
     expm(J*tau), whose eigenvalues exp(+-sqrt(a)*tau) lie within [1/e, e]
     so that it stays finite on any coast; a start leaves the march at
     the first grid point where g <= 0 or where it is no longer finite.
@@ -280,8 +289,10 @@ def _first_events(
     step and every level.  Returns the event times (inf for none) and
     the states there (NaN for none).
     """
-    horizon = _HORIZON_FACTOR * l
-    steps = math.ceil(horizon / min(l / 16.0, 1.0 / math.sqrt(a)))
+    flow_time = 1.0 / math.sqrt(a)
+    scale = max(l, flow_time)
+    horizon = _HORIZON_FACTOR * scale
+    steps = math.ceil(horizon / min(scale / 16.0, flow_time))
     tau = horizon / steps
     jac = np.array([[0.0, -a, -b / l], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     # maps[j] advances by tau*2^-j
@@ -329,8 +340,9 @@ def integrate_adjoint_with_events(
     orbit crosses the switching line lambda2 = -1/l at most once before
     that hit, downward, and from there runs in the no-take phase.
     Returns one (hit time, number of line crossings) per start; the hit
-    time is inf when a phase runs for 10*l, on its own clock, without the
-    start's event, or when the start's state stops being finite first.
+    time is inf when a phase runs for 10*max(l, 1/sqrt(1+h)), on its own
+    clock, without the start's event, or when the start's state stops
+    being finite first.
 
     Both phases are affine and autonomous, so each is marched with its
     exact flow map (see _first_events), all starts at once, and each
@@ -467,10 +479,12 @@ def pde_time_stepper(
     on the half grid, and PdeRun.u is then exactly mirror-symmetric.
 
     Stepping stops early, without changing any output, once
-    |e| <= 2^-60 u_h at a history sample.  (M/dt + A)^-1 is nonnegative
+    |e| <= 2^-55 u_h at a history sample.  (M/dt + A)^-1 is nonnegative
     and (M/dt + A) u_h = (M/dt) u_h + lumped >= (M/dt) u_h, so that bound
-    then holds at every later step, and below half an ulp u_h + e rounds
-    to u_h.  This also skips the slow subnormal tail of e on short coasts.
+    then holds at every later step.  Half an ulp of u_h exceeds 2^-54 u_h,
+    so u_h + e rounds to u_h with a factor 2 to spare, and u, history,
+    l2_distance and discrete_distance keep every bit of the full run.
+    This also skips the slow subnormal tail of e on short coasts.
     """
     dx = policy.l / 512.0 if dx is None else dx
     dt = policy.l / 512.0 if dt is None else dt
@@ -491,7 +505,7 @@ def pde_time_stepper(
     u_star = target.eval_many(nodes[1 + c : -1])[0]
 
     e = -u_h
-    settled_at = 2.0**-60 * u_h
+    settled_at = 2.0**-55 * u_h
     nsteps = max(1, math.ceil(steps))
     every = max(1, nsteps // 64)
     samples = list(range(every, nsteps + 1, every))
@@ -503,7 +517,8 @@ def pde_time_stepper(
         if not settled:
             while step < sample:
                 step += 1
-                e, _ = dpttrs(step_d, step_e, mass * e, overwrite_b=True)
+                np.multiply(mass, e, out=e)
+                e, _ = dpttrs(step_d, step_e, e, overwrite_b=True)
             # NaN and inf carry through every later step to the sample
             size = np.abs(e)
             if not size.max() <= 1e8:

@@ -18,6 +18,7 @@ from hypothesis import given, strategies as st
 import oracles
 from coastharvest import ScaledParams, derive_constants, optimal_policy
 from coastharvest.cli import _linspace, build_parser, main
+from coastharvest.lab import richardson_steady_gap
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -253,6 +254,38 @@ class TestVerify:
         assert checks["pde_l2_distance"]["value"] <= 1e-8
         assert doc["all_pass"] is True
 
+    @pytest.mark.parametrize(
+        "l, q, hbar",
+        [("0.1", "2", "1"), ("0.15", "4", "3"), ("0.01", "2", "1"), ("1e-3", "2", "1"),
+         ("1e-5", "2", "1")],
+    )
+    def test_short_coasts_pass(self, capsys, l, q, hbar):
+        # the hitting times here are 10-30 l, so a horizon of 10 l missed
+        # every hit; the flow's own time scale 1/sqrt(1+h) sets it instead
+        doc = run_json(
+            capsys, "verify", "--l", l, "--q", q, "--hbar", hbar,
+            "--cells", "6", "--centers", "5", "--widths", "9",
+        )
+        checks = {c["name"]: c for c in doc["checks"]}
+        assert checks["hitting_time_vs_integration"]["value"] <= 1e-13
+        assert doc["all_pass"] is True
+
+    @pytest.mark.parametrize(
+        "l, q, hbar",
+        [("1e4", "50", "0.05"), ("1e4", "2", "1"), ("1000", "2", "1"), ("100", "0.5", "1"),
+         ("0.3", "2", "1")],
+    )
+    def test_parabolic_run_settles_at_the_default_length(self, capsys, l, q, hbar):
+        # at dt = 0.04 and t = 40 the run's own term is exactly 0.0
+        doc = run_json(
+            capsys, "verify", "--l", l, "--q", q, "--hbar", hbar,
+            "--cells", "2", "--centers", "2", "--widths", "2",
+        )
+        checks = {c["name"]: c for c in doc["checks"]}
+        sp = ScaledParams(l=float(l), q=float(q), hbar=float(hbar))
+        want = richardson_steady_gap(optimal_policy(sp).policy)
+        assert checks["pde_l2_distance"]["value"] == want
+
     def test_coast_too_long_for_the_steady_grid_is_a_parameter_error(self, capsys):
         code, out, err = run(
             capsys, "verify", "--l", "1e5", "--q", "0.5", "--hbar", "1",
@@ -295,7 +328,7 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == (
-            "error: t_max / dt must be at most 1000000 steps, got t_max=1e+300, dt=0.01\n"
+            "error: t_max / dt must be at most 1000000 steps, got t_max=1e+300, dt=0.04\n"
         )
 
 

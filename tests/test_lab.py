@@ -93,6 +93,33 @@ class TestBruteForce:
             want = constant_control_objective(rate, sp.q, sp.l)
             assert objs[bit * cells] == pytest.approx(want, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "sp", [OPTIMAL_SP, ScaledParams(0.3, 2.0, 1.0), ScaledParams(1e4, 2.0, 1.0),
+               ScaledParams(3.0, 0.5, 1.0)]
+    )
+    def test_every_mask_matches_the_shooting_solver(self, sp):
+        # the meet-in-the-middle objectives against bvp on every mask
+        for cells in range(1, 11):
+            objs = brute_force_bangbang(sp, cells=cells).objectives
+            for mask, obj in enumerate(objs.tolist()):
+                bits = format(mask, f"0{cells}b")
+                pol = cell_policy(sp.l, [sp.hbar if b == "1" else 0.0 for b in bits])
+                want = evaluate_objective(pol, shoot_steady_state(pol), sp.q)
+                assert obj == pytest.approx(want, rel=1e-13, abs=0.0), bits
+
+    @pytest.mark.parametrize(
+        "sp, best",
+        [
+            (OPTIMAL_SP, {10: "1100000011", 12: "110000000011", 16: "1110000000000111"}),
+            (ScaledParams(0.3, 2.0, 1.0), {10: "1" * 10, 12: "1" * 12, 16: "1" * 16}),
+            (ScaledParams(1e4, 2.0, 1.0), {10: "0" * 10, 12: "0" * 12, 16: "0" * 16}),
+            (ScaledParams(3.0, 0.5, 1.0), {10: "1" * 10, 12: "1" * 12, 16: "1" * 16}),
+        ],
+    )
+    def test_best_masks(self, sp, best):
+        for cells, mask in best.items():
+            assert brute_force_bangbang(sp, cells=cells).best_descriptor["mask"] == mask
+
     @pytest.mark.parametrize("cells", [0, 17, -3])
     def test_cell_count_validation(self, cells):
         with pytest.raises(ParameterError):
@@ -579,7 +606,7 @@ class TestPdeTimeStepper:
         assert run.discrete_distance == 0.0
 
     def test_settled_run_stops_stepping(self, monkeypatch):
-        # 4000 steps are asked for; e is below 2^-60 u_h after a few dozen
+        # 4000 steps are asked for; e is below 2^-55 u_h after a few dozen
         calls = []
         solve = lab.dpttrs
 
@@ -592,6 +619,68 @@ class TestPdeTimeStepper:
         run = pde_time_stepper(optimal_policy(sp).policy, dx=sp.l / 8192.0, dt=0.01, t_max=40.0)
         assert len(calls) < 200
         assert len(run.history) == 65 and run.history[-1][0] == 40.0
+
+    @staticmethod
+    def _full_run(policy, dx, dt, t_max):
+        """The stepper's own arithmetic with all ceil(t_max/dt) steps taken.
+
+        Returns (u, history, l2_distance, discrete_distance, e, u_h).
+        """
+        nodes, rate = lab._aligned_grid(policy, dx)
+        u_h, diag, off, lumped, c, mirror = lab._steady_solve(policy, nodes, rate)
+        mass = lumped / dt
+        step_d, step_e, _ = lab.dpttrf(diag + mass, off)
+        u_star = shoot_steady_state(policy).eval_many(nodes[1 + c : -1])[0]
+        nsteps = math.ceil(t_max / dt - 1e-12)
+        every = max(1, nsteps // 64)
+        samples = sorted(set(range(every, nsteps + 1, every)) | {nsteps})
+        e, history, step = -u_h, [], 0
+        for sample in samples:
+            while step < sample:
+                step += 1
+                np.multiply(mass, e, out=e)
+                e, _ = lab.dpttrs(step_d, step_e, e, overwrite_b=True)
+            distance = lab._weighted_norm(lumped, mirror, u_h + e - u_star)
+            history.append((sample * dt, distance))
+        u = u_h + e
+        mirrored = u[len(nodes) % 2 :][::-1] if mirror else []
+        full_u = np.concatenate([[0.0], mirrored, u, [0.0]])
+        discrete = lab._weighted_norm(lumped, mirror, u - u_h)
+        return full_u, tuple(history), distance, discrete, e, u_h
+
+    @pytest.mark.parametrize(
+        "l, q, hbar, cells, dt",
+        [
+            # the PINNED runs, then verify's settings
+            (0.3, 2.0, 1.0, 8192, 0.01),
+            (0.6, 2.0, 1.0, 8192, 0.01),
+            (4.0, 2.0, 1.0, 1024, 0.04),
+            (13.72, 2.1, 3.0, 1024, 0.04),
+            (1e4, 50.0, 0.05, 1024, 0.04),
+        ],
+    )
+    def test_early_stop_keeps_every_bit(self, l, q, hbar, cells, dt):
+        pol = optimal_policy(ScaledParams(l=l, q=q, hbar=hbar)).policy
+        run = pde_time_stepper(pol, dx=l / cells, dt=dt, t_max=40.0)
+        u, history, distance, discrete, _, _ = self._full_run(pol, l / cells, dt, 40.0)
+        assert run.u.tobytes() == u.tobytes()
+        assert run.history == history
+        assert run.l2_distance == distance
+        assert run.discrete_distance == discrete
+
+    @pytest.mark.parametrize(
+        "l, q, hbar",
+        [(1e4, 50.0, 0.05), (1e4, 2.0, 1.0), (1000.0, 2.0, 1.0), (100.0, 0.5, 1.0), (0.3, 2.0, 1.0)],
+    )
+    def test_verify_step_settles_by_the_default_run_length(self, l, q, hbar):
+        # a step maps |e| <= c u_h to |e'| <= c u_h / (1 + dt), so after
+        # 1000 steps of 0.04 |e| <= 1.04^-1000 u_h = 2^-56.6 u_h, below the
+        # 2^-55 u_h at which u_h + e rounds to u_h; long coasts attain it
+        pol = optimal_policy(ScaledParams(l=l, q=q, hbar=hbar)).policy
+        run = pde_time_stepper(pol, dx=l / 1024.0, dt=0.04, t_max=40.0)
+        assert run.discrete_distance == 0.0
+        *_, e, u_h = self._full_run(pol, l / 1024.0, 0.04, 40.0)
+        assert np.max(np.abs(e) / u_h) <= 1.04**-1000 * (1.0 + 1e-12)
 
     def test_discrete_distance_is_the_gap_to_the_grid_steady_state(self):
         run = pde_time_stepper(self.RESERVE_POLICY, dx=0.125, dt=0.1, t_max=0.5)
