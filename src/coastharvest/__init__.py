@@ -9,16 +9,9 @@ through the switching structure, an implicit parabolic solver, and a
 spectral stability check.  The checks need numpy and scipy.linalg only.
 """
 
-from .analytic import (
-    SegmentSolution,
-    adjoint_constant_hbar,
-    constant_control_objective,
-    constant_control_steady_state,
-    optimal_shoot_slope,
-    switch_level,
-)
 from .bvp import (
     Profile,
+    SegmentSolution,
     evaluate_objective,
     hamiltonian_diagnostic,
     shoot_steady_state,
@@ -42,7 +35,6 @@ from .switching import (
     solve_lambda_bar,
     switch_line_intercept,
     switch_location,
-    switch_time,
 )
 from .synthesis import (
     IndeterminateError,
@@ -100,11 +92,8 @@ __all__ = [
     "SolutionDiagnostics",
     "SweepResult",
     "UnscaledParams",
-    "adjoint_constant_hbar",
     "brute_force_bangbang",
     "cell_policy",
-    "constant_control_objective",
-    "constant_control_steady_state",
     "constant_policy",
     "derive_constants",
     "evaluate_objective",
@@ -117,7 +106,6 @@ __all__ = [
     "neumann_objective",
     "neumann_variant_policy",
     "optimal_policy",
-    "optimal_shoot_slope",
     "pde_time_stepper",
     "post_switch_time",
     "reserve_sweep",
@@ -126,10 +114,8 @@ __all__ = [
     "solve_adjoint",
     "solve_lambda_bar",
     "stability_eigenvalues",
-    "switch_level",
     "switch_line_intercept",
     "switch_location",
-    "switch_time",
     "to_scaled",
     "to_unscaled_length",
     "unscale_objective",

@@ -1,4 +1,4 @@
-"""A clamped arctanh, sech and a bisection root finder.
+"""A clamped arctanh and a bisection root finder.
 
 The hitting-time, adjoint and half-length formulas take arctanh of
 ratios that reach 1 at branch endpoints, so math.atanh raises one ulp
@@ -18,10 +18,6 @@ _ATANH_CLAMP = 1.0 - 1e-15
 def arctanh(x: float) -> float:
     """math.atanh, with the argument clamped at +-(1 - 1e-15)."""
     return math.atanh(min(max(x, -_ATANH_CLAMP), _ATANH_CLAMP))
-
-
-def sech(x: float) -> float:
-    return 1.0 / math.cosh(x)
 
 
 def bisect_root(fn: Callable[[float], float], lo: float, hi: float) -> float:

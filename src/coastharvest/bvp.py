@@ -1,11 +1,12 @@
 """Steady-state and adjoint solvers for piecewise-constant harvest rates.
 
 Within a segment both problems reduce to w'' = k^2 (w - off) with
-k = sqrt(1+h), so a segment's solution is fixed exactly by its two edge
-values and no step-size error enters anywhere.  One two-point solve
-serves the state and the adjoint, and both come back as one `Profile`:
-the values at the interior edges are the unknowns, fixed by flux
-continuity, and a Dirichlet-to-Neumann sweep from each zero end
+k = sqrt(1+h), whose solutions are the offset plus a cosh/sinh pair, so
+a segment's solution is fixed exactly by its two edge values
+(`SegmentSolution`) and no step-size error enters anywhere.  One
+two-point solve serves the state and the adjoint, and both come back as
+one `Profile`: the values at the interior edges are the unknowns, fixed
+by flux continuity, and a Dirichlet-to-Neumann sweep from each zero end
 eliminates them with positive terms only, so nothing is amplified on
 long coasts or cancels on thin segments.
 
@@ -19,12 +20,98 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .analytic import SegmentSolution, edge_profile
 from .params import ParameterError
 from .policy import HarvestPolicy
 
 if TYPE_CHECKING:
     import numpy as np
+
+
+def edge_profile(exp, expm1, k, x0, x1, x, off, d0, d1):
+    """(u, u') at x of u'' = k^2 (u - off) on [x0, x1] with u - off = d0, d1 at the edges.
+
+    u - off = (d0*sinh(k(x1-x)) + d1*sinh(k(x-x0))) / sinh(k(x1-x0)), with
+    each ratio of sinh/cosh rewritten through the decaying exponentials
+    e^(-k(x-x0)) and e^(-k(x1-x)): nothing overflows on any segment
+    length, and the edge weights are exactly 1 and 0 at the edges.
+    Written for both math and numpy: pass their exp and expm1.
+    """
+    a = k * (x - x0)
+    b = k * (x1 - x)
+    ea, eb = exp(-a), exp(-b)
+    den = -expm1(-2.0 * (k * (x1 - x0)))
+    ma, mb = -expm1(-2.0 * a), -expm1(-2.0 * b)
+    u = off + (d0 * ea * mb + d1 * eb * ma) / den
+    du = k * (d1 * eb * (1.0 + ea * ea) - d0 * ea * (1.0 + eb * eb)) / den
+    return u, du
+
+
+class _SegmentFields(NamedTuple):
+    k: float
+    offset: float
+    u0: float
+    u1: float
+    x0: float
+    x1: float
+
+
+class SegmentSolution(_SegmentFields):
+    """Solution of u'' = k^2 (u - offset) on [x0, x1] with edge values u0, u1.
+
+    Edge values stay bounded whatever the segment length, so evaluation
+    neither overflows nor cancels on long segments, and the mirror
+    u(-x) just swaps them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k: float, offset: float, u0: float, u1: float, x0: float, x1: float):
+        if not k > 0.0:
+            raise ParameterError(f"segment stiffness must be positive, got {k!r}")
+        if not x0 < x1:
+            raise ParameterError(f"empty segment [{x0!r}, {x1!r}]")
+        return super().__new__(cls, k, offset, u0, u1, x0, x1)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: validate there too
+        return cls(*iterable)
+
+    def value_and_deriv(self, x: float) -> tuple[float, float]:
+        k, off, u0, u1, x0, x1 = self
+        return edge_profile(math.exp, math.expm1, k, x0, x1, x, off, u0 - off, u1 - off)
+
+    def value(self, x: float) -> float:
+        return self.value_and_deriv(x)[0]
+
+    def deriv(self, x: float) -> float:
+        return self.value_and_deriv(x)[1]
+
+    def integral(self) -> float:
+        """Exact integral of u over [x0, x1]: off*w + (u0 + u1 - 2*off)*t/k, t = tanh(kw/2).
+
+        Below kw = 1, where off*w and 2*off*t/k cancel, w - 2t/k is
+        (2/k)(z - tanh z), z = kw/2, from its series.
+        """
+        k, off, u0, u1, x0, x1 = self
+        w = x1 - x0
+        z = 0.5 * k * w
+        t = math.tanh(z)
+        if z < 0.5:
+            return off * (2.0 / k) * _z_minus_tanh(z) + (u0 + u1) * t / k
+        return off * w + (u0 + u1 - 2.0 * off) * t / k
+
+
+def _z_minus_tanh(z: float) -> float:
+    """z - tanh(z) for 0 <= z < 1/2, without cancellation.
+
+    It is (z cosh z - sinh z)/cosh z, and z cosh z - sinh z sums the
+    positive terms 2n z^(2n+1)/(2n+1)!, n >= 1, here to n = 7 in Horner
+    form; the eighth is 8e-18 of the sum at z = 1/2.
+    """
+    s = z * z
+    p = 1 / 840 + s * (1 / 45360 + s * (1 / 3991680 + s * (1 / 518918400 + s / 93405312000)))
+    return z * s * (1 / 3 + s * (1 / 30 + s * p)) / math.cosh(z)
 
 
 class Profile(NamedTuple):

@@ -90,6 +90,19 @@ class SweepResult(NamedTuple):
         return tuple((self.describe(i), obj) for i, obj in enumerate(self.objectives.tolist()))
 
 
+def _excess(kw: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """w - 2*tanh(kw/2)/k without cancellation where kw < 1 (z = kw/2 is clipped at 1/2).
+
+    It is (2/k)(z cosh z - sinh z)/cosh z, and z cosh z - sinh z sums
+    the positive terms 2n z^(2n+1)/(2n+1)!, n >= 1, here to n = 7 in
+    Horner form; the eighth is 8e-18 of the sum at z = 1/2.
+    """
+    z = np.minimum(0.5 * kw, 0.5)
+    s = z * z
+    p = 1 / 840 + s * (1 / 45360 + s * (1 / 3991680 + s * (1 / 518918400 + s / 93405312000)))
+    return (2.0 / k) * z * s * (1 / 3 + s * (1 / 30 + s * p)) / np.cosh(z)
+
+
 def _cell_objectives(sp: ScaledParams, cells: int) -> np.ndarray:
     """Objective j of every {0, hbar} policy on equal cells, indexed by mask.
 
@@ -100,7 +113,8 @@ def _cell_objectives(sp: ScaledParams, cells: int) -> np.ndarray:
     width w and rate h, with k = sqrt(1+h), off = 1/(1+h) and
     t = tanh(kw/2), contributes k*coth(kw) to the diagonal entries of
     its two edges, -k*csch(kw) to their coupling and k*off*t to their
-    loads, and its exact integral is off*w + (u_L + u_R - 2*off)*t/k.
+    loads, and its exact integral is off*(w - 2t/k) + (u_L + u_R)*t/k,
+    with w - 2t/k from _excess below kw = 1.
 
     The system is solved by meeting in the middle.  Each half of the
     coast, from its end to the middle edge m, is eliminated by Thomas
@@ -126,7 +140,8 @@ def _cell_objectives(sp: ScaledParams, cells: int) -> np.ndarray:
     t = np.tanh(0.5 * kw)
     load = k * off * t
     edge_weight = (sp.q + h) * t / k
-    cell_const = (sp.q + h) * off * (w - 2.0 * t / k)
+    gap = np.where(kw < 1.0, _excess(kw, k), w - 2.0 * t / k)
+    cell_const = (sp.q + h) * off * gap
     if cells == 1:
         return cell_const / sp.l
 
@@ -184,9 +199,10 @@ def _piece_objectives(sp: ScaledParams, edges: np.ndarray, rates: Sequence[float
         F' = k (F c - off (S (1 - c) + k t)) / (k + S t),
     swept from both ends over all columns at once.  Each inner edge
     value is -(F_l + F_r) / (S_l + S_r), and a piece with edge values
-    u0, u1 integrates to off*d + (u0 + u1 - 2*off)*tanh(kd/2)/k.  Every
-    term keeps its sign, so a piece of a few ulps or a long coast stays
-    exact.
+    u0, u1 integrates to off*d + (u0 + u1 - 2*off)*tanh(kd/2)/k, or
+    below kd = 1, where that cancels, to off*_excess + (u0 + u1)*tanh(kd/2)/k.
+    Every term keeps its sign, so a piece of a few ulps or a long coast
+    stays exact.
     """
     h = np.array(rates)[:, None]
     k = np.sqrt(1.0 + h)
@@ -219,8 +235,11 @@ def _piece_objectives(sp: ScaledParams, edges: np.ndarray, rates: Sequence[float
     zero = np.zeros(edges.shape[1])
     u = [zero, *inner, zero]
     total = zero
+    short, gap = kd < 1.0, _excess(kd, k)
     for i in pieces:
-        piece = off[i] * d[i] + (u[i] + u[i + 1] - 2.0 * off[i]) * half_t[i] / k[i]
+        ends = u[i] + u[i + 1]
+        piece = np.where(short[i], off[i] * gap[i] + ends * half_t[i] / k[i],
+                         off[i] * d[i] + (ends - 2.0 * off[i]) * half_t[i] / k[i])
         total = total + (sp.q + rates[i]) * piece
     return total / sp.l
 

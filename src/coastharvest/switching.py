@@ -84,7 +84,7 @@ def switch_line_intercept(lambda0: float, dc: DerivedConstants) -> float:
     return math.sqrt(max(lambda0 * lambda0 - dc.lam_star * dc.lam_star, 0.0))
 
 
-def switch_time(lambda0: float, dc: DerivedConstants) -> float:
+def _switch_time(lambda0: float, tilde: float, dc: DerivedConstants) -> float:
     """Travel distance to the switch line for a shooting value >= lam_star.
 
     The three textbook cases (arccosh below i1, a bare logarithm at i1,
@@ -92,14 +92,10 @@ def switch_time(lambda0: float, dc: DerivedConstants) -> float:
         (1/sqrt(a1)) * log((i1 + lambda0) / (is1 + tilde)),
     via the identity i1^2 - lam_star^2 = is1^2.  The merged form stays
     accurate through both joins, where the separate branches cancel
-    catastrophically.  switch_line_intercept rejects lambda0 < lam_star.
+    catastrophically.  The caller passes the intercept tilde it built:
+    re-deriving it from lambda0 as sqrt(lambda0^2 - lam_star^2) cancels
+    near lam_star.
     """
-    return _switch_time(lambda0, switch_line_intercept(lambda0, dc), dc)
-
-
-def _switch_time(lambda0: float, tilde: float, dc: DerivedConstants) -> float:
-    # a caller that built tilde passes it in: re-deriving it from lambda0
-    # as sqrt(lambda0^2 - lam_star^2) cancels near lam_star
     return math.log((dc.i1 + lambda0) / (dc.is1 + tilde)) / math.sqrt(dc.a1)
 
 
@@ -161,7 +157,7 @@ def solve_halfwidth(dc: DerivedConstants, l: float) -> tuple[float, float]:
 
     The orbit that meets the switch line at tilde = is2*tanh(sqrt(a2)*tau)
     starts from hypot(lam_star, tilde) and reaches the lambda2-axis tau
-    later, so tau solves switch_time + tau = l/2.  That residual is
+    later, so tau solves _switch_time + tau = l/2.  That residual is
     increasing and finite on [0, l/2] and is bisected there; it is
     already >= 0 at tau = 0 up to l_min, where tau is 0.
     """

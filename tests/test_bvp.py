@@ -3,28 +3,26 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+import oracles
 from coastharvest import (
     HarvestPolicy,
     ScaledParams,
     SegmentSolution,
-    adjoint_constant_hbar,
-    constant_control_objective,
-    constant_control_steady_state,
     evaluate_objective,
     hamiltonian_diagnostic,
     optimal_policy,
-    optimal_shoot_slope,
     shoot_steady_state,
     single_reserve_policy,
     solve_adjoint,
-    switch_level,
 )
 from coastharvest.bvp import Profile
 from coastharvest.params import ParameterError
+from coastharvest.policy import constant_policy
 
 OPTIMAL_SP = ScaledParams(l=4.0, q=2.0, hbar=1.0)
 
@@ -67,6 +65,18 @@ class TestSegmentSolution:
         quad = simpson([seg.value(x) for x in xs], x=xs)
         assert seg.integral() == pytest.approx(quad, abs=1e-12)
 
+    @pytest.mark.parametrize("kw", [1e-9, 1e-6, 1e-3, 0.3, 0.999, 1.0, 1.001, 3.0])
+    @pytest.mark.parametrize("u0, u1", [(0.0, 0.0), (0.0, 0.2), (0.45, 0.3)])
+    def test_integral_keeps_its_digits_on_short_segments(self, kw, u0, u1):
+        # off*w and 2*off*tanh(kw/2)/k cancel to (kw)^2/12 of their size;
+        # below kw = 1 the offset's share comes from a series, above it
+        # from the direct form, and both hold to 1e-14 against 40 digits
+        k, off, x0 = 1.3, 0.6, -0.25
+        seg = SegmentSolution(k=k, offset=off, u0=u0, u1=u1, x0=x0, x1=x0 + kw / k)
+        k, off, w = mp.mpf(k), mp.mpf(off), mp.mpf(seg.x1) - mp.mpf(seg.x0)
+        want = off * w + (mp.mpf(u0) + mp.mpf(u1) - 2 * off) * mp.tanh(k * w / 2) / k
+        assert seg.integral() == pytest.approx(float(want), rel=1e-14, abs=0.0)
+
     def test_long_segments_do_not_overflow(self):
         seg = SegmentSolution(k=1.0, offset=1.0, u0=0.5, u1=0.0, x0=0.0, x1=400.0)
         for x in (0.0, 1.0, 200.0, 399.0, 400.0):
@@ -85,22 +95,26 @@ class TestShootSteadyState:
     @pytest.mark.parametrize("hhat", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("l", [0.5, 2.0, 8.0])
     def test_matches_the_constant_control_closed_form(self, hhat, l):
-        from coastharvest.policy import constant_policy
-
         prof = shoot_steady_state(constant_policy(l, hhat))
-        closed = constant_control_steady_state(hhat, l)
         xs = np.linspace(-l / 2.0, l / 2.0, 501)
         u, _ = prof.eval_many(xs)
-        worst = max(abs(ui - closed.value(x)) for x, ui in zip(xs, u))
+        worst = max(abs(ui - float(oracles.witness_u(x, hhat, l))) for x, ui in zip(xs, u))
         assert worst <= 1e-10
 
     def test_shooting_slope_matches_the_closed_form(self):
-        from coastharvest.policy import constant_policy
-
         hbar, l = 1.0, 2.0
         prof = shoot_steady_state(constant_policy(l, hbar))
         _, du = prof.eval_many([-l / 2.0])
-        assert abs(du[0] - optimal_shoot_slope(hbar, l)) <= 1e-10
+        assert abs(du[0] - float(oracles.optimal_shoot_slope(hbar, l))) <= 1e-10
+
+    # short coasts only: the return time diverges as the slope nears 1/c,
+    # so on long coasts it amplifies the slope's last-bit rounding
+    @pytest.mark.parametrize("hbar, l", [(1.0, 2.0), (0.5, 0.5), (4.0, 2.0)])
+    def test_state_orbit_returns_at_the_far_boundary(self, hbar, l):
+        _, du = shoot_steady_state(constant_policy(l, hbar)).eval_many([-l / 2.0])
+        v0 = float(du[0])
+        assert 0.0 < v0 < 1.0 / math.sqrt(hbar + 1.0)
+        assert float(oracles.state_return_time(v0, hbar, l)) == pytest.approx(l / 2.0, abs=1e-12)
 
     def test_boundary_residuals(self):
         pol = three_segment_policy()
@@ -138,7 +152,7 @@ class TestLongCoastsAndThinSegments:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = optimal_policy(sp)
-        want = constant_control_objective(sp.hbar, sp.q, l)
+        want = float(oracles.constant_objective(sp.hbar, sp.q, l))
         assert sol.objective_j == pytest.approx(want, rel=1e-13)
         assert max(tuple(sol.diagnostics)) <= 1e-8
 
@@ -163,8 +177,6 @@ class TestLongCoastsAndThinSegments:
 
 class TestEvaluateObjective:
     def test_zero_profile_gives_zero(self):
-        from coastharvest.policy import constant_policy
-
         pol = constant_policy(2.0, 1.0)
         flat = SegmentSolution(k=1.0, offset=0.0, u0=0.0, u1=0.0, x0=-1.0, x1=1.0)
         prof = Profile((flat,))
@@ -172,14 +184,26 @@ class TestEvaluateObjective:
 
     @pytest.mark.parametrize("hhat", [0.0, 0.5, 1.0])
     def test_matches_the_constant_policy_closed_form(self, hhat):
-        from coastharvest.policy import constant_policy
-
         q, l = 2.0, 4.0
         pol = constant_policy(l, hhat)
         prof = shoot_steady_state(pol)
         assert evaluate_objective(pol, prof, q) == pytest.approx(
-            constant_control_objective(hhat, q, l), abs=1e-12
+            float(oracles.constant_objective(hhat, q, l)), abs=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "hhat, q, l",
+        [
+            (0.0, 0.5, 0.5),
+            (1.0, 2.0, 8.0),
+            (0.5, 2.0, 2.0),
+            (1.0, 2.0, 1e-4),
+            (0.0651, 0.688, 1.13e-6),
+        ],
+    )
+    def test_the_closed_form_oracle_is_the_quadrature(self, hhat, q, l):
+        want = oracles.witness_objective(hhat, q, l)
+        assert abs(oracles.constant_objective(hhat, q, l) / want - 1) <= mp.mpf("1e-25")
 
     def test_matches_composite_simpson(self):
         pol = three_segment_policy()
@@ -209,22 +233,60 @@ class TestEvaluateObjective:
 
 class TestSolveAdjoint:
     def test_matches_the_constant_control_closed_form(self):
-        from coastharvest.policy import constant_policy
-
         hbar, q, l = 1.0, 0.5, 2.0
         pol = constant_policy(l, hbar)
         adj = solve_adjoint(pol, q)
-        lam_s = switch_level(hbar, q, l)
-        lam0 = lam_s * math.tanh(math.sqrt(1.0 + hbar) * l / 2.0)
+        lam_s = oracles.switch_level(hbar, q, l)
+        lam0 = lam_s * mp.tanh(mp.sqrt(1 + hbar) * l / 2)
         _, d0 = adj.eval_many([-l / 2.0])
-        assert abs(-d0[0] - lam0) <= 1e-10
+        assert abs(-d0[0] - float(lam0)) <= 1e-10
         xs = np.linspace(-l / 2.0, l / 2.0, 301)
         lam2, d = adj.eval_many(xs)
         lam1 = -d
         for x, a1, a2 in zip(xs, lam1, lam2):
-            c1, c2 = adjoint_constant_hbar(lam0, hbar, q, l, x)
-            assert abs(a1 - c1) <= 1e-9
-            assert abs(a2 - c2) <= 1e-9
+            c1, c2 = oracles.adjoint_pair(lam0, hbar, q, l, x)
+            assert abs(a1 - float(c1)) <= 1e-9
+            assert abs(a2 - float(c2)) <= 1e-9
+
+    def test_matches_direct_integration(self):
+        from scipy.integrate import solve_ivp
+
+        hbar, q, l = 1.0, 0.5, 2.0
+        adj = solve_adjoint(constant_policy(l, hbar), q)
+        lam0 = -float(adj.eval_many([-l / 2.0])[1][0])
+
+        def rhs(x, s):
+            return (-(hbar + q) / l - (1.0 + hbar) * s[1], -s[0])
+
+        xs = np.linspace(-l / 2.0, l / 2.0, 41)
+        sol = solve_ivp(
+            rhs, (-l / 2.0, l / 2.0), [lam0, 0.0], t_eval=xs,
+            method="DOP853", rtol=1e-12, atol=1e-14,
+        )
+        lam2, d = adj.eval_many(xs)
+        assert np.max(np.abs(-d - sol.y[0])) <= 1e-10
+        assert np.max(np.abs(lam2 - sol.y[1])) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "hbar, q, l", [(1.0, 0.5, 2.0), (0.5, 1.0, 1.0), (4.0, 0.25, 3.0), (1.0, 0.9, 0.5)]
+    )
+    def test_transversal_root_returns_at_the_far_boundary(self, hbar, q, l):
+        adj = solve_adjoint(constant_policy(l, hbar), q)
+        lam2, d = adj.eval_many([-l / 2.0, l / 2.0])
+        root = -float(d[0])
+        assert float(oracles.adjoint_return_time(root, hbar, q, l)) == pytest.approx(
+            l / 2.0, abs=1e-12
+        )
+        assert np.max(np.abs(lam2)) <= 1e-12
+
+    def test_root_stays_below_the_switch_line_for_small_q(self):
+        # with q <= 1 the whole orbit keeps lambda2 above -1/l, so the
+        # constant-cap control never violates the bang-bang law
+        hbar, q, l = 1.0, 0.5, 2.0
+        lam2, _ = solve_adjoint(constant_policy(l, hbar), q).eval_many(
+            np.linspace(-l / 2.0, l / 2.0, 801)
+        )
+        assert np.min(lam2) + 1.0 / l > 0.0
 
     def test_transversality(self):
         pol = three_segment_policy()
@@ -261,8 +323,6 @@ class TestSolveAdjoint:
 
 class TestHamiltonianDiagnostic:
     def test_constant_along_the_small_weight_optimum(self):
-        from coastharvest.policy import constant_policy
-
         sp = ScaledParams(l=2.0, q=0.5, hbar=1.0)
         pol = constant_policy(sp.l, sp.hbar)
         state = shoot_steady_state(pol)
@@ -286,8 +346,6 @@ class TestHamiltonianDiagnostic:
         assert hamiltonian_diagnostic(state, adj, bad, OPTIMAL_SP.q) > 1e-4
 
     def test_rejects_profiles_on_different_pieces(self):
-        from coastharvest.policy import constant_policy
-
         good = three_segment_policy()
         other = constant_policy(OPTIMAL_SP.l, OPTIMAL_SP.hbar)
         state = shoot_steady_state(good)

@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from coastharvest import (
     ParameterError,
     ScaledParams,
     brute_force_bangbang,
-    constant_control_objective,
     constant_policy,
     derive_constants,
     evaluate_objective,
@@ -30,6 +30,16 @@ from coastharvest.lab import richardson_steady_gap
 from coastharvest.policy import cell_policy, single_reserve_policy
 
 OPTIMAL_SP = ScaledParams(l=4.0, q=2.0, hbar=1.0)
+
+# coasts short enough that a piece's integral cancels in its direct form
+SHORT_COASTS = [
+    (0.01, 0.5, 1.0),
+    (1e-3, 0.5, 1.0),
+    (1e-4, 2.0, 1.0),
+    (1.13e-6, 0.688, 0.0651),
+    (1.3e-6, 0.0153, 0.00562),
+    (1e-6, 2.0, 1.0),
+]
 
 
 class TestBruteForce:
@@ -59,8 +69,9 @@ class TestBruteForce:
     def test_single_cell_reduces_to_the_constant_comparison(self):
         res = brute_force_bangbang(OPTIMAL_SP, cells=1)
         objs = {desc["mask"]: obj for desc, obj in res.candidates}
-        assert objs["0"] == pytest.approx(constant_control_objective(0.0, 2.0, 4.0), rel=1e-12)
-        assert objs["1"] == pytest.approx(constant_control_objective(1.0, 2.0, 4.0), rel=1e-12)
+        for bit, rate in (("0", 0.0), ("1", 1.0)):
+            want = float(oracles.constant_objective(rate, 2.0, 4.0))
+            assert objs[bit] == pytest.approx(want, rel=1e-12)
         # banning harvest beats the cap on this long coast, cap wins on a short one
         assert res.best_descriptor["mask"] == "0"
         other = brute_force_bangbang(ScaledParams(l=2.0, q=0.5, hbar=1.0), cells=1)
@@ -78,7 +89,7 @@ class TestBruteForce:
         rng = np.random.default_rng(20261018 + cells)
         picks = rng.choice(1 << cells, size=min(64, 1 << cells), replace=False)
         for mask in picks:
-            desc, obj = res.candidates[mask]
+            desc, obj = res.describe(int(mask)), res.objectives[mask]
             bits = format(int(mask), f"0{cells}b")
             assert desc == {"mask": bits}
             pol = cell_policy(l, [sp.hbar if b == "1" else 0.0 for b in bits])
@@ -86,12 +97,14 @@ class TestBruteForce:
             assert obj == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("cells", [1, 7, 12])
-    def test_long_coast_uniform_masks_match_the_closed_form(self, cells):
-        sp = ScaledParams(l=20.0, q=3.5, hbar=2.5)
-        objs = dict((d["mask"], o) for d, o in brute_force_bangbang(sp, cells=cells).candidates)
-        for bit, rate in (("0", 0.0), ("1", sp.hbar)):
-            want = constant_control_objective(rate, sp.q, sp.l)
-            assert objs[bit * cells] == pytest.approx(want, rel=1e-13, abs=0.0)
+    @pytest.mark.parametrize("l, q, hbar", [(20.0, 3.5, 2.5), *SHORT_COASTS])
+    def test_uniform_masks_match_the_closed_form(self, l, q, hbar, cells):
+        # on the short coasts each cell's own share cancels to (kw)^2/12
+        # of its terms without the series: 3.1e-4 at (1.13e-6, 0.688, 0.0651)
+        objs = brute_force_bangbang(ScaledParams(l, q, hbar), cells=cells).objectives
+        for mask, rate in ((0, 0.0), (-1, hbar)):
+            want = float(oracles.constant_objective(rate, q, l))
+            assert objs[mask] == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize(
         "sp", [OPTIMAL_SP, ScaledParams(0.3, 2.0, 1.0), ScaledParams(1e4, 2.0, 1.0),
@@ -148,7 +161,13 @@ class TestReserveSweep:
         return evaluate_objective(pol, shoot_steady_state(pol), sp.q)
 
     @pytest.mark.parametrize(
-        "sp", [OPTIMAL_SP, ScaledParams(l=20.0, q=0.5, hbar=3.0), ScaledParams(l=2.0, q=2.0, hbar=1.0)]
+        "sp",
+        [
+            OPTIMAL_SP,
+            ScaledParams(l=20.0, q=0.5, hbar=3.0),
+            ScaledParams(l=2.0, q=2.0, hbar=1.0),
+            *(ScaledParams(*p) for p in SHORT_COASTS[2:]),
+        ],
     )
     def test_every_candidate_is_the_objective_of_its_block_policy(self, sp):
         # verify's default grid; the batched pass does not split at x = 0
@@ -157,6 +176,15 @@ class TestReserveSweep:
             c, w = desc["center"], desc["width"]
             want = self._block_objective(sp, c - w / 2.0, c + w / 2.0)
             assert obj == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("l, q, hbar", SHORT_COASTS)
+    def test_short_coast_uniform_candidates_match_the_closed_form(self, l, q, hbar):
+        # width 0 harvests everywhere; the centred full-width block nowhere
+        sp = ScaledParams(l, q, hbar)
+        objs = reserve_sweep(sp, centers=11, widths=21).objectives
+        for i, rate in ((0, hbar), (5 * 21 + 20, 0.0)):
+            want = float(oracles.constant_objective(rate, q, l))
+            assert objs[i] == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_block_edge_next_to_the_centre_matches_bvp(self):
         # center -0.3, width 0.6: the block's right edge lands at 5.55e-17,
@@ -345,11 +373,6 @@ def test_lab_imports_none_of_the_closed_forms():
 
 # top-level names that no code in the package calls, and why each stays
 KEEP = {
-    "adjoint_constant_hbar": "reference closed form the adjoint solver is tested against",
-    "constant_control_objective": "reference closed form the objective is tested against",
-    "constant_control_steady_state": "reference closed form the state solver is tested against",
-    "optimal_shoot_slope": "reference closed form the state solver is tested against",
-    "switch_time": "reference form the reserve half-width and Ts are tested against",
     "cell_policy": "public API",
     "half_length_function": "public API",
     "unscaled_reserve_boundary": "public API",

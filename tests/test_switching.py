@@ -17,7 +17,6 @@ from coastharvest import (
     solve_lambda_bar,
     switch_line_intercept,
     switch_location,
-    switch_time,
 )
 from coastharvest.switching import monotonicity_witness
 
@@ -135,15 +134,20 @@ class TestHittingTime:
 
     @pytest.mark.parametrize("sp", GRID, ids=lambda s: f"l{s.l}-q{s.q}-h{s.hbar}")
     def test_is_the_switch_time_plus_the_post_switch_time(self, sp):
-        # hitting_time reuses the intercept it already holds, so past
-        # tangency it is the same float as the two public pieces summed
+        # past tangency the ray meets the switch line, then finishes in
+        # the zero-control flow; at tangency the two events coincide, and
+        # the switch time, of infinite slope there, meets the direct
+        # branch, which the oracle reads just below its own tangency level
         dc = derive_constants(sp)
-        assert hitting_time(dc.lam_star, dc) == switch_time(dc.lam_star, dc)
+        args = (sp.l, sp.q, sp.hbar)
+        tangent = oracles.constants(*args)["lam_star"] * (1 - mpmath.mpf("1e-30"))
+        want = float(oracles.hitting_time(tangent, *args))
+        assert hitting_time(dc.lam_star, dc) == pytest.approx(want, abs=1e-12)
         for lam0 in (0.5 * (dc.lam_star + dc.lam_starstar), dc.lam_starstar * (1.0 - 1e-6)):
-            tilde = switch_line_intercept(lam0, dc)
-            want = switch_time(lam0, dc) + post_switch_time(tilde, dc)
-            assert math.isfinite(want)
-            assert hitting_time(lam0, dc) == want
+            tail = post_switch_time(switch_line_intercept(lam0, dc), dc)
+            want = float(oracles.switch_hit_x(lam0, *args))
+            assert math.isfinite(tail)
+            assert hitting_time(lam0, dc) - tail == pytest.approx(want, abs=1e-12)
 
     def test_strictly_increasing(self):
         dc = derive_constants(ScaledParams(l=4.0, q=2.0, hbar=1.0))
@@ -158,32 +162,15 @@ class TestHittingTime:
 
 
 class TestSwitchTime:
-    def test_tangency_switch_happens_at_the_axis_arrival(self):
-        dc = derive_constants(ScaledParams(l=2.0, q=2.0, hbar=1.0))
-        assert switch_time(dc.lam_star, dc) == pytest.approx(
-            hitting_time(dc.lam_star, dc), abs=1e-12
-        )
-
-    def test_value_at_the_stable_manifold_intercept(self):
-        dc = derive_constants(ScaledParams(l=2.0, q=2.0, hbar=1.0))
-        r1 = dc.b1 / dc.a1
-        expected = -math.log((r1 - 1.0) / r1) / math.sqrt(dc.a1)
-        assert switch_time(dc.i1, dc) == pytest.approx(expected, rel=1e-13)
-
-    def test_continuity_at_the_intercept(self):
-        dc = derive_constants(ScaledParams(l=2.0, q=2.0, hbar=1.0))
-        assert abs(switch_time(dc.i1 - 1e-9, dc) - switch_time(dc.i1, dc)) <= 1e-6
-
     def test_matches_the_literal_three_branch_evaluator(self):
+        # the switch part of the hitting time: arccosh below i1, a bare
+        # logarithm at i1, arcsinh above, all in the merged form
         dc = derive_constants(ScaledParams(l=4.0, q=2.0, hbar=1.0))
-        for lam0 in (dc.lam_star, 0.51, 0.5 * (dc.lam_star + dc.i1), dc.i1, 0.54, dc.lam_starstar):
+        levels = (0.51, 0.5 * (dc.lam_star + dc.i1), dc.i1, 0.54, dc.lam_starstar * (1.0 - 1e-9))
+        for lam0 in levels:
+            tail = post_switch_time(switch_line_intercept(lam0, dc), dc)
             want = float(oracles.switch_hit_x(lam0, 4, 2, 1))
-            assert switch_time(lam0, dc) == pytest.approx(want, abs=1e-12)
-
-    def test_rejects_levels_below_tangency(self):
-        dc = derive_constants(ScaledParams(l=2.0, q=2.0, hbar=1.0))
-        with pytest.raises(ParameterError):
-            switch_time(dc.lam_star * 0.999, dc)
+            assert hitting_time(lam0, dc) - tail == pytest.approx(want, abs=1e-12)
 
 
 class TestSwitchLineIntercept:
@@ -295,8 +282,8 @@ class TestSwitchLocation:
         sp = ScaledParams(l=4.0, q=2.0, hbar=1.0)
         ts = switch_location(sp)
         assert 0.0 < ts < sp.l / 2.0
-        dc = derive_constants(sp)
-        assert ts == pytest.approx(switch_time(solve_lambda_bar(dc, sp.l), dc), abs=1e-14)
+        want = oracles.switch_hit_x(oracles.lambda_bar(4, 2, 1), 4, 2, 1)
+        assert ts == pytest.approx(float(want), abs=1e-14)
 
     def test_reserve_width_vanishes_at_the_threshold(self):
         q, hbar = 2.0, 1.0

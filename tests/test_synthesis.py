@@ -12,8 +12,6 @@ from coastharvest import (
     ParameterError,
     ScaledParams,
     UnscaledParams,
-    constant_control_objective,
-    derive_constants,
     evaluate_objective,
     half_length_domain,
     half_length_function,
@@ -24,7 +22,6 @@ from coastharvest import (
     shoot_steady_state,
     solve_adjoint,
     switch_location,
-    switch_time,
     to_scaled,
     unscaled_min_length,
     unscaled_reserve_boundary,
@@ -62,7 +59,34 @@ class TestOptimalPolicy:
         assert sol.reserve_halfwidth == pytest.approx(right, rel=1e-15)
         assert sol.Ts == pytest.approx(switch_location(sp), rel=1e-14)
         assert right == pytest.approx(sp.l / 2.0 - sol.Ts, rel=1e-14)
-        assert sol.objective_j > constant_control_objective(sp.hbar, sp.q, sp.l)
+        assert sol.objective_j > oracles.constant_objective(sp.hbar, sp.q, sp.l)
+
+    @pytest.mark.parametrize(
+        "l, q, hbar",
+        [
+            (0.01, 0.5, 1.0),
+            (1e-3, 0.5, 1.0),
+            (1e-4, 2.0, 1.0),
+            (1.13e-6, 0.688, 0.0651),
+            (1.3e-6, 0.0153, 0.00562),
+            (1e-6, 2.0, 1.0),
+        ],
+    )
+    def test_short_coast_objective_matches_the_closed_form(self, l, q, hbar):
+        # off*w cancels against 2*off*tanh(kw/2)/k in a piece's integral:
+        # 3.1e-4 relative at (1.13e-6, 0.688, 0.0651) in the direct form
+        sol = optimal_policy(ScaledParams(l=l, q=q, hbar=hbar))
+        assert sol.policy.rates == (hbar,)
+        want = float(oracles.constant_objective(hbar, q, l))
+        assert sol.objective_j == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_constant_cap_objective_matches_the_closed_form_across_scales(self):
+        rng = np.random.default_rng(20261020)
+        for l, q, hbar in 10.0 ** rng.uniform((-6.0, -3.0, -3.0), (1.0, 3.0, 3.0), (60, 3)):
+            sol = optimal_policy(ScaledParams(l=l, q=q, hbar=hbar))
+            if len(sol.policy.rates) == 1:
+                want = float(oracles.constant_objective(hbar, q, l))
+                assert sol.objective_j == pytest.approx(want, rel=1e-13, abs=0.0), (l, q, hbar)
 
     def test_diagnostics_are_small_for_optimal_policies(self):
         for sp in (ScaledParams(l=2.0, q=0.5, hbar=1.0), ScaledParams(l=4.0, q=2.0, hbar=1.0)):
@@ -91,7 +115,7 @@ class TestOptimalPolicy:
         assert d.hamiltonian_deviation <= 1e-8
         assert d.switching_violation <= 1e-8
         assert sol.objective_j == pytest.approx(
-            constant_control_objective(sp.hbar, sp.q, sp.l), rel=1e-10
+            float(oracles.constant_objective(sp.hbar, sp.q, sp.l)), rel=1e-10
         )
 
     def test_policy_flips_exactly_at_the_threshold_length(self):
@@ -343,8 +367,9 @@ class TestHalfwidthRoot:
         p = UnscaledParams(D=1.0, R=1.0, mu=1.0, Hbar=1.0, Q=2.0, L=l)
         assert unscaled_reserve_boundary(p) == pytest.approx(hw, rel=1e-12)
         # past a few decay lengths the orbit starts at the escape level
-        dc = derive_constants(sp)
-        assert hw == pytest.approx(l / 2.0 - switch_time(dc.lam_starstar, dc), rel=1e-12)
+        d = oracles.constants(l, 2.0, 1.0)
+        want = l / 2.0 - oracles.switch_hit_x(d["lam_starstar"], l, 2.0, 1.0)
+        assert hw == pytest.approx(float(want), rel=1e-12)
 
     def test_coast_past_the_old_root_bracket_has_small_residuals(self):
         sol = optimal_policy(ScaledParams(l=31.0, q=2.0, hbar=1.0))
