@@ -1,10 +1,11 @@
 """Independent verification tools.
 
 Nothing here reuses the closed forms under test.  Policies are ranked
-by exhaustive search over bang-bang cell policies, all scored by one
-batched tridiagonal solve for the steady state at the cell edges, and
-over a grid of reserve blocks, all scored by one batched flux-map pass
-per block shape.  The hitting time is
+by exhaustive search over bang-bang cell policies and over a grid of
+reserve blocks.  Both searches are scored by one batched sweep that
+carries the flux map of the steady state and the objective from a coast
+end across the pieces: the cell search meets in the middle, and the
+block search sweeps once per block shape.  The hitting time is
 measured by marching the hybrid adjoint flow with its exact flow maps
 (each phase is affine, so one step is a 3x3 matrix exponential), all
 starts at once, and bisecting each event's bracket with the same maps.
@@ -38,7 +39,7 @@ from .params import ParameterError, ScaledParams
 from .policy import HarvestPolicy
 
 # exhaustive search cap: 2^16 candidates, for which the meet-in-the-middle
-# solve holds a few float arrays of 2^cells entries (0.5 MB each)
+# sweep holds a few float arrays of 2^cells entries (0.5 MB each)
 MAX_CELLS = 16
 
 # reserve-sweep cap: 2^16 candidates, for which the batched pass holds
@@ -103,70 +104,80 @@ def _excess(kw: np.ndarray, k: np.ndarray) -> np.ndarray:
     return (2.0 / k) * z * s * (1 / 3 + s * (1 / 30 + s * p)) / np.cosh(z)
 
 
+def _factors(sp: ScaledParams, h: np.ndarray, d) -> tuple[np.ndarray, ...]:
+    """Sweep factors of pieces of rate h and width d, one array per factor.
+
+    With k = sqrt(1+h), off = 1/(1+h), t = tanh(kd) and c = sech(kd),
+    they are k, t, k*c, g = k*off*(1-c), k^2*t, -k*c/t, -g/t (which
+    is -tanh(kd/2)/k), and the piece's objective terms
+    kappa = (q+h)*off*(d - 2*tanh(kd/2)/k), from _excess below kd = 1,
+    and omega = (q+h)*tanh(kd/2)/k: the piece integrates (q+h)*u to
+    kappa + omega*(u0 + u1) with edge values u0, u1.  k*off is 1/k, and
+    1 - c = (1 - e^(-kd))^2/(1 + e^(-2kd)), which keeps its digits on a
+    thin piece.
+    """
+    k = np.sqrt(1.0 + h)
+    kd = k * d
+    t = np.tanh(kd)
+    e = np.exp(-kd)
+    den = 1.0 + e * e
+    kc = k * (2.0 * e / den)
+    g = np.expm1(-kd) ** 2 / (den * k)
+    half_t = np.tanh(0.5 * kd) / k
+    gap = np.where(kd < 1.0, _excess(kd, k), d - 2.0 * half_t)
+    w = sp.q + h
+    return k, t, kc, g, (1.0 + h) * t, -kc / t, -half_t, w / (1.0 + h) * gap, w * half_t
+
+
+def _sweep(factors: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """(S, F, alpha, beta) after every piece, swept in order from a coast end.
+
+    factors come from _factors, each with one row per piece, in sweep
+    order, and one column per policy.  With value w at the far edge of
+    the last piece, S*w + F is the outward flux there and alpha + beta*w
+    the integral of (q+h)*u over the swept pieces.  A piece's near edge
+    value is v = p*w + r, with p = k*c/(k + S*t) and
+    r = (g - F*t)/(k + S*t), and it maps
+        S' = (k*S + k^2*t)/(k + S*t),   F' = -(k*c*r + g)/t,
+        alpha' = alpha + (beta + omega)*r + kappa,
+        beta' = (beta + omega)*p + omega.
+    F <= 0, so r >= 0 and 0 < p <= 1: every term keeps its sign, and
+    nothing is amplified by e^(k*l), so a piece of a few ulps or a long
+    coast stays exact.
+    """
+    pieces = zip(*factors)
+    k, t, _, _, _, _, f, alpha, beta = next(pieces)
+    s = k / t
+    for k, t, kc, g, k2t, kc_t, g_t, kappa, omega in pieces:
+        inv = 1.0 / (k + s * t)
+        r = (g - f * t) * inv
+        s, f = (k * s + k2t) * inv, kc_t * r + g_t
+        share = beta + omega
+        alpha, beta = alpha + share * r + kappa, share * (kc * inv) + omega
+    return s, f, alpha, beta
+
+
 def _cell_objectives(sp: ScaledParams, cells: int) -> np.ndarray:
     """Objective j of every {0, hbar} policy on equal cells, indexed by mask.
 
     Bit cells-1-i of a mask sets the rate of cell i (counted from the
-    left).  The steady-state values u_1..u_{c-1} at the interior cell
-    edges solve a symmetric, strictly diagonally dominant tridiagonal
-    system from flux continuity; u is 0 at both coast ends.  A cell of
-    width w and rate h, with k = sqrt(1+h), off = 1/(1+h) and
-    t = tanh(kw/2), contributes k*coth(kw) to the diagonal entries of
-    its two edges, -k*csch(kw) to their coupling and k*off*t to their
-    loads, and its exact integral is off*(w - 2t/k) + (u_L + u_R)*t/k,
-    with w - 2t/k from _excess below kw = 1.
-
-    The system is solved by meeting in the middle.  Each half of the
-    coast, from its end to the middle edge m, is eliminated by Thomas
-    steps over all of its 2^(cells/2) half-masks at once, which leaves
-    u_j = d_j - c_j u_{j+1} at each edge and the half's objective
-    share as alpha + beta*u_{j+1}.  At the middle edge a half reduces to
-    its flux S*u_m + F and its share alpha + beta*u_m, so each of the
-    2^cells pairs costs O(1): u_m = -(F_l + F_r)/(S_l + S_r).  The right
-    half is eliminated from the right coast end, so its bits come
-    reversed.  Every term keeps its sign, and no step is amplified by
-    e^(k*l), so long coasts stay exact.
+    left).  The search meets in the middle: each half of the coast is
+    swept from its own end to the middle edge over all of its
+    2^(cells/2) half-masks at once, so the right half's bits come
+    reversed, and each of the 2^cells pairs costs O(1) there: the
+    fluxes balance at u_m = -(F_l + F_r)/(S_l + S_r), and
+    j = (alpha_l + alpha_r + (beta_l + beta_r)*u_m)/l.
     """
-    w = sp.l / cells
-    h = np.array([0.0, sp.hbar])
-    k = np.sqrt(1.0 + h)
-    off = 1.0 / (1.0 + h)
-    kw = k * w
-    # coth and csch through e^(-kw), which cannot overflow on long cells
-    e = np.exp(-kw)
-    one_minus = -np.expm1(-2.0 * kw)
-    diag = k * (2.0 - one_minus) / one_minus
-    couple = -k * 2.0 * e / one_minus
-    t = np.tanh(0.5 * kw)
-    load = k * off * t
-    edge_weight = (sp.q + h) * t / k
-    gap = np.where(kw < 1.0, _excess(kw, k), w - 2.0 * t / k)
-    cell_const = (sp.q + h) * off * gap
+    factors = _factors(sp, np.array([0.0, sp.hbar]), sp.l / cells)
     if cells == 1:
-        return cell_const / sp.l
-
-    def half(bits: list[np.ndarray]):
-        """(S, F, alpha, beta) at the middle edge of a half, cells from its coast end."""
-        prev = bits[0]
-        c = d = 0.0
-        alpha, beta = cell_const[prev], edge_weight[prev]
-        for cur in bits[1:]:
-            sub = couple[prev]
-            piv = diag[prev] + diag[cur] - sub * c
-            c = couple[cur] / piv
-            d = (load[prev] + load[cur] - sub * d) / piv
-            # cell cur adds its integral; then u_j = d - c u_{j+1}
-            share = beta + edge_weight[cur]
-            alpha = alpha + cell_const[cur] + share * d
-            beta = edge_weight[cur] - share * c
-            prev = cur
-        sub = couple[prev]
-        return diag[prev] - sub * c, sub * d - load[prev], alpha, beta
-
+        # one piece, one column per rate
+        return _sweep([x[None] for x in factors])[2] / sp.l
     m = cells // 2
-    left_masks, right_masks = np.arange(1 << m), np.arange(1 << (cells - m))
-    s_l, f_l, a_l, b_l = half([(left_masks >> (m - 1 - i)) & 1 for i in range(m)])
-    s_r, f_r, a_r, b_r = half([(right_masks >> i) & 1 for i in range(cells - m)])
+    # row i: the bit of the i-th cell from the half's coast end, per half-mask
+    left = (np.arange(1 << m) >> np.arange(m - 1, -1, -1)[:, None]) & 1
+    right = (np.arange(1 << (cells - m)) >> np.arange(cells - m)[:, None]) & 1
+    s_l, f_l, a_l, b_l = _sweep([x[left] for x in factors])
+    s_r, f_r, a_r, b_r = _sweep([x[right] for x in factors])
     u_mid = -(f_l[:, None] + f_r) / (s_l[:, None] + s_r)
     total = a_l[:, None] + a_r + (b_l[:, None] + b_r) * u_mid
     return total.ravel() / sp.l
@@ -177,7 +188,7 @@ def brute_force_bangbang(sp: ScaledParams, cells: int) -> SweepResult:
 
     Candidates come in mask order, each described by its bit string with
     the leftmost cell first; all 2^cells objectives come from one batched
-    tridiagonal solve.
+    sweep that meets in the middle.
     """
     if not 1 <= cells <= MAX_CELLS:
         raise ParameterError(f"cells must lie in [1, {MAX_CELLS}], got {cells!r}")
@@ -191,57 +202,11 @@ def _piece_objectives(sp: ScaledParams, edges: np.ndarray, rates: Sequence[float
     """Objective j of every policy with the given rates on its pieces.
 
     edges has one row per piece edge and one column per policy, from
-    -l/2 to l/2.  The steady state is solved exactly, as in
-    bvp._dtn_sweep: a piece of width d, k = sqrt(1+h), off = 1/(1+h),
-    t = tanh(kd) and c = sech(kd) maps the flux map (S, F) of the
-    pieces before it to
-        S' = k (S + k t) / (k + S t),
-        F' = k (F c - off (S (1 - c) + k t)) / (k + S t),
-    swept from both ends over all columns at once.  Each inner edge
-    value is -(F_l + F_r) / (S_l + S_r), and a piece with edge values
-    u0, u1 integrates to off*d + (u0 + u1 - 2*off)*tanh(kd/2)/k, or
-    below kd = 1, where that cancels, to off*_excess + (u0 + u1)*tanh(kd/2)/k.
-    Every term keeps its sign, so a piece of a few ulps or a long coast
-    stays exact.
+    -l/2 to l/2.  One sweep from the left coast end crosses every piece
+    of every column at once, and j = alpha/l at the right end, where
+    u = 0.
     """
-    h = np.array(rates)[:, None]
-    k = np.sqrt(1.0 + h)
-    off = 1.0 / (1.0 + h)
-    d = np.diff(edges, axis=0)
-    kd = k * d
-    t = np.tanh(kd)
-    half_t = np.tanh(0.5 * kd)
-    e = np.exp(-kd)
-    c = 2.0 * e / (1.0 + e * e)
-    one_minus_c = np.expm1(-kd) ** 2 / (1.0 + e * e)
-
-    def sweep(order):
-        """Flux maps (S, F) at the far edge of each piece but the last of order."""
-        first, *rest = order[:-1]
-        s, f = k[first] / t[first], -k[first] * off[first] * half_t[first]
-        maps = [(s, f)]
-        for i in rest:
-            denom = k[i] + s * t[i]
-            f = k[i] * (f * c[i] - off[i] * (s * one_minus_c[i] + k[i] * t[i])) / denom
-            s = k[i] * (s + k[i] * t[i]) / denom
-            maps.append((s, f))
-        return maps
-
-    pieces = list(range(len(rates)))
-    inner = []
-    if len(pieces) > 1:
-        left, right = sweep(pieces), sweep(pieces[::-1])[::-1]
-        inner = [-(fl + fr) / (sl + sr) for (sl, fl), (sr, fr) in zip(left, right)]
-    zero = np.zeros(edges.shape[1])
-    u = [zero, *inner, zero]
-    total = zero
-    short, gap = kd < 1.0, _excess(kd, k)
-    for i in pieces:
-        ends = u[i] + u[i + 1]
-        piece = np.where(short[i], off[i] * gap[i] + ends * half_t[i] / k[i],
-                         off[i] * d[i] + (ends - 2.0 * off[i]) * half_t[i] / k[i])
-        total = total + (sp.q + rates[i]) * piece
-    return total / sp.l
+    return _sweep(_factors(sp, np.array(rates)[:, None], np.diff(edges, axis=0)))[2] / sp.l
 
 
 def reserve_sweep(sp: ScaledParams, centers: int, widths: int) -> SweepResult:

@@ -115,6 +115,16 @@ def constants(l, q, hbar) -> dict:
     return d
 
 
+def _at_least_one(x) -> mp.mpf:
+    """An arccosh argument that is >= 1 exactly but may round just below it.
+
+    Below i1 (or lam = 1 in physical units) the argument r/sqrt(1 - t^2)
+    is >= 1 because 1 - r^2 is the square of the lowest admissible t;
+    at that level it rounds to either side of 1.
+    """
+    return max(ONE, x)
+
+
 def switch_hit_x(lambda0, l, q, hbar) -> mp.mpf:
     """x at which the hbar-phase ray from (lambda0, 0) meets the switch line.
 
@@ -126,7 +136,7 @@ def switch_hit_x(lambda0, l, q, hbar) -> mp.mpf:
     r = (b1 / a1 - 1) / (b1 / a1)
     if lam0 < i1:
         t = lam0 / i1
-        return (mp.atanh(t) - mp.acosh(r / mp.sqrt(1 - t * t))) / mp.sqrt(a1)
+        return (mp.atanh(t) - mp.acosh(_at_least_one(r / mp.sqrt(1 - t * t)))) / mp.sqrt(a1)
     if lam0 == i1:
         return -mp.log(r) / mp.sqrt(a1)
     t = lam0 / i1
@@ -150,10 +160,18 @@ def hitting_time(lambda0, l, q, hbar) -> mp.mpf:
     return switch_hit_x(lam0, l, q, hbar) + after_switch_x(tilde, l, q, hbar)
 
 
+def _lost_digits(gap) -> int:
+    """Digits that a quantity within gap (relative) of 1 loses to its distance from 1."""
+    return max(0, int(-mp.log10(gap))) if gap > 0 else 0
+
+
 def min_length(q, hbar) -> mp.mpf:
+    """Threshold length; 1 - arg^2 = (q - 1)^2/(hbar + q)^2, so the
+    precision grows by the digits that arg loses as q -> 1."""
     q, hbar = mp.mpf(q), mp.mpf(hbar)
-    arg = mp.sqrt((hbar + 1) * (hbar + 2 * q - 1)) / (hbar + q)
-    return (2 / mp.sqrt(hbar + 1)) * mp.atanh(arg)
+    with mp.workdps(mp.mp.dps + _lost_digits((q - 1) ** 2 / (hbar + q) ** 2)):
+        arg = mp.sqrt((hbar + 1) * (hbar + 2 * q - 1)) / (hbar + q)
+        return (2 / mp.sqrt(hbar + 1)) * mp.atanh(arg)
 
 
 def monotone_witness(lambda0, l, q, hbar) -> mp.mpf:
@@ -186,9 +204,11 @@ def lambda_bar(l, q, hbar) -> mp.mpf:
 
 
 def unscaled_min_length(D, mu, Hbar, Q) -> mp.mpf:
+    """Threshold length in physical units, with min_length's precision rule."""
     D, mu, Hbar, Q = (mp.mpf(v) for v in (D, mu, Hbar, Q))
-    arg = mp.sqrt((Hbar + mu) * (Hbar + 2 * Q - mu)) / (Hbar + Q)
-    return 2 * mp.sqrt(D / (Hbar + mu)) * mp.atanh(arg)
+    with mp.workdps(mp.mp.dps + _lost_digits((Q - mu) ** 2 / (Hbar + Q) ** 2)):
+        arg = mp.sqrt((Hbar + mu) * (Hbar + 2 * Q - mu)) / (Hbar + Q)
+        return 2 * mp.sqrt(D / (Hbar + mu)) * mp.atanh(arg)
 
 
 def half_length_domain(D, mu, Hbar, Q):
@@ -207,7 +227,7 @@ def half_length(lam, D, mu, Hbar, Q) -> mp.mpf:
     s1 = mp.sqrt(D / (Hbar + mu))
     s2 = mp.sqrt(D / mu)
     if lam < 1:
-        first = s1 * (mp.atanh(lam) - mp.acosh(r / mp.sqrt(1 - lam * lam)))
+        first = s1 * (mp.atanh(lam) - mp.acosh(_at_least_one(r / mp.sqrt(1 - lam * lam))))
     elif lam == 1:
         inner = mp.sqrt(mu / (Hbar + mu)) * mp.sqrt(
             (Hbar + Q) ** 2 - (Hbar + 2 * Q - mu) * (Hbar + mu)
@@ -222,26 +242,36 @@ def half_length(lam, D, mu, Hbar, Q) -> mp.mpf:
 
 
 def reserve_boundary(D, mu, Hbar, Q, L) -> mp.mpf:
-    """Reserve half-width: invert half_length = L/2, apply the boundary form."""
+    """Reserve half-width: invert half_length = L/2, apply the boundary form.
+
+    The admissible interval (lo, hi) of lambda narrows like (Q - mu)^2
+    as Q -> mu: hi^2 - lo^2 = (Hbar + mu)(Q - mu)^2 / (mu (Hbar + Q)^2).
+    So the working precision grows by the digits its relative width
+    lacks, and the bracket is pulled in from both ends by 10^(8 - dps)
+    of that width (dps the caller's precision), which always leaves the
+    root inside and is resolved as on a wide interval.
+    """
+    dps = mp.mp.dps
     D, mu, Hbar, Q, L = (mp.mpf(v) for v in (D, mu, Hbar, Q, L))
-    lo, hi = half_length_domain(D, mu, Hbar, Q)
-    eps = mp.mpf("1e-32")
-    a = lo * (1 + eps)
-    b = hi * (1 - eps)
-    for _ in range(220):
-        mid = (a + b) / 2
-        if half_length(mid, D, mu, Hbar, Q) < L / 2:
-            a = mid
-        else:
-            b = mid
-    lam = (a + b) / 2
-    r = (Q - mu) / (Q + Hbar)
-    s1 = mp.sqrt(D / (Hbar + mu))
-    if lam < 1:
-        return L / 2 - s1 * (mp.atanh(lam) - mp.acosh(r / mp.sqrt(1 - lam * lam)))
-    if lam == 1:
-        return L / 2 + s1 * mp.log(r)
-    return L / 2 - s1 * (mp.acoth(lam) - mp.asinh(r / mp.sqrt(lam * lam - 1)))
+    spread = (Hbar + mu) * (Q - mu) ** 2 / (mu * (Hbar + Q) ** 2)
+    with mp.workdps(dps + _lost_digits(spread / half_length_domain(D, mu, Hbar, Q)[1] ** 2)):
+        lo, hi = half_length_domain(D, mu, Hbar, Q)
+        pad = (hi - lo) * mp.mpf(10) ** (8 - dps)
+        a, b = lo + pad, hi - pad
+        for _ in range(220):
+            mid = (a + b) / 2
+            if half_length(mid, D, mu, Hbar, Q) < L / 2:
+                a = mid
+            else:
+                b = mid
+        lam = (a + b) / 2
+        r = (Q - mu) / (Q + Hbar)
+        s1 = mp.sqrt(D / (Hbar + mu))
+        if lam < 1:
+            return L / 2 - s1 * (mp.atanh(lam) - mp.acosh(_at_least_one(r / mp.sqrt(1 - lam * lam))))
+        if lam == 1:
+            return L / 2 + s1 * mp.log(r)
+        return L / 2 - s1 * (mp.acoth(lam) - mp.asinh(r / mp.sqrt(lam * lam - 1)))
 
 
 def neumann_objective(h, q) -> mp.mpf:

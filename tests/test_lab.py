@@ -108,10 +108,12 @@ class TestBruteForce:
 
     @pytest.mark.parametrize(
         "sp", [OPTIMAL_SP, ScaledParams(0.3, 2.0, 1.0), ScaledParams(1e4, 2.0, 1.0),
-               ScaledParams(3.0, 0.5, 1.0)]
+               ScaledParams(3.0, 0.5, 1.0), ScaledParams(50.0, 1e6, 3.0),
+               ScaledParams(4.0, 1e8, 1.0), ScaledParams(1e-6, 2.0, 1.0)]
     )
     def test_every_mask_matches_the_shooting_solver(self, sp):
-        # the meet-in-the-middle objectives against bvp on every mask
+        # the meet-in-the-middle objectives against bvp on every mask; a
+        # large weight q, and a coast whose cells sit far below kw = 1
         for cells in range(1, 11):
             objs = brute_force_bangbang(sp, cells=cells).objectives
             for mask, obj in enumerate(objs.tolist()):

@@ -137,12 +137,17 @@ class TestHittingTime:
         # past tangency the ray meets the switch line, then finishes in
         # the zero-control flow; at tangency the two events coincide, and
         # the switch time, of infinite slope there, meets the direct
-        # branch, which the oracle reads just below its own tangency level
+        # branch, which the oracle reads just below its own tangency level;
+        # its switch branch at that level has an arccosh argument of
+        # exactly 1, which rounds to either side of 1 at 40 digits
         dc = derive_constants(sp)
         args = (sp.l, sp.q, sp.hbar)
-        tangent = oracles.constants(*args)["lam_star"] * (1 - mpmath.mpf("1e-30"))
-        want = float(oracles.hitting_time(tangent, *args))
+        lam_star = oracles.constants(*args)["lam_star"]
+        want = float(oracles.hitting_time(lam_star * (1 - mpmath.mpf("1e-30")), *args))
         assert hitting_time(dc.lam_star, dc) == pytest.approx(want, abs=1e-12)
+        switch = oracles.switch_hit_x(lam_star, *args)
+        assert isinstance(switch, mpmath.mpf)
+        assert hitting_time(dc.lam_star, dc) == pytest.approx(float(switch), abs=1e-12)
         for lam0 in (0.5 * (dc.lam_star + dc.lam_starstar), dc.lam_starstar * (1.0 - 1e-6)):
             tail = post_switch_time(switch_line_intercept(lam0, dc), dc)
             want = float(oracles.switch_hit_x(lam0, *args))
@@ -224,7 +229,9 @@ class TestMinLength:
         assert got == pytest.approx(2.4929009605609234, rel=1e-12)
         assert got == pytest.approx(float(oracles.min_length(2, 1)), rel=1e-14)
 
-    @pytest.mark.parametrize("hbar", [0.5, 1.0, 3.0])
+    # at hbar = 1e8 the oracle's arctanh argument is within (q - 1)^2/hbar^2
+    # of 1, below 40 digits from q = 1 + 1e-12 on
+    @pytest.mark.parametrize("hbar", [0.5, 1.0, 3.0, 1e8])
     @pytest.mark.parametrize("q", [1.0 + 1e-12, 1.0 + 1e-8, 1.0 + 1e-6, 1.0001])
     def test_exact_as_the_weight_approaches_one(self, q, hbar):
         got = min_length(ScaledParams(l=1.0, q=q, hbar=hbar))

@@ -267,7 +267,9 @@ class TestUnscaledMinLength:
             float(oracles.unscaled_min_length(2, 1, 1, 2)), rel=1e-13
         )
 
-    @pytest.mark.parametrize("hbar", [0.5, 1.0, 3.0])
+    # at hbar = 1e8 the oracle's arctanh argument is within (q - 1)^2/hbar^2
+    # of 1, below 40 digits from q = 1 + 1e-12 on
+    @pytest.mark.parametrize("hbar", [0.5, 1.0, 3.0, 1e8])
     @pytest.mark.parametrize("q", [1.0 + 1e-12, 1.0 + 1e-8, 1.0 + 1e-6, 1.0001])
     def test_exact_as_the_weight_approaches_mu(self, q, hbar):
         p = UnscaledParams(D=2.0, R=1.0, mu=0.5, Hbar=0.5 * hbar, Q=0.5 * q, L=4.0)
@@ -417,6 +419,29 @@ class TestHalfwidthRoot:
         assert sol.reserve_halfwidth == pytest.approx(want, rel=1e-13, abs=0.0)
         p = UnscaledParams(D=1.0, R=1.0, mu=1.0, Hbar=hbar, Q=q, L=l)
         assert unscaled_reserve_boundary(p) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "l, q, hbar",
+        [
+            (73.1085556266245, 1.0000000000014029, 13476093.183872309),
+            (25.104802704578862, 1.0000000000525422, 37196517.33072978),
+            (2.7318311692644683, 1.0000000000000258, 84337917.37465997),
+            (129312978.64590162, 1.0000000000004734, 18203944.573818758),
+            (0.062240403384976294, 1.0000000000000027, 28150510.578578193),
+        ],
+    )
+    def test_oracle_resolves_a_lambda_interval_narrower_than_1e_28(self, l, q, hbar):
+        # the oracle's admissible lambda interval is about (q - 1)^2/(2 hbar)
+        # of its ends wide here, 4e-29 down to 1e-37: 40 digits resolve it
+        # to at most 11, and a fixed pad of 1e-32 of its ends takes from
+        # 3e-4 of it to more than all of it; the oracle was off by up to
+        # 5.5e-7 or raised
+        want = oracles.reserve_boundary(1, 1, hbar, q, l)
+        assert isinstance(want, mpmath.mpf)
+        sol = optimal_policy(ScaledParams(l=l, q=q, hbar=hbar))
+        assert sol.reserve_halfwidth == pytest.approx(float(want), rel=1e-13, abs=0.0)
+        p = UnscaledParams(D=1.0, R=1.0, mu=1.0, Hbar=hbar, Q=q, L=l)
+        assert unscaled_reserve_boundary(p) == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
 class TestOverflow:
