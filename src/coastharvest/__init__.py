@@ -4,9 +4,10 @@ The package decides, from closed-form optimality conditions, whether a
 finite coastline supports a centered no-take reserve, places it, and
 cross-checks the answer with independent numerics: an exact edge-value
 two-point solve for the steady state and adjoint, brute-force policy
-enumeration, an event oracle that marches the adjoint's exact flow maps
-through the switching structure, an implicit parabolic solver, and a
-spectral stability check.  The checks need numpy and scipy.linalg only.
+enumeration, an event oracle that bisects the adjoint's horizon with
+its exact flow maps through the switching structure, an implicit
+parabolic solver, and a spectral stability check.  The checks need
+numpy and scipy.linalg only.
 """
 
 from .bvp import (

@@ -29,7 +29,7 @@ from .params import (
 from .switching import derive_constants, hitting_time, min_length
 from .synthesis import optimal_policy, unscaled_min_length
 
-_UNSCALED_FIELDS = ("D", "mu", "Hbar", "Q", "L")
+_UNSCALED_FIELDS = ("D", "R", "mu", "Hbar", "Q", "L")
 
 
 class CliError(Exception):
@@ -85,7 +85,7 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--hbar", type=float, help="dimensionless maximal harvest rate")
     u = p.add_argument_group("physical parameters")
     u.add_argument("--D", type=float, help="diffusion coefficient")
-    u.add_argument("--R", type=float, default=1.0, help="recruitment rate (default 1)")
+    u.add_argument("--R", type=float, help="recruitment rate (default 1)")
     u.add_argument("--mu", type=float, help="per-capita death rate")
     u.add_argument("--Hbar", type=float, help="maximal harvest rate")
     u.add_argument("--Q", type=float, help="density weight")
@@ -113,7 +113,7 @@ def _gather(
             raise CliError("this command needs --L")
         up = UnscaledParams(
             D=args.D,
-            R=args.R,
+            R=args.R if args.R is not None else 1.0,
             mu=args.mu,
             Hbar=args.Hbar,
             Q=args.Q,

@@ -6,11 +6,12 @@ reserve blocks.  Both searches are scored by one batched sweep that
 carries the flux map of the steady state and the objective from a coast
 end across the pieces: the cell search meets in the middle, and the
 block search sweeps once per block shape.  The hitting time is
-measured by marching the hybrid adjoint flow with its exact flow maps
-(each phase is affine, so one step is a 3x3 matrix exponential), all
-starts at once, and bisecting each event's bracket with the same maps.
-Linearized stability is checked through the spectrum of the discretized
-operator.  Of scipy, only scipy.linalg is needed.
+measured by bisecting the horizon of the hybrid adjoint flow with its
+exact flow maps (each phase is affine, so each map is a 3x3 matrix
+exponential), all starts at once: no event undoes itself, so whether a
+start has stopped by time t is monotone in t.  Linearized stability is
+checked through the spectrum of the discretized operator.  Of scipy,
+only scipy.linalg is needed.
 
 The steady state is checked in two parts.  The time stepper shows that
 the parabolic flow settles on its grid's own steady state u_h: it
@@ -54,12 +55,13 @@ MAX_STEPS = 10**6
 # at l = 2^15 and its bisection doubles it
 MAX_CELLS_PER_GRID = 2**20
 
-# event marching gives up after this many of the flow's time scales,
-# max(l, 1/sqrt(a))
+# the event bisection searches this many of the flow's time scales,
+# max(l, 1/sqrt(a)); a later event reads as none
 _HORIZON_FACTOR = 10.0
 
-# halvings of each event bracket: tau*2^-60 is at most one ulp of any
-# event time from tau/256 on
+# event bisection levels past s = min(max(l, 1/sqrt(a))/16, 1/sqrt(a)):
+# the last bracket, at most s*2^-60, is at most one ulp of any event
+# time from s/256 on
 _REFINE_LEVELS = 60
 
 
@@ -260,64 +262,44 @@ def _first_events(
     z = (lambda1, lambda2, 1) holds one start per column, and
     J = [[0, -a, -b/l], [-1, 0, 0], [0, 0, 0]] is the affine flow of a
     phase with rate h, a = 1+h and b = h+q.  g must never turn positive
-    again once it reaches 0.  The horizon follows the flow's own time
-    scale: on short coasts the hitting time is 10-30 l but of order
-    1/sqrt(a), and each phase marches at most max(160, 10 l sqrt(a))
-    steps.  All starts march together on one grid of step
-    tau <= min(max(l, 1/sqrt(a))/16, 1/sqrt(a)) with the exact one-step map
-    expm(J*tau), whose eigenvalues exp(+-sqrt(a)*tau) lie within [1/e, e]
-    so that it stays finite on any coast; a start leaves the march at
-    the first grid point where g <= 0 or where it is no longer finite.
-    Each bracket is then halved _REFINE_LEVELS times, all at once, level
-    j with the one map expm(J*tau*2^-j); one stacked expm call builds the
-    step and every level.  Returns the event times (inf for none) and
-    the states there (NaN for none).
+    again once it reaches 0, so "stopped by time t" (g <= 0, or a state
+    no longer finite) is monotone in t and the whole horizon brackets
+    every event.  The horizon follows the flow's own time scale: on
+    short coasts the hitting time is 10-30 l but of order 1/sqrt(a).
+    All starts bisect [0, horizon] at once, level j with the exact map
+    expm(J*horizon*2^-j); one stacked expm call builds every level, and
+    the last bracket is as fine as _REFINE_LEVELS asks.  Returns the
+    event times (inf for none, or when the state stops being finite
+    first) and the states there (NaN for none).
     """
     flow_time = 1.0 / math.sqrt(a)
     scale = max(l, flow_time)
     horizon = _HORIZON_FACTOR * scale
-    steps = math.ceil(horizon / min(scale / 16.0, flow_time))
-    tau = horizon / steps
+    levels = _REFINE_LEVELS + math.ceil(math.log2(horizon / min(scale / 16.0, flow_time)))
+    widths = horizon * 0.5 ** np.arange(levels + 1)
     jac = np.array([[0.0, -a, -b / l], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    # maps[j] advances by tau*2^-j
-    maps = expm(jac * (tau * 0.5 ** np.arange(_REFINE_LEVELS + 1))[:, None, None])
-    step = maps[0]
-    n = z.shape[1]
-    times = np.full(n, math.inf)
-    states = np.full((3, n), math.nan)
-    # the last grid point before each event and its time; a start with
-    # g <= 0 already at 0 refines to the left end of its first step
-    lo, t_lo = np.empty((3, n)), np.zeros(n)
-    live, cur = np.arange(n), z
+    # the long maps overflow on long coasts; a state that is no longer
+    # finite compares false below, and so counts as stopped
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            if not live.size:
-                break
-            nxt = step @ cur
-            finite = np.isfinite(nxt).all(axis=0)
-            hit = finite & (g(nxt) <= 0.0)
-            event = live[hit]
-            lo[:, event], t_lo[event], states[:, event] = cur[:, hit], k * tau, nxt[:, hit]
-            keep = finite & ~hit
-            live, cur = live[keep], nxt[:, keep]
-    found = ~np.isnan(states[0])
-    lo, hi, t_lo = lo[:, found], states[:, found], t_lo[found]
-    width = tau
-    for half in maps[1:]:
-        width *= 0.5
-        mid = half @ lo
-        below = g(mid) <= 0.0
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
-        t_lo = np.where(below, t_lo, t_lo + width)
-    times[found], states[:, found] = t_lo + width, hi
-    return times, states
+        maps = expm(jac * widths[:, None, None])
+        lo, hi, ahead = z.copy(), maps[0] @ z, []
+        for half in maps[1:]:
+            mid = half @ lo
+            ahead.append(g(mid) > 0.0)
+            np.copyto(lo, mid, where=ahead[-1])
+            np.copyto(hi, mid, where=~ahead[-1])
+        found = np.isfinite(hi).all(axis=0) & (g(hi) <= 0.0)
+    # lo moved ahead by the widths of the levels where g stayed positive,
+    # summed in level order, and each event lies within one last width
+    t_lo = (widths[1:, None] * np.array(ahead)).sum(axis=0)
+    times = np.where(found, t_lo + widths[-1], math.inf)
+    return times, np.where(found, hi, math.nan)
 
 
 def integrate_adjoint_with_events(
     lambda0s: Sequence[float], sp: ScaledParams
 ) -> tuple[tuple[float, int], ...]:
-    """Hitting times of the lambda2-axis by marching the hybrid adjoint flow.
+    """Hitting times of the lambda2-axis by bisecting the hybrid adjoint flow.
 
     Each start (lambda0, 0) runs in the maximal-harvest phase until its
     first lambda1 = 0 event.  lambda2 falls while lambda1 > 0, so the
@@ -328,8 +310,8 @@ def integrate_adjoint_with_events(
     clock, without the start's event, or when the start's state stops
     being finite first.
 
-    Both phases are affine and autonomous, so each is marched with its
-    exact flow map (see _first_events), all starts at once, and each
+    Both phases are affine and autonomous, so each is bisected with its
+    exact flow maps (see _first_events), all starts at once, and each
     no-take run starts at s = 0 from its own crossing state.  In the
     harvest phase a start's event is g = min(lambda1, lambda2 + 1/l),
     whose first zero is the axis hit or the line crossing, whichever
@@ -338,11 +320,12 @@ def integrate_adjoint_with_events(
     lambda1 falls wherever lambda2 > -(h+q)/((1+h)l), which lies below
     -1/l when q > 1, and lambda2 falls while lambda1 > 0, so the flow
     leaves neither lambda1 <= 0 nor lambda2 <= -1/l towards the quadrant
-    where both are above.  The first grid point with g <= 0 therefore
-    brackets the first zero, whatever the step, even where a crossing
-    and a hit fall within one step.  In the no-take phase the event is
-    lambda1, which falls while lambda2 > -q/l, and lambda2 rises while
-    lambda1 < 0, so it too stays <= 0 once it gets there.
+    where both are above.  Whether g has reached 0 by time t is
+    therefore monotone in t, and bisecting the whole horizon on it finds
+    the first zero, even where a crossing and a hit fall within one
+    bracket.  In the no-take phase the event is lambda1, which falls
+    while lambda2 > -q/l, and lambda2 rises while lambda1 < 0, so it too
+    stays <= 0 once it gets there.
     """
     starts = [float(x) for x in lambda0s]
     if not starts or not all(x > 0.0 for x in starts):

@@ -223,7 +223,8 @@ class TestVerify:
             (9.811278000808583, 3.297466230318146, 2.052804579830935),
             (16.764199905276822, 1.858223827549165, 1.5225018921202387),
             # start 24 is 1e-5 above lam_star: the crossing and the hit
-            # fall 0.011 apart, within one 0.52-long march step
+            # fall 0.011 apart, closer than the brackets of the
+            # bisection's first 14 levels are wide
             (20.0, 2.0, 2.7592213493803284),
         ],
     )
@@ -420,6 +421,18 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert f"--param: invalid choice: '{param}'" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("physical", [("--D", "1"), ("--R", "3")])
+    def test_physical_parameters_are_rejected(self, capsys, tmp_path, physical):
+        path = tmp_path / "x.csv"
+        code, out, err = run(
+            capsys, "sweep", "--q", "2", "--hbar", "1", *physical, "--param", "l",
+            "--from", "2", "--to", "6", "--steps", "5", "--out", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert "sweep works on scaled parameters" in err
         assert not path.exists()
 
     def test_missing_fixed_parameter_is_an_error(self, capsys, tmp_path):
@@ -644,11 +657,13 @@ class TestParameterHandling:
         assert "no parameters" in err
 
     def test_mixed_groups(self, capsys):
-        code, _, err = run(
-            capsys, "solve", "--l", "2", "--q", "1", "--hbar", "1", "--D", "1",
-        )
-        assert code == 2
-        assert "not both" in err
+        # --R may be left out of a physical group, but given, it is physical
+        for physical in (("--D", "1"), ("--R", "3")):
+            code, _, err = run(
+                capsys, "solve", "--l", "2", "--q", "1", "--hbar", "1", *physical,
+            )
+            assert code == 2, physical
+            assert "not both" in err
 
     def test_incomplete_scaled_group(self, capsys):
         code, _, err = run(capsys, "solve", "--l", "2", "--q", "1")

@@ -3,7 +3,8 @@
 Seeded log-uniform draws over l in [1e-6, 1e9], hbar in [1e-8, 1e8] and
 q in [1e-6, 1e9], with every fourth draw at q = 1 +- [1e-15, 0.1], where
 the reserve regime begins.  Each draw is solved once; the tests read
-the shared results.
+the shared results.  The physical route runs on the same draws with
+D = mu = R = 1, where its reserve half-width is the scaled one.
 """
 
 import math
@@ -12,7 +13,13 @@ import numpy as np
 import pytest
 
 import oracles
-from coastharvest import ParameterError, ScaledParams, optimal_policy
+from coastharvest import (
+    ParameterError,
+    ScaledParams,
+    UnscaledParams,
+    optimal_policy,
+    unscaled_reserve_boundary,
+)
 
 DRAWS = 4000
 # reserve draws checked against the mpmath half-width (about 60 ms each):
@@ -96,3 +103,19 @@ def test_reserve_halfwidths_match_the_oracle(solved):
         want = float(oracles.reserve_boundary(1, 1, hbar, q, l))
         assert sol.reserve_halfwidth == pytest.approx(want, rel=1e-12, abs=0.0), (l, q, hbar)
 
+
+def test_physical_route_matches_the_scaled_one(solved):
+    # Q = q, Hbar = hbar and L = l exactly; with D/mu != 1 near q = 1 the
+    # routes would part by the rounding of Q/mu in q - 1, not by a fault
+    checked = 0
+    for (l, q, hbar), sol in _solutions(solved):
+        try:
+            b = unscaled_reserve_boundary(UnscaledParams(D=1.0, R=1.0, mu=1.0, Hbar=hbar, Q=q, L=l))
+        except ParameterError:
+            continue
+        if sol.reserve_halfwidth == 0.0:
+            assert b is None, (l, q, hbar)
+        else:
+            assert b == pytest.approx(sol.reserve_halfwidth, rel=1e-12, abs=0.0), (l, q, hbar)
+        checked += 1
+    assert checked > 0.9 * DRAWS

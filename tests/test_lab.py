@@ -339,8 +339,9 @@ class TestEventIntegration:
             assert abs(alone - t) <= 1e-14, lam0
 
     def test_long_coast_keeps_every_hit_and_the_escape(self):
-        # verify's 25 starts at l = 1e4, where the march steps 1/sqrt(1+hbar)
-        # and not l/16, plus a start whose no-take run escapes to overflow
+        # verify's 25 starts at l = 1e4, where the longest level maps of
+        # the bisection overflow, plus a start whose no-take run escapes
+        # to overflow
         sp = ScaledParams(l=1e4, q=2.0, hbar=1.0)
         dc = derive_constants(sp)
         starts = [dc.lam_starstar * i / 26.0 for i in range(1, 26)]
@@ -349,6 +350,26 @@ class TestEventIntegration:
         for lam0, (t, _) in zip(starts[:-1], results):
             assert abs(t - hitting_time(lam0, dc)) <= 1e-8, lam0
         assert math.isinf(hitting_time(starts[-1], dc))
+        assert results[-1] == (math.inf, 1)
+
+    @pytest.mark.parametrize("l, q, hbar", [(0.3, 2.0, 1.0), (1e-3, 2.0, 1.0)])
+    def test_late_hits_match_the_oracle(self, l, q, hbar):
+        # starts just below lam_starstar hit at 3.66, 4.81 and 5.96; their
+        # no-take runs last 3.0 to 5.3 of that phase's 10-long horizon, so
+        # the bisection reaches them only by moving ahead at its first two
+        # levels
+        sp = ScaledParams(l=l, q=q, hbar=hbar)
+        dc = derive_constants(sp)
+        late = [dc.lam_starstar * (1.0 - 10.0**-k) for k in (3, 4, 5)]
+        want = [float(oracles.hitting_time(lam0, l, q, hbar)) for lam0 in late]
+        for lam0, t in zip(late, want):
+            ((alone, _),) = integrate_adjoint_with_events([lam0], sp)
+            assert abs(alone - t) <= 1e-9, lam0
+        starts = [0.5 * dc.lam_starstar, *late, 2.0 * dc.lam_starstar]
+        want = [float(oracles.hitting_time(starts[0], l, q, hbar)), *want]
+        results = integrate_adjoint_with_events(starts, sp)
+        for lam0, t, (got, _) in zip(starts, want, results):
+            assert abs(got - t) <= 1e-9, lam0
         assert results[-1] == (math.inf, 1)
 
     def test_validation(self):
