@@ -206,6 +206,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     def record(name: str, value: float, threshold: float) -> None:
         value = float(value)
+        if not math.isfinite(value):
+            value = 1e308  # fails every threshold, and the report stays serializable
         checks.append(
             {
                 "name": name,
@@ -241,16 +243,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # A 1 >= lumped = A u_h, so u_h <= 1; then (M/dt + A) u_h >= (1/dt + 1) M u_h,
     # and a step maps a deviation |e| <= c u_h from u = 0 (c = 1) to
     # |e'| <= c u_h / (1 + dt) (see pde_time_stepper).  At t = 40 and
-    # dt = 0.04, |e| <= 1.04^-1000 u_h = 2^-56.6 u_h, below the 2^-55 u_h at
-    # which u_h + e rounds to u_h, so the first term is 0.0 for every
-    # admissible policy at the default --tmax.
-    run = pde_time_stepper(sol.policy, dx=sp.l / 1024.0, dt=0.04, t_max=args.tmax)
+    # dt = 1/16 (exact in binary, so 640 steps), |e| <= 1.0625^-640 u_h =
+    # 2^-55.98 u_h, below the 2^-55 u_h at which u_h + e rounds to u_h, so
+    # the first term is 0.0 for every admissible policy at the default --tmax.
+    run = pde_time_stepper(sol.policy, dx=sp.l / 1024.0, dt=0.0625, t_max=args.tmax)
     record("pde_l2_distance", run.discrete_distance + richardson_steady_gap(sol.policy), 1e-6)
 
     ok = all(c["pass"] for c in checks)
-    for c in checks:
-        if math.isinf(c["value"]):
-            c["value"] = 1e308  # keep the report serializable
     _emit({"params": {"l": sp.l, "q": sp.q, "hbar": sp.hbar}, "checks": checks, "all_pass": ok})
     return 0 if ok else 1
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from coastharvest import ScaledParams, derive_constants, optimal_policy
+from coastharvest import ScaledParams, derive_constants, lab, optimal_policy
 from coastharvest.cli import _linspace, build_parser, main
 from coastharvest.lab import richardson_steady_gap
 
@@ -277,7 +277,7 @@ class TestVerify:
          ("0.3", "2", "1")],
     )
     def test_parabolic_run_settles_at_the_default_length(self, capsys, l, q, hbar):
-        # at dt = 0.04 and t = 40 the run's own term is exactly 0.0
+        # at dt = 1/16 and t = 40 the run's own term is exactly 0.0
         doc = run_json(
             capsys, "verify", "--l", l, "--q", q, "--hbar", hbar,
             "--cells", "2", "--centers", "2", "--widths", "2",
@@ -286,6 +286,22 @@ class TestVerify:
         sp = ScaledParams(l=float(l), q=float(q), hbar=float(hbar))
         want = richardson_steady_gap(optimal_policy(sp).policy)
         assert checks["pde_l2_distance"]["value"] == want
+
+    @pytest.mark.parametrize("top", [math.nan, math.inf, -math.inf])
+    def test_non_finite_check_value_fails_and_is_reported(self, capsys, monkeypatch, top):
+        monkeypatch.setattr(lab, "stability_eigenvalues", lambda policy, n: (top, False))
+        code, out, _ = run(
+            capsys, "verify", "--l", "4", "--q", "2", "--hbar", "1",
+            "--cells", "2", "--centers", "2", "--widths", "2",
+        )
+        assert code == 1
+        doc = json.loads(out)
+        checks = {c["name"]: c for c in doc["checks"]}
+        assert checks.pop("max_eigenvalue_plus_one") == {
+            "name": "max_eigenvalue_plus_one", "value": 1e308, "threshold": 1e-6, "pass": False,
+        }
+        assert all(c["pass"] for c in checks.values())
+        assert doc["all_pass"] is False
 
     def test_coast_too_long_for_the_steady_grid_is_a_parameter_error(self, capsys):
         code, out, err = run(
@@ -329,7 +345,7 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == (
-            "error: t_max / dt must be at most 1000000 steps, got t_max=1e+300, dt=0.04\n"
+            "error: t_max / dt must be at most 1000000 steps, got t_max=1e+300, dt=0.0625\n"
         )
 
 

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +350,25 @@ class TestEventIntegration:
         results = integrate_adjoint_with_events(starts, sp)
         for lam0, (t, _) in zip(starts[:-1], results):
             assert abs(t - hitting_time(lam0, dc)) <= 1e-8, lam0
+        assert math.isinf(hitting_time(starts[-1], dc))
+        assert results[-1] == (math.inf, 1)
+
+    @pytest.mark.parametrize(
+        "l, q, hbar", [(1e8, 2.0, 1.0), (1e-6, 1e8, 1.0), (4.0, 1e8, 1.0), (50.0, 1e6, 3.0)]
+    )
+    def test_extreme_parameters_keep_every_hit_and_the_escape(self, l, q, hbar):
+        # the eigen-coordinate maps at the widest spread of time scales:
+        # a coast 1e8 long, where most levels overflow, and weights of up
+        # to 1e8, where the affine part of J dwarfs the rest
+        sp = ScaledParams(l=l, q=q, hbar=hbar)
+        dc = derive_constants(sp)
+        starts = [dc.lam_starstar * i / 26.0 for i in range(1, 26)]
+        starts.append(1.1 * dc.lam_starstar)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = integrate_adjoint_with_events(starts, sp)
+        for lam0, (t, _) in zip(starts[:-1], results):
+            assert abs(t - hitting_time(lam0, dc)) <= 1e-13 * max(1.0, t), lam0
         assert math.isinf(hitting_time(starts[-1], dc))
         assert results[-1] == (math.inf, 1)
 
@@ -700,9 +720,9 @@ class TestPdeTimeStepper:
             # the PINNED runs, then verify's settings
             (0.3, 2.0, 1.0, 8192, 0.01),
             (0.6, 2.0, 1.0, 8192, 0.01),
-            (4.0, 2.0, 1.0, 1024, 0.04),
-            (13.72, 2.1, 3.0, 1024, 0.04),
-            (1e4, 50.0, 0.05, 1024, 0.04),
+            (4.0, 2.0, 1.0, 1024, 0.0625),
+            (13.72, 2.1, 3.0, 1024, 0.0625),
+            (1e4, 50.0, 0.05, 1024, 0.0625),
         ],
     )
     def test_early_stop_keeps_every_bit(self, l, q, hbar, cells, dt):
@@ -720,13 +740,14 @@ class TestPdeTimeStepper:
     )
     def test_verify_step_settles_by_the_default_run_length(self, l, q, hbar):
         # a step maps |e| <= c u_h to |e'| <= c u_h / (1 + dt), so after
-        # 1000 steps of 0.04 |e| <= 1.04^-1000 u_h = 2^-56.6 u_h, below the
+        # 640 steps of 1/16 |e| <= 1.0625^-640 u_h = 2^-55.98 u_h, below the
         # 2^-55 u_h at which u_h + e rounds to u_h; long coasts attain it
+        assert 1.0625**-640 <= 2.0**-55
         pol = optimal_policy(ScaledParams(l=l, q=q, hbar=hbar)).policy
-        run = pde_time_stepper(pol, dx=l / 1024.0, dt=0.04, t_max=40.0)
+        run = pde_time_stepper(pol, dx=l / 1024.0, dt=0.0625, t_max=40.0)
         assert run.discrete_distance == 0.0
-        *_, e, u_h = self._full_run(pol, l / 1024.0, 0.04, 40.0)
-        assert np.max(np.abs(e) / u_h) <= 1.04**-1000 * (1.0 + 1e-12)
+        *_, e, u_h = self._full_run(pol, l / 1024.0, 0.0625, 40.0)
+        assert np.max(np.abs(e) / u_h) <= 1.0625**-640 * (1.0 + 1e-12)
 
     def test_discrete_distance_is_the_gap_to_the_grid_steady_state(self):
         run = pde_time_stepper(self.RESERVE_POLICY, dx=0.125, dt=0.1, t_max=0.5)
