@@ -35,7 +35,6 @@ from .switching import (
     post_switch_time,
     solve_lambda_bar,
     switch_line_intercept,
-    switch_location,
 )
 from .synthesis import (
     IndeterminateError,
@@ -116,7 +115,6 @@ __all__ = [
     "solve_lambda_bar",
     "stability_eigenvalues",
     "switch_line_intercept",
-    "switch_location",
     "to_scaled",
     "to_unscaled_length",
     "unscale_objective",

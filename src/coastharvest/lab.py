@@ -19,12 +19,15 @@ the parabolic flow settles on its grid's own steady state u_h: it
 factors its SPD tridiagonal operators once as LDL^T (LAPACK ?pttrf),
 takes each step with one ?pttrs, and steps the deviation from u_h, so
 rounding decays with the deviation instead of accumulating, and it
-stops once the deviation can no longer move the state.  The steady gap
-shows that u_h converges to the shooting solution: it solves the steady
-system on a grid and on its bisection and Richardson-extrapolates, so
-its value does not grow with the coast length.  A mirror-symmetric
-policy (every optimum is one) is solved on the half grid from the
-centre on, and an asymmetric one on the full grid.
+stops once the deviation can no longer move the state.  run_steps says
+when a run is long enough that the step's contraction bound alone
+proves it ends at u_h exactly, for every policy; verify takes the run
+only below that length.  The steady gap shows that u_h converges to
+the shooting solution: it solves the steady system on a grid and on its
+bisection and Richardson-extrapolates, so its value does not grow with
+the coast length.  A mirror-symmetric policy (every optimum is one) is
+solved on the half grid from the centre on, and an asymmetric one on
+the full grid.
 """
 
 from __future__ import annotations
@@ -48,9 +51,14 @@ MAX_CELLS = 16
 # float arrays of at most 3 x 2^16 entries (1.5 MB)
 MAX_SWEEP_CANDIDATES = 2**16
 
-# parabolic run cap: verify's default run asks for 640 steps and stops
-# early once settled (after 20 at l = 0.3, 390 at l = 4, 630 at l = 1e4)
+# parabolic run cap, far above the 629 steps of 1/16 from which run_steps
+# proves any run settled; a run stops early once settled
 MAX_STEPS = 10**6
+
+# a run has settled once |u - u_h| <= SETTLED u_h on every node: half an
+# ulp of u_h exceeds 2^-54 u_h, so u_h + e then rounds to u_h with a
+# factor 2 to spare
+SETTLED = 2.0**-55
 
 # grid cap, 8 MB per float array: the steady gap's coarse grid reaches it
 # at l = 2^15 and its bisection doubles it
@@ -435,6 +443,31 @@ def _weighted_norm(lumped: np.ndarray, mirror: bool, v: np.ndarray) -> float:
     return float(np.sqrt((2.0 if mirror else 1.0) * np.sum(lumped * v**2)))
 
 
+def _require_positive_finite(name: str, value: float) -> None:
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ParameterError(f"{name} must be positive and finite, got {value!r}")
+
+
+def run_steps(dt: float, t_max: float) -> tuple[int, bool]:
+    """The step count of a parabolic run to t_max at step dt, and whether it provably settles.
+
+    Raises ParameterError unless dt and t_max are positive and finite and
+    the run takes at most MAX_STEPS steps.  From u = 0 a step maps a
+    deviation |e| <= c u_h to |e'| <= c u_h / (1 + dt) (see
+    pde_time_stepper), so when (1 + dt)^-steps <= SETTLED the run ends at
+    u_h exactly and its discrete_distance is 0.0 for every policy.
+    """
+    _require_positive_finite("dt", dt)
+    _require_positive_finite("t_max", t_max)
+    ratio = t_max / dt - 1e-12
+    if ratio > MAX_STEPS:
+        raise ParameterError(
+            f"t_max / dt must be at most {MAX_STEPS} steps, got t_max={t_max!r}, dt={dt!r}"
+        )
+    steps = max(1, math.ceil(ratio))
+    return steps, (1.0 + dt) ** -steps <= SETTLED
+
+
 def pde_time_stepper(
     policy: HarvestPolicy,
     dx: float | None = None,
@@ -455,23 +488,16 @@ def pde_time_stepper(
     on the half grid, and PdeRun.u is then exactly mirror-symmetric.
 
     Stepping stops early, without changing any output, once
-    |e| <= 2^-55 u_h at a history sample.  (M/dt + A)^-1 is nonnegative
+    |e| <= SETTLED u_h at a history sample.  (M/dt + A)^-1 is nonnegative
     and (M/dt + A) u_h = (M/dt) u_h + lumped >= (M/dt) u_h, so that bound
-    then holds at every later step.  Half an ulp of u_h exceeds 2^-54 u_h,
-    so u_h + e rounds to u_h with a factor 2 to spare, and u, history,
-    l2_distance and discrete_distance keep every bit of the full run.
-    This also skips the slow subnormal tail of e on short coasts.
+    then holds at every later step, and u, history, l2_distance and
+    discrete_distance keep every bit of the full run.  This also skips
+    the slow subnormal tail of e on short coasts.
     """
     dx = policy.l / 512.0 if dx is None else dx
     dt = policy.l / 512.0 if dt is None else dt
-    for name, value in (("dx", dx), ("dt", dt), ("t_max", t_max)):
-        if not (value > 0.0 and math.isfinite(value)):
-            raise ParameterError(f"{name} must be positive and finite, got {value!r}")
-    steps = t_max / dt - 1e-12
-    if steps > MAX_STEPS:
-        raise ParameterError(
-            f"t_max / dt must be at most {MAX_STEPS} steps, got t_max={t_max!r}, dt={dt!r}"
-        )
+    _require_positive_finite("dx", dx)
+    nsteps, _ = run_steps(dt, t_max)
     nodes, rate = _aligned_grid(policy, dx)
     u_h, diag, off, lumped, c, mirror = _steady_solve(policy, nodes, rate)
     mass = lumped / dt
@@ -481,8 +507,7 @@ def pde_time_stepper(
     u_star = target.eval_many(nodes[1 + c : -1])[0]
 
     e = -u_h
-    settled_at = 2.0**-55 * u_h
-    nsteps = max(1, math.ceil(steps))
+    settled_at = SETTLED * u_h
     every = max(1, nsteps // 64)
     samples = list(range(every, nsteps + 1, every))
     if samples[-1] != nsteps:

@@ -186,16 +186,6 @@ def solve_lambda_bar(dc: DerivedConstants, l: float) -> float:
     return solve_halfwidth(dc, l)[1]
 
 
-def switch_location(sp: ScaledParams) -> float:
-    """Distance from the coast end to the reserve edge, for l > l_min."""
-    dc = derive_constants(sp)
-    if not sp.l > dc.l_min:
-        raise ParameterError(
-            f"no switch for l={sp.l!r} at or below the threshold {dc.l_min!r}"
-        )
-    return sp.l / 2.0 - solve_halfwidth(dc, sp.l)[0]
-
-
 def monotonicity_witness(lambda0: float, dc: DerivedConstants) -> float:
     """The increasing auxiliary function whose positivity orders hitting times.
 

@@ -29,7 +29,6 @@ from coastharvest import (
     reserve_sweep,
     shoot_steady_state,
     stability_eigenvalues,
-    switch_location,
     to_scaled,
     unscaled_reserve_boundary,
 )
@@ -131,7 +130,7 @@ def test_criterion_5_reserve_policy_dominates_both_searches():
     res = brute_force_bangbang(sp, cells=12)
     sweep = reserve_sweep(sp, centers=21, widths=41)
     elapsed = time.perf_counter() - start
-    want_width = 2.0 * (sp.l / 2.0 - switch_location(sp))
+    want_width = 2.0 * (sp.l / 2.0 - optimal_policy(sp).Ts)
     width_err = abs(sweep.best_descriptor["width"] - want_width)
     gap = optimal_policy(sp).objective_j - res.best_objective
     ok = (
@@ -229,7 +228,7 @@ def test_criterion_9_physical_units_and_zero_flux_variant():
             for L in (5.0, 8.0, 12.0):
                 p = UnscaledParams(D=D, R=1.0, mu=1.0, Hbar=1.0, Q=Q, L=L)
                 sp = to_scaled(p)
-                expected = math.sqrt(D / p.mu) * (sp.l / 2.0 - switch_location(sp))
+                expected = math.sqrt(D / p.mu) * (sp.l / 2.0 - optimal_policy(sp).Ts)
                 got = unscaled_reserve_boundary(p)
                 worst_rel = max(worst_rel, abs(got - expected) / expected)
     below = neumann_variant_policy(ScaledParams(l=3.0, q=1.0 - 1e-9, hbar=1.0))

@@ -287,6 +287,39 @@ class TestVerify:
         want = richardson_steady_gap(optimal_policy(sp).policy)
         assert checks["pde_l2_distance"]["value"] == want
 
+    def test_default_run_length_takes_no_parabolic_run(self, capsys, monkeypatch):
+        # 640 steps of 1/16 prove the run's term 0.0 (see run_steps)
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify took a run that its bound proves settled")
+
+        monkeypatch.setattr(lab, "pde_time_stepper", refuse)
+        doc = run_json(
+            capsys, "verify", "--l", "4", "--q", "2", "--hbar", "1",
+            "--cells", "2", "--centers", "2", "--widths", "2",
+        )
+        checks = {c["name"]: c for c in doc["checks"]}
+        want = richardson_steady_gap(optimal_policy(ScaledParams(l=4.0, q=2.0, hbar=1.0)).policy)
+        assert checks["pde_l2_distance"]["value"] == want
+
+    @pytest.mark.parametrize("tmax", ["20", "1"])
+    def test_shorter_run_lengths_take_the_parabolic_run(self, capsys, monkeypatch, tmax):
+        stepper, runs = lab.pde_time_stepper, []
+
+        def counted(*args, **kwargs):
+            runs.append(stepper(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(lab, "pde_time_stepper", counted)
+        _, out, _ = run(
+            capsys, "verify", "--l", "4", "--q", "2", "--hbar", "1",
+            "--cells", "2", "--centers", "2", "--widths", "2", "--tmax", tmax,
+        )
+        assert len(runs) == 1
+        assert runs[0].history[-1][0] == float(tmax)
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        gap = richardson_steady_gap(optimal_policy(ScaledParams(l=4.0, q=2.0, hbar=1.0)).policy)
+        assert checks["pde_l2_distance"]["value"] == runs[0].discrete_distance + gap
+
     @pytest.mark.parametrize("top", [math.nan, math.inf, -math.inf])
     def test_non_finite_check_value_fails_and_is_reported(self, capsys, monkeypatch, top):
         monkeypatch.setattr(lab, "stability_eigenvalues", lambda policy, n: (top, False))
@@ -336,6 +369,16 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == "error: t_max must be positive and finite, got inf\n"
+
+    @pytest.mark.parametrize("tmax, shown", [("nan", "nan"), ("0", "0.0"), ("-1", "-1.0")])
+    def test_non_positive_run_length_is_a_parameter_error(self, capsys, tmax, shown):
+        code, out, err = run(
+            capsys, "verify", "--l", "4", "--q", "2", "--hbar", "1",
+            "--cells", "6", "--centers", "5", "--widths", "9", "--tmax", tmax,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: t_max must be positive and finite, got {shown}\n"
 
     def test_overlong_run_is_a_parameter_error(self, capsys):
         code, out, err = run(

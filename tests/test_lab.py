@@ -24,7 +24,6 @@ from coastharvest import (
     reserve_sweep,
     shoot_steady_state,
     stability_eigenvalues,
-    switch_location,
 )
 from coastharvest import lab
 from coastharvest.lab import richardson_steady_gap
@@ -147,7 +146,7 @@ class TestReserveSweep:
         res = reserve_sweep(OPTIMAL_SP, centers=11, widths=21)
         best = res.best_descriptor
         assert best["center"] == 0.0
-        want_width = 2.0 * (OPTIMAL_SP.l / 2.0 - switch_location(OPTIMAL_SP))
+        want_width = 2.0 * (OPTIMAL_SP.l / 2.0 - optimal_policy(OPTIMAL_SP).Ts)
         assert abs(best["width"] - want_width) <= 0.2  # one grid step
         assert optimal_policy(OPTIMAL_SP).objective_j - res.best_objective >= -1e-9
 
@@ -422,7 +421,6 @@ KEEP = {
     "monotonicity_witness": "read by the acceptance criteria",
     "neumann_objective": "read by the acceptance criteria",
     "neumann_variant_policy": "read by the acceptance criteria",
-    "switch_location": "read by the acceptance criteria",
 }
 
 
@@ -734,10 +732,11 @@ class TestPdeTimeStepper:
         assert run.l2_distance == distance
         assert run.discrete_distance == discrete
 
-    @pytest.mark.parametrize(
-        "l, q, hbar",
-        [(1e4, 50.0, 0.05), (1e4, 2.0, 1.0), (1000.0, 2.0, 1.0), (100.0, 0.5, 1.0), (0.3, 2.0, 1.0)],
-    )
+    SETTLE_CASES = [
+        (1e4, 50.0, 0.05), (1e4, 2.0, 1.0), (1000.0, 2.0, 1.0), (100.0, 0.5, 1.0), (0.3, 2.0, 1.0)
+    ]
+
+    @pytest.mark.parametrize("l, q, hbar", SETTLE_CASES)
     def test_verify_step_settles_by_the_default_run_length(self, l, q, hbar):
         # a step maps |e| <= c u_h to |e'| <= c u_h / (1 + dt), so after
         # 640 steps of 1/16 |e| <= 1.0625^-640 u_h = 2^-55.98 u_h, below the
@@ -748,6 +747,23 @@ class TestPdeTimeStepper:
         assert run.discrete_distance == 0.0
         *_, e, u_h = self._full_run(pol, l / 1024.0, 0.0625, 40.0)
         assert np.max(np.abs(e) / u_h) <= 1.0625**-640 * (1.0 + 1e-12)
+
+    def test_run_steps_proves_runs_of_629_sixteenths_or_more_settled(self):
+        assert lab.run_steps(0.0625, 628 * 0.0625) == (628, False)
+        assert lab.run_steps(0.0625, 629 * 0.0625) == (629, True)
+        assert lab.run_steps(0.0625, 40.0) == (640, True)
+        assert lab.run_steps(0.5, 5.0) == (10, False)
+
+    @pytest.mark.parametrize("steps", [629, 640, 1600, 960_000])
+    @pytest.mark.parametrize("l, q, hbar", SETTLE_CASES)
+    def test_runs_proven_settled_end_on_the_grid_steady_state(self, l, q, hbar, steps):
+        # verify takes no run where run_steps proves its term 0.0
+        t_max = steps * 0.0625
+        assert lab.run_steps(0.0625, t_max) == (steps, True)
+        pol = optimal_policy(ScaledParams(l=l, q=q, hbar=hbar)).policy
+        run = pde_time_stepper(pol, dx=l / 1024.0, dt=0.0625, t_max=t_max)
+        assert run.history[-1][0] == t_max
+        assert run.discrete_distance == 0.0
 
     def test_discrete_distance_is_the_gap_to_the_grid_steady_state(self):
         run = pde_time_stepper(self.RESERVE_POLICY, dx=0.125, dt=0.1, t_max=0.5)

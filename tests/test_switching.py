@@ -13,10 +13,10 @@ from coastharvest import (
     derive_constants,
     hitting_time,
     min_length,
+    optimal_policy,
     post_switch_time,
     solve_lambda_bar,
     switch_line_intercept,
-    switch_location,
 )
 from coastharvest.switching import monotonicity_witness
 
@@ -285,9 +285,10 @@ class TestSolveLambdaBar:
 
 
 class TestSwitchLocation:
+    # Ts, the distance from the coast end to the reserve edge
     def test_reference_value(self):
         sp = ScaledParams(l=4.0, q=2.0, hbar=1.0)
-        ts = switch_location(sp)
+        ts = optimal_policy(sp).Ts
         assert 0.0 < ts < sp.l / 2.0
         want = oracles.switch_hit_x(oracles.lambda_bar(4, 2, 1), 4, 2, 1)
         assert ts == pytest.approx(float(want), abs=1e-14)
@@ -296,7 +297,7 @@ class TestSwitchLocation:
         q, hbar = 2.0, 1.0
         lmin = min_length(ScaledParams(l=1.0, q=q, hbar=hbar))
         sp = ScaledParams(l=lmin + 1e-7, q=q, hbar=hbar)
-        ts = switch_location(sp)
+        ts = optimal_policy(sp).Ts
         assert ts == pytest.approx(lmin / 2.0, abs=1e-3)
         assert sp.l / 2.0 - ts < 1e-3
 
@@ -307,13 +308,14 @@ class TestSwitchLocation:
     def test_decomposition_of_the_hitting_time(self, sp):
         dc = derive_constants(sp)
         lam_bar = solve_lambda_bar(dc, sp.l)
-        ts = switch_location(sp)
+        ts = optimal_policy(sp).Ts
         tail = post_switch_time(switch_line_intercept(lam_bar, dc), dc)
         assert ts + tail == pytest.approx(sp.l / 2.0, abs=1e-10)
 
-    def test_rejects_short_coasts(self):
-        with pytest.raises(ParameterError):
-            switch_location(ScaledParams(l=2.0, q=2.0, hbar=1.0))
+    def test_no_switch_at_or_below_the_threshold(self):
+        lmin = min_length(ScaledParams(l=1.0, q=2.0, hbar=1.0))
+        for l in (2.0, lmin):
+            assert optimal_policy(ScaledParams(l=l, q=2.0, hbar=1.0)).Ts is None
 
 
 class TestMonotonicityWitness:

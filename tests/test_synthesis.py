@@ -21,7 +21,6 @@ from coastharvest import (
     optimal_policy,
     shoot_steady_state,
     solve_adjoint,
-    switch_location,
     to_scaled,
     unscaled_min_length,
     unscaled_reserve_boundary,
@@ -57,7 +56,8 @@ class TestOptimalPolicy:
         left, right = sol.policy.breakpoints[1], sol.policy.breakpoints[2]
         assert left + right == 0.0
         assert sol.reserve_halfwidth == pytest.approx(right, rel=1e-15)
-        assert sol.Ts == pytest.approx(switch_location(sp), rel=1e-14)
+        want = sp.l / 2.0 - oracles.reserve_boundary(1, 1, sp.hbar, sp.q, sp.l)
+        assert sol.Ts == pytest.approx(float(want), rel=1e-14)
         assert right == pytest.approx(sp.l / 2.0 - sol.Ts, rel=1e-14)
         assert sol.objective_j > oracles.constant_objective(sp.hbar, sp.q, sp.l)
 
@@ -331,7 +331,7 @@ class TestUnscaledReserveBoundary:
     def test_matches_the_scaled_pipeline(self):
         p = UnscaledParams(D=1.0, R=1.0, mu=1.0, Hbar=1.0, Q=2.0, L=4.0)
         sp = ScaledParams(l=4.0, q=2.0, hbar=1.0)
-        expected = math.sqrt(p.D / p.mu) * (sp.l / 2.0 - switch_location(sp))
+        expected = math.sqrt(p.D / p.mu) * (sp.l / 2.0 - optimal_policy(sp).Ts)
         got = unscaled_reserve_boundary(p)
         assert got == pytest.approx(expected, rel=1e-8)
         assert 0.0 < got < p.L / 2.0
