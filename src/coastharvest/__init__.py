@@ -37,13 +37,10 @@ from .switching import (
     switch_line_intercept,
 )
 from .synthesis import (
-    IndeterminateError,
     OptimalSolution,
     SolutionDiagnostics,
     half_length_domain,
     half_length_function,
-    neumann_objective,
-    neumann_variant_policy,
     optimal_policy,
     unscaled_min_length,
     unscaled_reserve_boundary,
@@ -82,7 +79,6 @@ def __dir__() -> list[str]:
 __all__ = [
     "DerivedConstants",
     "HarvestPolicy",
-    "IndeterminateError",
     "OptimalSolution",
     "ParameterError",
     "PdeRun",
@@ -103,8 +99,6 @@ __all__ = [
     "hitting_time",
     "integrate_adjoint_with_events",
     "min_length",
-    "neumann_objective",
-    "neumann_variant_policy",
     "optimal_policy",
     "pde_time_stepper",
     "post_switch_time",

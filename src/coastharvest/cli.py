@@ -20,6 +20,7 @@ from typing import Optional
 
 from .bvp import shoot_steady_state
 from .params import (
+    ParameterError,
     ScaledParams,
     UnscaledParams,
     to_scaled,
@@ -28,8 +29,6 @@ from .params import (
 )
 from .switching import derive_constants, hitting_time, min_length
 from .synthesis import optimal_policy, unscaled_min_length
-
-_UNSCALED_FIELDS = ("D", "R", "mu", "Hbar", "Q", "L")
 
 
 class CliError(Exception):
@@ -96,7 +95,7 @@ def _gather(
     args: argparse.Namespace, need_length: bool = True
 ) -> tuple[ScaledParams, Optional[UnscaledParams]]:
     scaled = any(getattr(args, f) is not None for f in ("l", "q", "hbar"))
-    unscaled = any(getattr(args, f) is not None for f in _UNSCALED_FIELDS)
+    unscaled = any(getattr(args, f) is not None for f in UnscaledParams._fields)
     if scaled and unscaled:
         raise CliError("give either scaled (--l/--q/--hbar) or physical parameters, not both")
     if scaled:
@@ -237,7 +236,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     record("transversality", sol.diagnostics.transversality_residual, 1e-8)
     record("hamiltonian_constancy", sol.diagnostics.hamiltonian_deviation, 1e-8)
     record("switching_signs", sol.diagnostics.switching_violation, 1e-8)
-    top, _negative = stability_eigenvalues(sol.policy, 512)
+    try:
+        top, _negative = stability_eigenvalues(sol.policy, 512)
+    except ParameterError as exc:
+        raise ParameterError(f"check max_eigenvalue_plus_one cannot run: {exc}") from None
     record("max_eigenvalue_plus_one", top + 1.0, 1e-6)
     # the run's distance to its own grid's steady state, plus that steady
     # state's extrapolated distance to the exact one.  A is an M-matrix and
@@ -278,7 +280,7 @@ def _linspace(start: float, stop: float, steps: int) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if any(getattr(args, f) is not None for f in _UNSCALED_FIELDS):
+    if any(getattr(args, f) is not None for f in UnscaledParams._fields):
         raise CliError("sweep works on scaled parameters; give the fixed ones of --l/--q/--hbar")
     if args.param is None or args.start is None or args.stop is None or args.steps is None:
         raise CliError("sweep needs --param, --from, --to and --steps")

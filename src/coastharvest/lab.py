@@ -93,10 +93,6 @@ class SweepResult(NamedTuple):
         return float(self.objectives[self.best])
 
     @property
-    def best_descriptor(self) -> dict:
-        return self.describe(self.best)
-
-    @property
     def candidates(self) -> tuple[tuple[dict, float], ...]:
         """(descriptor, objective) of every candidate, built on each read."""
         return tuple((self.describe(i), obj) for i, obj in enumerate(self.objectives.tolist()))
@@ -468,12 +464,7 @@ def run_steps(dt: float, t_max: float) -> tuple[int, bool]:
     return steps, (1.0 + dt) ** -steps <= SETTLED
 
 
-def pde_time_stepper(
-    policy: HarvestPolicy,
-    dx: float | None = None,
-    dt: float | None = None,
-    t_max: float = 40.0,
-) -> PdeRun:
+def pde_time_stepper(policy: HarvestPolicy, dx: float, dt: float, t_max: float = 40.0) -> PdeRun:
     """Evolve u_t = u_xx - (1+h)u + 1 from u = 0 to t_max, implicitly.
 
     Backward-time stepping with a symmetric second-order spatial
@@ -494,8 +485,6 @@ def pde_time_stepper(
     discrete_distance keep every bit of the full run.  This also skips
     the slow subnormal tail of e on short coasts.
     """
-    dx = policy.l / 512.0 if dx is None else dx
-    dt = policy.l / 512.0 if dt is None else dt
     _require_positive_finite("dx", dx)
     nsteps, _ = run_steps(dt, t_max)
     nodes, rate = _aligned_grid(policy, dx)
@@ -585,6 +574,14 @@ def stability_eigenvalues(policy: HarvestPolicy, n: int) -> tuple[float, bool]:
         raise ParameterError(f"need at least 16 interior points, got {n!r}")
     l = policy.l
     dx = l / (n + 1)
+    # LAPACK's bisection squares the entries, up to the spectrum's bound
+    # 4/dx^2: past the root of the float range it fails, or drops the
+    # off-diagonal and returns a diagonal entry
+    if not dx * dx * math.sqrt(np.finfo(float).max) > 4.0:
+        raise ParameterError(
+            f"the {n}-point spectrum at l = {l!r} (dx = {dx!r}) has entries near "
+            "4/dx^2, too large for LAPACK's bisection to square"
+        )
     xs = -l / 2.0 + dx * np.arange(1, n + 1)
     pot = 1.0 + _average_rates(policy, xs - dx / 2.0, xs + dx / 2.0)
     diag = -2.0 / dx**2 - pot

@@ -80,8 +80,12 @@ def switch_line_intercept(lambda0: float, dc: DerivedConstants) -> float:
         raise ParameterError(
             f"no switch-line contact below lam_star={dc.lam_star!r}, got {lambda0!r}"
         )
-    # tiny negative radicands at lambda0 == lam_star are roundoff
-    return math.sqrt(max(lambda0 * lambda0 - dc.lam_star * dc.lam_star, 0.0))
+    # squared with lambda0's binary exponent taken out, exactly, so that a
+    # level near 1/l cannot overflow on a very short coast; tiny negative
+    # radicands at lambda0 == lam_star are roundoff
+    e = math.frexp(lambda0)[1]
+    a, b = math.ldexp(lambda0, -e), math.ldexp(dc.lam_star, -e)
+    return math.ldexp(math.sqrt(max(a * a - b * b, 0.0)), e)
 
 
 def _switch_time(lambda0: float, tilde: float, dc: DerivedConstants) -> float:
@@ -185,19 +189,3 @@ def solve_lambda_bar(dc: DerivedConstants, l: float) -> float:
         return dc.i1 * math.tanh(math.sqrt(dc.a1) * l / 2.0)
     return solve_halfwidth(dc, l)[1]
 
-
-def monotonicity_witness(lambda0: float, dc: DerivedConstants) -> float:
-    """The increasing auxiliary function whose positivity orders hitting times.
-
-    Vanishes identically at lam_star; positive beyond it.
-    """
-    if lambda0 < dc.lam_star:
-        raise ParameterError(
-            f"witness defined for lambda0 >= lam_star={dc.lam_star!r}, got {lambda0!r}"
-        )
-    r1 = dc.b1 / dc.a1
-    tilde = switch_line_intercept(lambda0, dc)
-    quad = dc.lam_starstar * dc.lam_starstar - lambda0 * lambda0
-    return -((2.0 * dc.b1 - dc.a1) / dc.a1) * quad + (dc.b2 / dc.a2 - 1.0) * lambda0 * (
-        r1 * tilde + (r1 - 1.0) * lambda0
-    )

@@ -27,10 +27,6 @@ from .policy import HarvestPolicy, constant_policy, single_reserve_policy
 from .switching import derive_constants, solve_halfwidth, solve_lambda_bar
 
 
-class IndeterminateError(ValueError):
-    """Raised when the model genuinely does not single out a policy."""
-
-
 class SolutionDiagnostics(NamedTuple):
     boundary_residual: float
     transversality_residual: float
@@ -216,28 +212,3 @@ def unscaled_reserve_boundary(p: UnscaledParams) -> Optional[float]:
 
     return bisect_root(residual, 0.0, half)
 
-
-# ---------------------------------------------------------------------------
-# the zero-flux variant
-
-
-def neumann_objective(hhat: float, q: float) -> float:
-    """Objective of a constant policy under zero-flux boundaries.
-
-    With no boundary loss the steady state is flat, u = 1/(1+h), giving
-    j = (q+h)/(1+h): increasing in h exactly when q < 1.
-    """
-    if hhat < 0.0:
-        raise ParameterError(f"harvest rate must be nonnegative, got {hhat!r}")
-    return (q + hhat) / (1.0 + hhat)
-
-
-def neumann_variant_policy(sp: ScaledParams) -> HarvestPolicy:
-    """Optimal constant policy when both boundaries are zero-flux."""
-    if sp.q == 1.0:
-        raise IndeterminateError(
-            "q = 1 makes the zero-flux objective independent of the harvest rate"
-        )
-    if sp.q < 1.0:
-        return constant_policy(sp.l, sp.hbar)
-    return constant_policy(sp.l, 0.0)

@@ -258,7 +258,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "l, q, hbar",
         [("0.1", "2", "1"), ("0.15", "4", "3"), ("0.01", "2", "1"), ("1e-3", "2", "1"),
-         ("1e-5", "2", "1")],
+         ("1e-5", "2", "1"), ("1e-74", "2", "1")],
     )
     def test_short_coasts_pass(self, capsys, l, q, hbar):
         # the hitting times here are 10-30 l, so a horizon of 10 l missed
@@ -335,6 +335,24 @@ class TestVerify:
         }
         assert all(c["pass"] for c in checks.values())
         assert doc["all_pass"] is False
+
+    @pytest.mark.parametrize("q", ["2", "0.5"])
+    @pytest.mark.parametrize("l", ["1e-75", "1e-100", "1e-200", "1e-300"])
+    def test_very_short_coasts_name_the_check_that_cannot_run(self, capsys, l, q):
+        # LAPACK's bisection squares the spectrum's entries, about 4/dx^2:
+        # from l = 1e-75 it failed with "stebz ... did not converge", and
+        # from about 1e-155 the hitting-time check before it read an
+        # intercept of nan, where the square of a level near 1/l overflowed
+        code, out, err = run(
+            capsys, "verify", "--l", l, "--q", q, "--hbar", "1",
+            "--cells", "2", "--centers", "2", "--widths", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            f"error: check max_eigenvalue_plus_one cannot run: the 512-point spectrum at "
+            f"l = {float(l)!r} (dx = "
+        )
+        assert "stebz" not in err and "nan" not in err
 
     def test_coast_too_long_for_the_steady_grid_is_a_parameter_error(self, capsys):
         code, out, err = run(

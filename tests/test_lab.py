@@ -54,13 +54,13 @@ class TestBruteForce:
     )
     def test_subcritical_winner_harvests_everywhere(self, sp):
         res = brute_force_bangbang(sp, cells=12)
-        assert res.best_descriptor["mask"] == "1" * 12
+        assert res.describe(res.best)["mask"] == "1" * 12
         # the grid contains the analytic optimum here, so the gap is roundoff
         assert abs(optimal_policy(sp).objective_j - res.best_objective) <= 1e-9
 
     def test_supercritical_winner_blocks_the_middle(self):
         res = brute_force_bangbang(OPTIMAL_SP, cells=12)
-        assert res.best_descriptor["mask"] == "110000000011"
+        assert res.describe(res.best)["mask"] == "110000000011"
         # analytic optimum dominates every cell policy
         analytic = optimal_policy(OPTIMAL_SP).objective_j
         assert analytic - res.best_objective >= -1e-9
@@ -73,9 +73,9 @@ class TestBruteForce:
             want = float(oracles.constant_objective(rate, 2.0, 4.0))
             assert objs[bit] == pytest.approx(want, rel=1e-12)
         # banning harvest beats the cap on this long coast, cap wins on a short one
-        assert res.best_descriptor["mask"] == "0"
+        assert res.describe(res.best)["mask"] == "0"
         other = brute_force_bangbang(ScaledParams(l=2.0, q=0.5, hbar=1.0), cells=1)
-        assert other.best_descriptor["mask"] == "1"
+        assert other.describe(other.best)["mask"] == "1"
 
     def test_candidate_count(self):
         res = brute_force_bangbang(ScaledParams(l=2.0, q=0.5, hbar=1.0), cells=5)
@@ -133,7 +133,8 @@ class TestBruteForce:
     )
     def test_best_masks(self, sp, best):
         for cells, mask in best.items():
-            assert brute_force_bangbang(sp, cells=cells).best_descriptor["mask"] == mask
+            res = brute_force_bangbang(sp, cells=cells)
+            assert res.describe(res.best)["mask"] == mask
 
     @pytest.mark.parametrize("cells", [0, 17, -3])
     def test_cell_count_validation(self, cells):
@@ -144,7 +145,7 @@ class TestBruteForce:
 class TestReserveSweep:
     def test_grid_optimum_brackets_the_analytic_reserve(self):
         res = reserve_sweep(OPTIMAL_SP, centers=11, widths=21)
-        best = res.best_descriptor
+        best = res.describe(res.best)
         assert best["center"] == 0.0
         want_width = 2.0 * (OPTIMAL_SP.l / 2.0 - optimal_policy(OPTIMAL_SP).Ts)
         assert abs(best["width"] - want_width) <= 0.2  # one grid step
@@ -152,7 +153,7 @@ class TestReserveSweep:
 
     def test_short_coast_picks_zero_width(self):
         res = reserve_sweep(ScaledParams(l=2.0, q=2.0, hbar=1.0), centers=11, widths=21)
-        assert res.best_descriptor["width"] == 0.0
+        assert res.describe(res.best)["width"] == 0.0
         # every zero-width candidate is the same constant policy; ties keep
         # the first index
         assert res.best == 0
@@ -222,7 +223,7 @@ class TestReserveSweep:
         monkeypatch.setattr(lab, "shoot_steady_state", refuse)
         res = reserve_sweep(OPTIMAL_SP, centers=11, widths=21)
         assert res.objectives.shape == (231,)
-        assert res.best_descriptor["center"] == 0.0
+        assert res.describe(res.best)["center"] == 0.0
 
     def test_candidates_are_center_major(self):
         res = reserve_sweep(OPTIMAL_SP, centers=3, widths=4)
@@ -418,9 +419,6 @@ KEEP = {
     "cell_policy": "public API",
     "half_length_function": "public API",
     "unscaled_reserve_boundary": "public API",
-    "monotonicity_witness": "read by the acceptance criteria",
-    "neumann_objective": "read by the acceptance criteria",
-    "neumann_variant_policy": "read by the acceptance criteria",
 }
 
 
@@ -454,7 +452,7 @@ class TestPdeTimeStepper:
     def test_constant_policy_converges_to_the_closed_form(self):
         sp = ScaledParams(l=2.0, q=1.0, hbar=1.0)
         run = pde_time_stepper(
-            constant_policy(sp.l, sp.hbar), dx=sp.l / 2048.0, t_max=20.0
+            constant_policy(sp.l, sp.hbar), dx=sp.l / 2048.0, dt=sp.l / 512.0, t_max=20.0
         )
         assert run.l2_distance <= 1e-6
         assert run.x[0] == -1.0 and run.x[-1] == 1.0
@@ -504,37 +502,41 @@ class TestPdeTimeStepper:
 
     def test_approach_is_monotone_once_transients_die(self):
         sp = ScaledParams(l=2.0, q=1.0, hbar=1.0)
-        run = pde_time_stepper(constant_policy(sp.l, sp.hbar), t_max=5.0)
+        grid = {"dx": sp.l / 512.0, "dt": sp.l / 512.0}
+        run = pde_time_stepper(constant_policy(sp.l, sp.hbar), **grid, t_max=5.0)
         tail = [d for _, d in run.history[len(run.history) // 2 :]]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
-        assert run.l2_distance <= 1e-4  # default grid is discretization-limited
+        assert run.l2_distance <= 1e-4  # this grid is discretization-limited
 
     def test_validation(self):
         sp = ScaledParams(l=2.0, q=1.0, hbar=1.0)
         pol = constant_policy(sp.l, sp.hbar)
+        grid = {"dx": sp.l / 512.0, "dt": sp.l / 512.0}
         for kw in ({"dx": -1.0}, {"dt": 0.0}, {"t_max": 0.0}):
             with pytest.raises(ParameterError):
-                pde_time_stepper(pol, **kw)
+                pde_time_stepper(pol, **{**grid, **kw})
         with pytest.raises(ParameterError):
-            pde_time_stepper(pol, dx=10.0)
+            pde_time_stepper(pol, **{**grid, "dx": 10.0})
 
     @pytest.mark.parametrize("field", ["dx", "dt", "t_max"])
     def test_non_finite_step_sizes_are_rejected(self, field):
         # an infinite t_max or dt would overflow the step count, and an
         # infinite dx would run the whole stepper and fail only on output
         sp = ScaledParams(l=2.0, q=1.0, hbar=1.0)
+        kw = {"dx": sp.l / 512.0, "dt": sp.l / 512.0, field: math.inf}
         with pytest.raises(ParameterError, match=f"^{field} must be positive and finite"):
-            pde_time_stepper(constant_policy(sp.l, sp.hbar), **{field: math.inf})
+            pde_time_stepper(constant_policy(sp.l, sp.hbar), **kw)
 
     def test_step_count_is_capped(self, monkeypatch):
         sp = ScaledParams(l=2.0, q=1.0, hbar=1.0)
         pol = constant_policy(sp.l, sp.hbar)
+        dx = sp.l / 512.0
         with pytest.raises(ParameterError, match=r"got t_max=1e\+300, dt=0\.5$"):
-            pde_time_stepper(pol, dt=0.5, t_max=1e300)
+            pde_time_stepper(pol, dx=dx, dt=0.5, t_max=1e300)
         monkeypatch.setattr(lab, "MAX_STEPS", 10)
-        assert pde_time_stepper(pol, dt=0.5, t_max=5.0).history[-1][0] == 5.0
+        assert pde_time_stepper(pol, dx=dx, dt=0.5, t_max=5.0).history[-1][0] == 5.0
         with pytest.raises(ParameterError, match="at most 10 steps"):
-            pde_time_stepper(pol, dt=0.5, t_max=5.5)
+            pde_time_stepper(pol, dx=dx, dt=0.5, t_max=5.5)
 
     @staticmethod
     def _dense_operators(run, pol):
@@ -866,3 +868,20 @@ class TestStabilityEigenvalues:
     def test_validation(self):
         with pytest.raises(ParameterError):
             stability_eigenvalues(constant_policy(2.0, 1.0), n=15)
+
+    @pytest.mark.parametrize("l", [1e-74, 9e-75])
+    def test_very_short_coasts_keep_the_discrete_spectrum(self, l):
+        # a constant rate h: the top eigenvalue is -(2 sin(pi/(2(n+1)))/dx)^2 - 1 - h
+        n = 512
+        want = -((2.0 * math.sin(math.pi / (2 * (n + 1))) / (l / (n + 1))) ** 2) - 2.0
+        top, stable = stability_eigenvalues(constant_policy(l, 1.0), n)
+        assert top == pytest.approx(want, rel=1e-10)
+        assert stable
+
+    @pytest.mark.parametrize("l", [5e-75, 1e-100, 1e-155, 1e-200, 1e-300, 1e-320])
+    def test_entries_too_large_to_square_are_a_parameter_error(self, l):
+        # LAPACK's bisection squares the entries, up to 4/dx^2: at l = 5e-75
+        # it returned a diagonal entry, 5e4 times the top eigenvalue; below
+        # that it did not converge, and once dx^2 underflowed it divided by 0
+        with pytest.raises(ParameterError, match="too large for LAPACK's bisection to square"):
+            stability_eigenvalues(constant_policy(l, 1.0), n=512)

@@ -18,7 +18,6 @@ from coastharvest import (
     solve_lambda_bar,
     switch_line_intercept,
 )
-from coastharvest.switching import monotonicity_witness
 
 GRID = [
     ScaledParams(l=l, q=q, hbar=hbar)
@@ -165,6 +164,15 @@ class TestHittingTime:
         with pytest.raises(ParameterError):
             hitting_time(0.0, dc)
 
+    @pytest.mark.parametrize("l", [1e-155, 1e-200, 1e-300])
+    def test_very_short_coasts_match_the_high_precision_evaluator(self, l):
+        # the levels are about 1/l, and squaring them used to overflow to
+        # an intercept of inf - inf = nan
+        dc = derive_constants(ScaledParams(l=l, q=2.0, hbar=1.0))
+        for lam0 in (dc.lam_starstar * i / 26.0 for i in range(1, 26)):
+            want = float(oracles.hitting_time(lam0, l, 2.0, 1.0))
+            assert hitting_time(lam0, dc) == pytest.approx(want, rel=1e-12)
+
 
 class TestSwitchTime:
     def test_matches_the_literal_three_branch_evaluator(self):
@@ -196,6 +204,23 @@ class TestSwitchLineIntercept:
         dc = derive_constants(ScaledParams(l=4.0, q=2.0, hbar=1.0))
         with pytest.raises(ParameterError):
             switch_line_intercept(0.99 * dc.lam_star, dc)
+
+    @pytest.mark.parametrize("sp", GRID, ids=lambda s: f"l{s.l}-q{s.q}-h{s.hbar}")
+    def test_is_the_plain_form_bit_for_bit_where_its_squares_are_in_range(self, sp):
+        # the binary exponent taken out before squaring is exact
+        dc = derive_constants(sp)
+        for lam0 in np.linspace(dc.lam_star, dc.lam_starstar, 101).tolist():
+            plain = math.sqrt(max(lam0 * lam0 - dc.lam_star * dc.lam_star, 0.0))
+            assert switch_line_intercept(lam0, dc) == plain
+
+    @pytest.mark.parametrize("l", [1e-155, 1e-200, 1e-300])
+    def test_squares_do_not_overflow_on_very_short_coasts(self, l):
+        dc = derive_constants(ScaledParams(l=l, q=2.0, hbar=1.0))
+        lam_star = oracles.constants(l, 2.0, 1.0)["lam_star"]
+        assert switch_line_intercept(dc.lam_star, dc) == 0.0
+        for lam0 in (0.5 * (dc.lam_star + dc.lam_starstar), dc.lam_starstar):
+            want = float(mpmath.sqrt(mpmath.mpf(lam0) ** 2 - lam_star**2))
+            assert switch_line_intercept(lam0, dc) == pytest.approx(want, rel=1e-14)
 
 
 class TestPostSwitchTime:
@@ -317,24 +342,3 @@ class TestSwitchLocation:
         for l in (2.0, lmin):
             assert optimal_policy(ScaledParams(l=l, q=2.0, hbar=1.0)).Ts is None
 
-
-class TestMonotonicityWitness:
-    @pytest.mark.parametrize("sp", GRID, ids=lambda s: f"l{s.l}-q{s.q}-h{s.hbar}")
-    def test_vanishes_at_tangency(self, sp):
-        dc = derive_constants(sp)
-        assert abs(monotonicity_witness(dc.lam_star, dc)) <= 1e-12
-
-    def test_increasing_and_positive_beyond_tangency(self):
-        dc = derive_constants(ScaledParams(l=4.0, q=2.0, hbar=1.0))
-        lams = np.linspace(dc.lam_star, dc.lam_starstar, 200)
-        vals = [monotonicity_witness(v, dc) for v in lams]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-        mid = 0.5 * (dc.lam_star + dc.lam_starstar)
-        assert monotonicity_witness(mid, dc) > 0.0
-        want = float(oracles.monotone_witness(mid, 4, 2, 1))
-        assert monotonicity_witness(mid, dc) == pytest.approx(want, rel=1e-12)
-
-    def test_rejects_levels_below_tangency(self):
-        dc = derive_constants(ScaledParams(l=4.0, q=2.0, hbar=1.0))
-        with pytest.raises(ParameterError):
-            monotonicity_witness(0.9 * dc.lam_star, dc)

@@ -8,7 +8,6 @@ import pytest
 
 import oracles
 from coastharvest import (
-    IndeterminateError,
     ParameterError,
     ScaledParams,
     UnscaledParams,
@@ -16,8 +15,6 @@ from coastharvest import (
     half_length_domain,
     half_length_function,
     min_length,
-    neumann_objective,
-    neumann_variant_policy,
     optimal_policy,
     shoot_steady_state,
     solve_adjoint,
@@ -504,29 +501,3 @@ class TestAdjointParity:
         assert np.max(np.abs(u_p - u_m)) <= 1e-12
         assert np.max(np.abs(du_p + du_m)) <= 1e-12
 
-
-class TestNeumannVariant:
-    def test_small_weight_keeps_the_cap(self):
-        pol = neumann_variant_policy(ScaledParams(l=3.0, q=0.5, hbar=1.0))
-        assert pol.rates == (1.0,)
-
-    def test_large_weight_closes_the_whole_coast(self):
-        pol = neumann_variant_policy(ScaledParams(l=3.0, q=2.0, hbar=1.0))
-        assert pol.rates == (0.0,)
-
-    def test_unit_weight_is_indeterminate(self):
-        with pytest.raises(IndeterminateError):
-            neumann_variant_policy(ScaledParams(l=3.0, q=1.0, hbar=1.0))
-
-    def test_flat_objective_closed_form(self):
-        assert neumann_objective(0.7, 1.3) == pytest.approx(
-            float(oracles.neumann_objective(0.7, 1.3)), rel=1e-15
-        )
-        # increasing in h exactly when q < 1, flat at q = 1
-        assert neumann_objective(1.0, 0.5) > neumann_objective(0.5, 0.5)
-        assert neumann_objective(1.0, 2.0) < neumann_objective(0.5, 2.0)
-        assert neumann_objective(1.0, 1.0) == neumann_objective(0.2, 1.0) == 1.0
-
-    def test_rejects_negative_rates(self):
-        with pytest.raises(ParameterError):
-            neumann_objective(-0.1, 2.0)
