@@ -25,9 +25,12 @@ proves it ends at u_h exactly, for every policy; verify takes the run
 only below that length.  The steady gap shows that u_h converges to
 the shooting solution: it solves the steady system on a grid and on its
 bisection and Richardson-extrapolates, so its value does not grow with
-the coast length.  A mirror-symmetric policy (every optimum is one) is
-solved on the half grid from the centre on, and an asymmetric one on
-the full grid.
+the coast length.  Its spacing is measured in the width 1/sqrt(1+h) of
+the boundary layers of a piece of rate h: fine enough to resolve them,
+and on short coasts no finer than where the extrapolation's leftover
+truncation meets the rounding of the solve.  A mirror-symmetric policy
+(every optimum is one) is solved on the half grid from the centre on,
+and an asymmetric one on the full grid.
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ MAX_STEPS = 10**6
 SETTLED = 2.0**-55
 
 # grid cap, 8 MB per float array: the steady gap's coarse grid reaches it
-# at l = 2^15 and its bisection doubles it
+# at l = 2^15, or once the pieces harvested at a rate h > 15 are
+# 2^17/sqrt(1+h) long in all, and its bisection doubles it
 MAX_CELLS_PER_GRID = 2**20
 
 # the event bisection searches this many of the flow's time scales,
@@ -371,17 +375,20 @@ class PdeRun(NamedTuple):
     discrete_distance: float
 
 
-def _aligned_grid(policy: HarvestPolicy, dx: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes covering the coast, uniform within each policy segment, and
-    the rate on each cell between consecutive nodes.
+def _aligned_grid(
+    policy: HarvestPolicy, spacings: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes covering the coast, uniform within each policy segment at
+    about its spacing, and the rate on each cell between consecutive nodes.
 
     Aligning nodes with the rate breakpoints keeps the spatial error at
     second order; a misaligned interface would degrade it locally.
     """
-    counts = [max(1, round((x1 - x0) / dx)) for x0, x1, _ in policy.segments()]
+    counts = [max(1, round((x1 - x0) / dx)) for (x0, x1, _), dx in zip(policy.segments(), spacings)]
     if sum(counts) > MAX_CELLS_PER_GRID:
         raise ParameterError(
-            f"grid too fine: more than {MAX_CELLS_PER_GRID} cells at dx={dx!r} on l={policy.l!r}"
+            f"grid too fine: more than {MAX_CELLS_PER_GRID} cells at dx={min(spacings)!r} "
+            f"on l={policy.l!r}"
         )
     nodes = [np.array(policy.breakpoints[:1])]
     rates = []
@@ -487,7 +494,7 @@ def pde_time_stepper(policy: HarvestPolicy, dx: float, dt: float, t_max: float =
     """
     _require_positive_finite("dx", dx)
     nsteps, _ = run_steps(dt, t_max)
-    nodes, rate = _aligned_grid(policy, dx)
+    nodes, rate = _aligned_grid(policy, [dx] * len(policy.rates))
     u_h, diag, off, lumped, c, mirror = _steady_solve(policy, nodes, rate)
     mass = lumped / dt
     step_d, step_e, _ = dpttrf(diag + mass, off)
@@ -533,15 +540,29 @@ def pde_time_stepper(policy: HarvestPolicy, dx: float, dt: float, t_max: float =
 def richardson_steady_gap(policy: HarvestPolicy) -> float:
     """Weighted L2 distance from the extrapolated discrete steady state to the shooting one.
 
-    Solves A u = lumped on the breakpoint-aligned grid at
-    dx = min(l/8192, 1/32) and on its bisection (a midpoint inserted in
-    every cell, so the coarse nodes are fine nodes too).  The scheme is
-    second order within each uniform segment, so at the coarse nodes
-    (4 u_{h/2} - u_h)/3 cancels the h^2 term of the error, and what is
-    left measures the shooting solution, not the grid.  The spacing cap
-    1/32 resolves the unit-width boundary layers of long coasts.
+    Solves A u = lumped on the breakpoint-aligned grid and on its
+    bisection (a midpoint inserted in every cell, so the coarse nodes are
+    fine nodes too).  The scheme is second order within each uniform
+    segment, so at the coarse nodes (4 u_{h/2} - u_h)/3 cancels the h^2
+    term of the error, and what is left measures the shooting solution,
+    not the grid.
+
+    A piece of rate h has boundary layers 1/sqrt(1+h) wide, and k is
+    sqrt(1 + max h).  Each piece is solved at
+    max(min(l/8192, 1/32, 1/(8 sqrt(1+h))), min(l/512, 1/(128k))).  The
+    first term resolves the piece's own layers; past h = 15 its last
+    entry is the smallest.  The second is 1/128 of the narrowest layer
+    width, or l/512 on coasts shorter than 4/k: there the extrapolation's
+    leftover truncation is about its rounding, which grows as 1/dx^2
+    with the system's condition number.  It is the coarser one only on
+    coasts shorter than 64/k.
     """
-    nodes, rate = _aligned_grid(policy, min(policy.l / 8192.0, 1.0 / 32.0))
+    l = policy.l
+    coarse = min(l / 512.0, 1.0 / (128.0 * math.sqrt(1.0 + policy.max_rate)))
+    spacings = [
+        max(min(l / 8192.0, 1.0 / 32.0, 0.125 / math.sqrt(1.0 + r)), coarse) for r in policy.rates
+    ]
+    nodes, rate = _aligned_grid(policy, spacings)
     fine = np.empty(2 * nodes.size - 1)
     fine[::2] = nodes
     fine[1::2] = 0.5 * (nodes[:-1] + nodes[1:])

@@ -257,6 +257,22 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "l, q, hbar",
+        [("30", "2", "1e4"), ("200", "2", "1e3"), ("200", "2", "1e4"), ("1000", "2", "1e4"),
+         ("1e4", "2", "1e4")],
+    )
+    def test_large_caps_pass(self, capsys, l, q, hbar):
+        # a spacing of 1/32 missed the layers of the harvested pieces, 1/k
+        # wide, by 1.1e-6 to 8.8e-4: those pieces are now solved at 1/(8k)
+        doc = run_json(
+            capsys, "verify", "--l", l, "--q", q, "--hbar", hbar,
+            "--cells", "6", "--centers", "5", "--widths", "9",
+        )
+        checks = {c["name"]: c for c in doc["checks"]}
+        assert checks["pde_l2_distance"]["value"] <= 1e-7
+        assert doc["all_pass"] is True
+
+    @pytest.mark.parametrize(
+        "l, q, hbar",
         [("0.1", "2", "1"), ("0.15", "4", "3"), ("0.01", "2", "1"), ("1e-3", "2", "1"),
          ("1e-5", "2", "1"), ("1e-74", "2", "1")],
     )
@@ -358,6 +374,17 @@ class TestVerify:
         code, out, err = run(
             capsys, "verify", "--l", "1e5", "--q", "0.5", "--hbar", "1",
             "--cells", "2", "--centers", "2", "--widths", "2", "--tmax", "0.05",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: grid too fine: more than 1048576 cells")
+
+    def test_large_cap_on_a_long_coast_is_a_parameter_error(self, capsys):
+        # harvested at 1e4 throughout: 8k cells per unit length, k = sqrt(1 + 1e4),
+        # would put 8e6 cells on l = 1e4
+        code, out, err = run(
+            capsys, "verify", "--l", "1e4", "--q", "0.5", "--hbar", "1e4",
+            "--cells", "2", "--centers", "2", "--widths", "2",
         )
         assert code == 2
         assert out == ""

@@ -692,7 +692,7 @@ class TestPdeTimeStepper:
 
         Returns (u, history, l2_distance, discrete_distance, e, u_h).
         """
-        nodes, rate = lab._aligned_grid(policy, dx)
+        nodes, rate = lab._aligned_grid(policy, [dx] * len(policy.rates))
         u_h, diag, off, lumped, c, mirror = lab._steady_solve(policy, nodes, rate)
         mass = lumped / dt
         step_d, step_e, _ = lab.dpttrf(diag + mass, off)
@@ -789,11 +789,22 @@ class _ShiftedProfile:
 
 class TestRichardsonSteadyGap:
     LONG = [(4.0, 2.0, 1.0), (50.0, 2.0, 1.0), (100.0, 0.5, 1.0), (1000.0, 2.0, 1.0)]
+    # coasts shorter than 64 layer widths 1/k, solved on the coarser grid;
+    # l >= 2 keeps a uniform 1e-6 shift (weighted norm 1e-6 sqrt(l)) above 1e-6
+    RESERVE = (3.592490117938411, 3.4929360427252316, 2.1289824318069073)
+    SHORT = [(2.0, 2.0, 1.0), RESERVE, (6.856, 0.764, 0.836), (13.72, 2.1, 3.0)]
 
     @pytest.mark.parametrize("l, q, hbar", LONG + [(0.3, 2.0, 1.0), (28.0, 3.5, 2.5)])
     def test_optimal_policy_is_the_extrapolated_steady_state(self, l, q, hbar):
         sp = ScaledParams(l=l, q=q, hbar=hbar)
         assert richardson_steady_gap(optimal_policy(sp).policy) <= 1e-8
+
+    @pytest.mark.parametrize("l, q, hbar", [(7.0, 1.7, 0.6), RESERVE, (4.0, 2.0, 1.0)])
+    def test_short_coasts_read_below_the_fine_grids_rounding(self, l, q, hbar):
+        # the l/8192 grid read 2.2e-9, 2.9e-9 and 2.0e-10 here, from rounding:
+        # the system's condition number grows as 1/dx^2
+        sp = ScaledParams(l=l, q=q, hbar=hbar)
+        assert richardson_steady_gap(optimal_policy(sp).policy) <= 1e-10
 
     def test_asymmetric_policy_on_the_full_grid(self):
         assert richardson_steady_gap(TestPdeTimeStepper.RESERVE_POLICY) <= 1e-10
@@ -806,14 +817,16 @@ class TestRichardsonSteadyGap:
         assert plain > 1e-6
         assert richardson_steady_gap(pol) <= 1e-3 * plain
 
-    @pytest.mark.parametrize("l, q, hbar", LONG)
+    @pytest.mark.parametrize("l, q, hbar", LONG + SHORT)
     def test_a_shifted_target_is_caught(self, monkeypatch, l, q, hbar):
         real = lab.shoot_steady_state
         monkeypatch.setattr(lab, "shoot_steady_state", lambda p: _ShiftedProfile(real(p), 1e-6))
         sp = ScaledParams(l=l, q=q, hbar=hbar)
         assert richardson_steady_gap(optimal_policy(sp).policy) > 1e-6
 
-    @pytest.mark.parametrize("l, q, hbar", [c for c in LONG if c[1] > 1.0])
+    @pytest.mark.parametrize(
+        "l, q, hbar", [c for c in LONG if c[1] > 1.0] + [RESERVE, (13.72, 2.1, 3.0)]
+    )
     def test_a_shifted_reserve_is_caught(self, monkeypatch, l, q, hbar):
         sp = ScaledParams(l=l, q=q, hbar=hbar)
         w = optimal_policy(sp).reserve_halfwidth
@@ -821,6 +834,38 @@ class TestRichardsonSteadyGap:
         real = lab.shoot_steady_state
         monkeypatch.setattr(lab, "shoot_steady_state", lambda p: real(moved))
         assert richardson_steady_gap(optimal_policy(sp).policy) > 1e-6
+
+    @pytest.mark.parametrize(
+        "l, q, hbar, want",
+        [
+            # from 64 layer widths 1/k on, the l/8192 grid as it always was
+            (50.0, 2.0, 1.0, [50.0 / 8192.0] * 3),
+            (1000.0, 2.0, 1.0, [1.0 / 32.0] * 3),
+            # a piece of rate h has layers 1/sqrt(1+h) wide, and past h = 15 they
+            # cap its spacing at an eighth of that; the reserve keeps l/8192
+            (
+                200.0, 2.0, 1e3,
+                [0.125 / math.sqrt(1001.0), 200.0 / 8192.0, 0.125 / math.sqrt(1001.0)],
+            ),
+            # shorter coasts: 1/128 of the narrowest layer width 1/k, or l/512 below 4/k
+            (4.0, 2.0, 1.0, [1.0 / (128.0 * math.sqrt(2.0))] * 3),
+            (2.0, 2.0, 1.0, [2.0 / 512.0]),
+        ],
+    )
+    def test_spacing(self, monkeypatch, l, q, hbar, want):
+        grid, seen = lab._aligned_grid, []
+        monkeypatch.setattr(lab, "_aligned_grid", lambda p, dxs: seen.append(dxs) or grid(p, dxs))
+        richardson_steady_gap(optimal_policy(ScaledParams(l=l, q=q, hbar=hbar)).policy)
+        assert seen == [want]
+
+    def test_thin_harvested_pieces_leave_the_reserve_grid_alone(self):
+        # the harvested ends are 1e-3 wide here: a spacing of 1/(8k) over the
+        # whole coast would put 1.27e6 cells on it, past MAX_CELLS_PER_GRID,
+        # where the reserve needs 6.4e4
+        pol = optimal_policy(ScaledParams(l=2000.0, q=874.6, hbar=6337.0)).policy
+        assert pol.rates == (6337.0, 0.0, 6337.0)
+        assert pol.breakpoints[1] - pol.breakpoints[0] < 1.2e-3
+        assert richardson_steady_gap(pol) <= 1e-8
 
     def test_grid_size_is_capped(self):
         # dx = 1/32 would put 3.2e6 cells on l = 1e5; refused before allocating
