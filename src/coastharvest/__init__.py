@@ -6,8 +6,9 @@ cross-checks the answer with independent numerics: an exact edge-value
 two-point solve for the steady state and adjoint, brute-force policy
 enumeration, an event oracle that bisects the adjoint's horizon with
 its exact flow maps through the switching structure, an implicit
-parabolic solver, and a spectral stability check.  The checks need
-numpy and scipy.linalg only.
+parabolic solver, and a spectral stability check.  The checks live in
+`coastharvest.lab`, the one module that needs numpy and scipy.linalg;
+import them from there.
 """
 
 from .bvp import (
@@ -48,47 +49,16 @@ from .synthesis import (
 
 __version__ = "0.1.0"
 
-# The verification routes live in `lab`, the only module that imports
-# scipy; they load on first access so that the closed-form solves and
-# the commands built on them start without scipy.
-_LAB_NAMES = frozenset(
-    {
-        "PdeRun",
-        "SweepResult",
-        "brute_force_bangbang",
-        "integrate_adjoint_with_events",
-        "pde_time_stepper",
-        "reserve_sweep",
-        "stability_eigenvalues",
-    }
-)
-
-
-def __getattr__(name: str):
-    if name in _LAB_NAMES:
-        from . import lab
-
-        return getattr(lab, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return list(__all__)
-
-
 __all__ = [
     "DerivedConstants",
     "HarvestPolicy",
     "OptimalSolution",
     "ParameterError",
-    "PdeRun",
     "Profile",
     "ScaledParams",
     "SegmentSolution",
     "SolutionDiagnostics",
-    "SweepResult",
     "UnscaledParams",
-    "brute_force_bangbang",
     "cell_policy",
     "constant_policy",
     "derive_constants",
@@ -97,17 +67,13 @@ __all__ = [
     "half_length_function",
     "hamiltonian_diagnostic",
     "hitting_time",
-    "integrate_adjoint_with_events",
     "min_length",
     "optimal_policy",
-    "pde_time_stepper",
     "post_switch_time",
-    "reserve_sweep",
     "shoot_steady_state",
     "single_reserve_policy",
     "solve_adjoint",
     "solve_lambda_bar",
-    "stability_eigenvalues",
     "switch_line_intercept",
     "to_scaled",
     "to_unscaled_length",

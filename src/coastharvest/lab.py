@@ -575,7 +575,7 @@ def richardson_steady_gap(policy: HarvestPolicy) -> float:
 
 
 def _average_rates(policy: HarvestPolicy, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """HarvestPolicy.average_rate over every cell [a_i, b_i], in the same operations."""
+    """Mean of the policy's rate over every cell [a_i, b_i], a segment at a time."""
     total = np.zeros(a.shape)
     for x0, x1, r in policy.segments():
         lo, hi = np.maximum(a, x0), np.minimum(b, x1)

@@ -75,17 +75,6 @@ class HarvestPolicy(_PolicyFields):
                 return r
         return rates[-1]
 
-    def average_rate(self, a: float, b: float) -> float:
-        """Mean of h over [a, b], for cell-averaged discretizations."""
-        if not a < b:
-            raise ParameterError(f"need a < b, got {(a, b)!r}")
-        total = 0.0
-        for x0, x1, r in self.segments():
-            lo, hi = max(a, x0), min(b, x1)
-            if lo < hi:
-                total += r * (hi - lo)
-        return total / (b - a)
-
 
 def constant_policy(l: float, rate: float) -> HarvestPolicy:
     if not l > 0.0:

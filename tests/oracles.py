@@ -281,6 +281,20 @@ def neumann_objective(h, q) -> mp.mpf:
 
 
 # ---------------------------------------------------------------------------
+# cell average of a piecewise-constant policy
+
+
+def average_rate(policy, a: float, b: float) -> float:
+    """Mean of h over [a, b], one float segment at a time."""
+    total = 0.0
+    for x0, x1, r in policy.segments():
+        lo, hi = max(a, x0), min(b, x1)
+        if lo < hi:
+            total += r * (hi - lo)
+    return total / (b - a)
+
+
+# ---------------------------------------------------------------------------
 # threshold length by direct integration of the adjoint phase plane
 #
 # The no-reserve policy is optimal exactly when the adjoint orbit that

@@ -16,18 +16,20 @@ import oracles
 from coastharvest import (
     ScaledParams,
     UnscaledParams,
-    brute_force_bangbang,
     derive_constants,
     hitting_time,
-    integrate_adjoint_with_events,
     min_length,
     optimal_policy,
-    pde_time_stepper,
-    reserve_sweep,
     shoot_steady_state,
-    stability_eigenvalues,
     to_scaled,
     unscaled_reserve_boundary,
+)
+from coastharvest.lab import (
+    brute_force_bangbang,
+    integrate_adjoint_with_events,
+    pde_time_stepper,
+    reserve_sweep,
+    stability_eigenvalues,
 )
 from coastharvest.policy import constant_policy
 

@@ -1,4 +1,7 @@
-"""The closed-form commands start without numpy or scipy; `lab` loads on first use."""
+"""The package and its closed-form commands start without numpy or scipy.
+
+Only `coastharvest.lab`, imported by name, loads them.
+"""
 
 import os
 import subprocess
@@ -111,10 +114,24 @@ def test_import_and_closed_form_solves_do_not_load_numpy(tmp_path):
     assert proc.stdout == "[]\n"
 
 
-def test_lab_names_resolve_to_the_lab_module():
-    from coastharvest import lab
+STAR_CHILD = """
+import sys
+from coastharvest import *
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("numpy", "scipy") or m == "coastharvest.lab"))
+"""
 
-    assert coastharvest.brute_force_bangbang is lab.brute_force_bangbang
+
+def test_star_import_loads_neither_numpy_nor_lab():
+    proc = subprocess.run(
+        [sys.executable, "-c", STAR_CHILD],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_dir_lists_every_exported_name():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +13,7 @@ from coastharvest import (
     constant_policy,
     single_reserve_policy,
 )
+from coastharvest.lab import _average_rates
 
 
 class TestValidation:
@@ -62,12 +64,14 @@ class TestRateLookup:
             pol.rate_at(1.5)
 
     def test_average_rate(self):
+        # the package's one cell average, used by lab.stability_eigenvalues
         pol = HarvestPolicy(breakpoints=(-1.0, 0.0, 1.0), rates=(1.0, 0.0))
-        assert pol.average_rate(-1.0, 1.0) == pytest.approx(0.5)
-        assert pol.average_rate(-0.5, 0.5) == pytest.approx(0.5)
-        assert pol.average_rate(0.25, 0.75) == 0.0
-        with pytest.raises(ParameterError):
-            pol.average_rate(0.5, 0.5)
+        a = np.array([-1.0, -0.5, 0.25])
+        b = np.array([1.0, 0.5, 0.75])
+        got = _average_rates(pol, a, b)
+        assert got[0] == pytest.approx(0.5)
+        assert got[1] == pytest.approx(0.5)
+        assert got[2] == 0.0
 
 
 class TestConstructors:
@@ -143,4 +147,5 @@ def test_single_reserve_average_rate_accounts_for_the_block(l, center, width):
     hi = min(center + width / 2.0, l / 2.0)
     blocked = max(hi - lo, 0.0)
     expected = hbar * (l - blocked) / l
-    assert pol.average_rate(-l / 2.0, l / 2.0) == pytest.approx(expected, abs=1e-12)
+    harvested = sum(r * (x1 - x0) for x0, x1, r in pol.segments()) / l
+    assert harvested == pytest.approx(expected, abs=1e-12)
