@@ -27,7 +27,7 @@ from .params import (
     to_unscaled_length,
     unscale_objective,
 )
-from .policy import HarvestPolicy, cell_policy, constant_policy, single_reserve_policy
+from .policy import HarvestPolicy, constant_policy, single_reserve_policy
 from .switching import (
     DerivedConstants,
     derive_constants,
@@ -40,8 +40,6 @@ from .switching import (
 from .synthesis import (
     OptimalSolution,
     SolutionDiagnostics,
-    half_length_domain,
-    half_length_function,
     optimal_policy,
     unscaled_min_length,
     unscaled_reserve_boundary,
@@ -59,12 +57,9 @@ __all__ = [
     "SegmentSolution",
     "SolutionDiagnostics",
     "UnscaledParams",
-    "cell_policy",
     "constant_policy",
     "derive_constants",
     "evaluate_objective",
-    "half_length_domain",
-    "half_length_function",
     "hamiltonian_diagnostic",
     "hitting_time",
     "min_length",

@@ -105,22 +105,3 @@ def single_reserve_policy(l: float, left: float, right: float, hbar: float) -> H
     bp.append(l / 2.0)
     return HarvestPolicy(breakpoints=tuple(bp), rates=tuple(rates))
 
-
-def cell_policy(l: float, cell_rates: Sequence[float]) -> HarvestPolicy:
-    """Equal-width cells with prescribed rates, merging equal neighbours."""
-    n = len(cell_rates)
-    if n < 1:
-        raise ParameterError("need at least one cell")
-    if not l > 0.0:
-        raise ParameterError(f"l must be positive, got {l!r}")
-    edges = [-l / 2.0 + l * i / n for i in range(n + 1)]
-    edges[-1] = l / 2.0
-    bp = [edges[0]]
-    rates: list[float] = []
-    for i, r in enumerate(cell_rates):
-        if rates and r == rates[-1]:
-            bp[-1] = edges[i + 1]
-        else:
-            rates.append(r)
-            bp.append(edges[i + 1])
-    return HarvestPolicy(breakpoints=tuple(bp), rates=tuple(rates))

@@ -25,9 +25,6 @@ from .params import ParameterError, ScaledParams
 
 class DerivedConstants(NamedTuple):
     a1: float
-    b1: float
-    a2: float
-    b2: float
     i1: float
     is1: float
     is2: float
@@ -41,13 +38,12 @@ def derive_constants(sp: ScaledParams) -> DerivedConstants:
         raise ParameterError(f"switching analysis requires q > 1, got q={sp.q!r}")
     l, q, hbar = sp
     a1, b1 = hbar + 1.0, hbar + q
-    a2, b2 = 1.0, q
-    is2 = (math.sqrt(a2) / l) * (b2 / a2 - 1.0)
+    is2 = (1.0 / l) * (q - 1.0)
     lam_star = math.sqrt(2.0 * b1 - a1) / l
     lam_starstar = math.hypot(lam_star, is2)
-    # i1 and is1 are at most lam_starstar in size; b2/l is the size of the
+    # i1 and is1 are at most lam_starstar in size; q/l is the size of the
     # adjoint's offset in the reserve
-    if not (math.isfinite(lam_starstar) and math.isfinite(b2 / l)):
+    if not (math.isfinite(lam_starstar) and math.isfinite(q / l)):
         raise ParameterError(
             f"the switching constants overflow at (l, q, hbar) = ({l!r}, {q!r}, {hbar!r})"
         )
@@ -62,9 +58,6 @@ def derive_constants(sp: ScaledParams) -> DerivedConstants:
         )
     return DerivedConstants(
         a1=a1,
-        b1=b1,
-        a2=a2,
-        b2=b2,
         i1=b1 / (math.sqrt(a1) * l),
         is1=is1,
         is2=is2,
@@ -111,7 +104,7 @@ def post_switch_time(tilde_lambda0: float, dc: DerivedConstants) -> float:
         )
     if tilde_lambda0 == dc.is2:
         return math.inf
-    return arctanh(tilde_lambda0 / dc.is2) / math.sqrt(dc.a2)
+    return arctanh(tilde_lambda0 / dc.is2)
 
 
 def hitting_time(lambda0: float, dc: DerivedConstants) -> float:
@@ -156,27 +149,34 @@ def min_length(sp: ScaledParams) -> float:
     return (2.0 / math.sqrt(hbar + 1.0)) * math.log1p((hbar + 1.0 + s) / (q - 1.0))
 
 
-def solve_halfwidth(dc: DerivedConstants, l: float) -> tuple[float, float]:
-    """Half-width tau = l/2 - Ts of the centred reserve, and lambda_bar.
+def solve_halfwidth(dc: DerivedConstants, l: float) -> tuple[float, float, float]:
+    """Half-width tau of the centred reserve, lambda_bar, and Ts = l/2 - tau.
 
-    The orbit that meets the switch line at tilde = is2*tanh(sqrt(a2)*tau)
-    starts from hypot(lam_star, tilde) and reaches the lambda2-axis tau
-    later, so tau solves _switch_time + tau = l/2.  That residual is
-    increasing and finite on [0, l/2] and is bisected there; it is
-    already >= 0 at tau = 0 up to l_min, where tau is 0.
+    The orbit that meets the switch line at tilde = is2*tanh(tau) starts
+    from hypot(lam_star, tilde) and reaches the lambda2-axis tau later,
+    so tau solves _switch_time + tau = l/2.  That residual is increasing
+    and finite on [0, l/2] and is bisected there; it is already >= 0 at
+    tau = 0 up to l_min, where tau is 0.
+
+    Ts is the switch time at that tau (l/2 - tau loses its digits when
+    Ts << l), read by log1p through the exact i1 - is1 = sqrt(a1)/l and
+    lambda_bar - tilde = lam_star^2/(lambda_bar + tilde), never squaring.
     """
-    half, rate = l / 2.0, math.sqrt(dc.a2)
+    half = l / 2.0
     # _switch_time with the constants read once: the residual runs about
     # 55 times per root
     i1, is1, is2, lam_star, sqrt_a1 = dc.i1, dc.is1, dc.is2, dc.lam_star, math.sqrt(dc.a1)
 
     def residual(tau: float) -> float:
-        tilde = is2 * math.tanh(rate * tau)
+        tilde = is2 * math.tanh(tau)
         lambda0 = math.hypot(lam_star, tilde)
         return math.log((i1 + lambda0) / (is1 + tilde)) / sqrt_a1 - (half - tau)
 
     tau = bisect_root(residual, 0.0, half)
-    return tau, math.hypot(lam_star, is2 * math.tanh(rate * tau))
+    tilde = is2 * math.tanh(tau)
+    lam_bar = math.hypot(lam_star, tilde)
+    gap = sqrt_a1 / l + lam_star * (lam_star / (lam_bar + tilde))
+    return tau, lam_bar, math.log1p(gap / (is1 + tilde)) / sqrt_a1
 
 
 def solve_lambda_bar(dc: DerivedConstants, l: float) -> float:

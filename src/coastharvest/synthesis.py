@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from ._specfun import arctanh, bisect_root
+from ._specfun import bisect_root
 from .bvp import (
     Profile,
     evaluate_objective,
@@ -102,8 +102,7 @@ def optimal_policy(sp: ScaledParams) -> OptimalSolution:
         dc = derive_constants(sp)
         lmin = dc.l_min
         if l > lmin:
-            halfwidth, lam_bar = solve_halfwidth(dc, l)
-            ts = l / 2.0 - halfwidth
+            halfwidth, lam_bar, ts = solve_halfwidth(dc, l)
             pol = single_reserve_policy(l, -halfwidth, halfwidth, hbar)
         else:
             lam_bar = solve_lambda_bar(dc, l)
@@ -147,59 +146,22 @@ def unscaled_min_length(p: UnscaledParams) -> float:
     return 2.0 * math.sqrt(D / (Hbar + mu)) * math.log1p((Hbar + mu + s) / (Q - mu))
 
 
-def half_length_domain(p: UnscaledParams) -> tuple[float, float]:
-    """Admissible interval [lo, hi) for the half-length function argument."""
-    mu, Hbar, Q = p.mu, p.Hbar, p.Q
-    if not Q > mu:
-        raise ParameterError(f"half-length function requires Q > mu, got Q={Q!r}")
-    lo = math.sqrt((Hbar + 2.0 * Q - mu) * (Hbar + mu)) / (Hbar + Q)
-    hi = math.sqrt((Hbar + Q * Q / mu) * (Hbar + mu)) / (Hbar + Q)
-    return lo, hi
-
-
-def _coast_distance_term(lam: float, w: float, r: float) -> float:
-    """The inverse-hyperbolic part of F, with w = sqrt(lam^2 - lo^2).
-
-    Its three textbook branches (arccosh below lam = 1, a bare logarithm
-    at 1, arcsinh above) are one expression, log((1 + lam)/(r + w)), via
-    the identity 1 - r^2 = lo^2.  The branches cancel badly as Q -> mu,
-    where lo rounds toward 1; the merged form has no cancellation.
-    """
-    return math.log((1.0 + lam) / (r + w))
-
-
-def half_length_function(lam: float, p: UnscaledParams) -> float:
-    """Distance from the coast end to the reserve edge, parameterized by lam.
-
-    Strictly increasing on its domain; inverting it at L/2 yields the
-    reserve geometry directly in physical units.
-    """
-    lo, hi = half_length_domain(p)
-    if not lo <= lam < hi:
-        raise ParameterError(f"lam={lam!r} outside the admissible range [{lo!r}, {hi!r})")
-    r = (p.Q - p.mu) / (p.Q + p.Hbar)
-    s1 = math.sqrt(p.D / (p.Hbar + p.mu))
-    s2 = math.sqrt(p.D / p.mu)
-    c = ((p.Hbar + p.Q) / (p.Q - p.mu)) * math.sqrt(p.mu / (p.Hbar + p.mu))
-    w = math.sqrt((lam - lo) * (lam + lo))
-    return s1 * _coast_distance_term(lam, w, r) + s2 * arctanh(c * w)
-
-
 def unscaled_reserve_boundary(p: UnscaledParams) -> Optional[float]:
     """Reserve half-width B in physical units, or None when no reserve is optimal.
 
-    At lam = hypot(lo, w), w = tanh(B/s2)/c, the arctanh term of the
-    half-length function is B itself, so B solves s1*term + B = L/2 with
-    w passed as built: increasing and finite on [0, L/2], and bisected
-    there.
+    B inverts the half-length function F, the distance from the coast end
+    to the reserve edge, at L/2.  At lam = hypot(lo, w), w = tanh(B/s2)/c,
+    the arctanh term of F is B itself, so B solves s1*term + B = L/2:
+    increasing and finite on [0, L/2], and bisected there.
     """
     if not p.Q > p.mu:
         return None
     if p.L <= unscaled_min_length(p):
         return None
-    lo = half_length_domain(p)[0]
     # the fields are read once: the residual runs about 55 times per root
     D, mu, Hbar, Q, half = p.D, p.mu, p.Hbar, p.Q, p.L / 2.0
+    # the lowest admissible lam, where F is half the threshold length
+    lo = math.sqrt((Hbar + 2.0 * Q - mu) * (Hbar + mu)) / (Hbar + Q)
     r = (Q - mu) / (Q + Hbar)
     s1 = math.sqrt(D / (Hbar + mu))
     s2 = math.sqrt(D / mu)
@@ -207,8 +169,9 @@ def unscaled_reserve_boundary(p: UnscaledParams) -> Optional[float]:
 
     def residual(b: float) -> float:
         w = math.tanh(b / s2) / c
-        # s1 * _coast_distance_term(hypot(lo, w), w, r), inlined
+        # F's arccosh (lam < 1), log (lam = 1) and arcsinh branches merged
+        # into log((1 + lam)/(r + w)) by 1 - r^2 = lo^2: the branches cancel
+        # as Q -> mu, where lo rounds toward 1, and the merged form does not
         return s1 * math.log((1.0 + math.hypot(lo, w)) / (r + w)) - (half - b)
 
     return bisect_root(residual, 0.0, half)
-

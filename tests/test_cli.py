@@ -747,9 +747,9 @@ class TestOutputBytes:
             "0.83340083908032858\n"
             "4,2.4929009605609216,true,1.2857547682331421,0.71424523176685795,"
             "1.062866742413624\n"
-            "5,2.4929009605609216,true,1.8195013457375826,0.6804986542624174,"
+            "5,2.4929009605609216,true,1.8195013457375826,0.68049865426241751,"
             "1.2314146272331725\n"
-            "6,2.4929009605609216,true,2.3309420086127854,0.66905799138721456,"
+            "6,2.4929009605609216,true,2.3309420086127854,0.66905799138721433,"
             "1.3536505885648384\n"
         )
 

@@ -12,6 +12,7 @@ import pytest
 
 import oracles
 from coastharvest import (
+    HarvestPolicy,
     ParameterError,
     ScaledParams,
     constant_policy,
@@ -30,9 +31,17 @@ from coastharvest.lab import (
     richardson_steady_gap,
     stability_eigenvalues,
 )
-from coastharvest.policy import cell_policy, single_reserve_policy
+from coastharvest.policy import single_reserve_policy
 
 OPTIMAL_SP = ScaledParams(l=4.0, q=2.0, hbar=1.0)
+
+
+def equal_cells(l, rates):
+    """Equal-width cells with the given rates, equal neighbours left unmerged."""
+    n = len(rates)
+    edges = [-l / 2.0 + l * i / n for i in range(n)] + [l / 2.0]
+    return HarvestPolicy(edges, rates)
+
 
 # coasts short enough that a piece's integral cancels in its direct form
 SHORT_COASTS = [
@@ -95,7 +104,7 @@ class TestBruteForce:
             desc, obj = res.describe(int(mask)), res.objectives[mask]
             bits = format(int(mask), f"0{cells}b")
             assert desc == {"mask": bits}
-            pol = cell_policy(l, [sp.hbar if b == "1" else 0.0 for b in bits])
+            pol = equal_cells(l, [sp.hbar if b == "1" else 0.0 for b in bits])
             want = evaluate_objective(pol, shoot_steady_state(pol), sp.q)
             assert obj == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -121,7 +130,7 @@ class TestBruteForce:
             objs = brute_force_bangbang(sp, cells=cells).objectives
             for mask, obj in enumerate(objs.tolist()):
                 bits = format(mask, f"0{cells}b")
-                pol = cell_policy(sp.l, [sp.hbar if b == "1" else 0.0 for b in bits])
+                pol = equal_cells(sp.l, [sp.hbar if b == "1" else 0.0 for b in bits])
                 want = evaluate_objective(pol, shoot_steady_state(pol), sp.q)
                 assert obj == pytest.approx(want, rel=1e-13, abs=0.0), bits
 
@@ -417,11 +426,10 @@ def test_lab_imports_none_of_the_closed_forms():
     assert package == {"bvp", "params", "policy"}
 
 
-# definitions that no code in the package names, and why each stays
+# definitions and NamedTuple fields that no code in the package reads, and
+# why each stays
 KEEP = {
-    "cell_policy": "public API",
-    "half_length_function": "public API",
-    "unscaled_reserve_boundary": "public API",
+    "unscaled_reserve_boundary": "perfbench's solve_stream and tests/test_contract.py run it",
     "SweepResult.candidates": "perfbench/tracing.py counts the masks brute force scored",
     "HarvestPolicy._make": "NamedTuple._replace builds the copy through it",
     "ScaledParams._make": "NamedTuple._replace builds the copy through it",
@@ -430,16 +438,23 @@ KEEP = {
 }
 
 
+def _package_modules() -> dict:
+    """The parsed package modules by file name, __init__ aside."""
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in Path(lab.__file__).parent.glob("*.py")
+        if path.name != "__init__.py"
+    }
+
+
 def test_package_keeps_no_test_only_helpers():
     # a top-level def or class, or a method or property of a top-level
     # class, counts as used when code outside its own definition names it;
-    # __init__'s re-exports do not count
-    modules = [
-        ast.parse(path.read_text(encoding="utf-8"))
-        for path in Path(lab.__file__).parent.glob("*.py")
-        if path.name != "__init__.py"
-    ]
-    defs = {}
+    # __init__'s re-exports do not count.  A field of a NamedTuple counts
+    # as used when package code reads it as an attribute: building by
+    # keyword reads nothing
+    modules = list(_package_modules().values())
+    defs, fields = {}, set()
     for module in modules:
         for node in module.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -450,6 +465,12 @@ def test_package_keeps_no_test_only_helpers():
                         method.name.startswith("__") and method.name.endswith("__")
                     ):
                         defs[f"{node.name}.{method.name}"] = method
+                if any(getattr(base, "id", None) == "NamedTuple" for base in node.bases):
+                    fields.update(
+                        (node.name, stmt.target.id)
+                        for stmt in node.body
+                        if isinstance(stmt, ast.AnnAssign)
+                    )
 
     def names(tree) -> Counter:
         found = Counter()
@@ -461,7 +482,28 @@ def test_package_keeps_no_test_only_helpers():
 
     total = sum(map(names, modules), Counter())
     unused = {key for key, node in defs.items() if total[node.name] == names(node)[node.name]}
+    read = {
+        sub.attr
+        for module in modules
+        for sub in ast.walk(module)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    unused.update(f"{cls}.{field}" for cls, field in fields if field not in read)
     assert unused == set(KEEP)
+
+
+def test_package_modules_use_every_name_they_import():
+    # what __init__ imports it re-exports, and __future__ imports are
+    # compiler directives; any other imported name must be read in its module
+    for name, module in _package_modules().items():
+        imported = set()
+        for node in ast.walk(module):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        read = {sub.id for sub in ast.walk(module) if isinstance(sub, ast.Name)}
+        assert imported <= read, (name, sorted(imported - read))
 
 
 class TestPdeTimeStepper:
@@ -917,7 +959,7 @@ class TestStabilityEigenvalues:
         "pol",
         [
             single_reserve_policy(4.0, -1.5, 0.5, 1.0),
-            cell_policy(3.0, [0.0, 2.5, 2.5, 0.0, 1.0, 0.0, 2.5]),
+            equal_cells(3.0, [0.0, 2.5, 2.5, 0.0, 1.0, 0.0, 2.5]),
         ],
     )
     def test_potential_is_the_per_node_average_rate(self, pol):

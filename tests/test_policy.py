@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from coastharvest import (
     HarvestPolicy,
     ParameterError,
-    cell_policy,
     constant_policy,
     single_reserve_policy,
 )
@@ -101,38 +100,6 @@ class TestConstructors:
     def test_whole_domain_reserve(self):
         pol = single_reserve_policy(4.0, -2.0, 2.0, 1.0)
         assert pol.rates == (0.0,)
-
-    def test_cells(self):
-        pol = cell_policy(4.0, [1.0, 0.0, 0.0, 1.0])
-        assert pol.breakpoints == (-2.0, -1.0, 1.0, 2.0)
-        assert pol.rates == (1.0, 0.0, 1.0)
-
-    def test_cells_merge_equal_neighbours(self):
-        pol = cell_policy(3.0, [1.0, 1.0, 1.0])
-        assert pol.breakpoints == (-1.5, 1.5)
-        assert pol.rates == (1.0,)
-
-    def test_cell_validation(self):
-        with pytest.raises(ParameterError):
-            cell_policy(3.0, [])
-
-
-@given(
-    l=st.floats(0.1, 50.0),
-    cells=st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1, max_size=12),
-)
-def test_cell_policy_covers_the_domain_and_preserves_rates(l, cells):
-    pol = cell_policy(l, cells)
-    assert pol.breakpoints[0] == -l / 2.0
-    assert pol.breakpoints[-1] == l / 2.0
-    assert pol.l == pytest.approx(l, rel=1e-15)
-    # the merged representation must evaluate like the original cells
-    n = len(cells)
-    for i, r in enumerate(cells):
-        mid = -l / 2.0 + l * (i + 0.5) / n
-        assert pol.rate_at(mid) == r
-    # merging leaves no two adjacent equal rates
-    assert all(a != b for a, b in zip(pol.rates, pol.rates[1:]))
 
 
 @given(

@@ -31,9 +31,6 @@ class TestDeriveConstants:
     def test_reference_set_short_coast(self):
         dc = derive_constants(ScaledParams(l=2.0, q=2.0, hbar=1.0))
         assert dc.a1 == 2.0
-        assert dc.b1 == 3.0
-        assert dc.a2 == 1.0
-        assert dc.b2 == 2.0
         assert dc.i1 == pytest.approx(3.0 / (2.0 * math.sqrt(2.0)), rel=1e-15)
         assert dc.is1 == pytest.approx(math.sqrt(2.0) / 4.0, rel=1e-15)
         assert dc.is2 == pytest.approx(0.5, rel=1e-15)
@@ -234,9 +231,7 @@ class TestPostSwitchTime:
 
     def test_analytic_inversion(self):
         dc = derive_constants(ScaledParams(l=4.0, q=2.0, hbar=1.0))
-        assert post_switch_time(dc.is2 * math.tanh(1.0), dc) == pytest.approx(
-            1.0 / math.sqrt(dc.a2), rel=1e-13
-        )
+        assert post_switch_time(dc.is2 * math.tanh(1.0), dc) == pytest.approx(1.0, rel=1e-13)
 
     def test_domain_errors(self):
         dc = derive_constants(ScaledParams(l=4.0, q=2.0, hbar=1.0))

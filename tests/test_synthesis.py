@@ -12,8 +12,6 @@ from coastharvest import (
     ScaledParams,
     UnscaledParams,
     evaluate_objective,
-    half_length_domain,
-    half_length_function,
     min_length,
     optimal_policy,
     shoot_steady_state,
@@ -57,6 +55,17 @@ class TestOptimalPolicy:
         assert sol.Ts == pytest.approx(float(want), rel=1e-14)
         assert right == pytest.approx(sp.l / 2.0 - sol.Ts, rel=1e-14)
         assert sol.objective_j > oracles.constant_objective(sp.hbar, sp.q, sp.l)
+
+    @pytest.mark.parametrize(
+        "l, q, hbar",
+        [(1e3, 1e9, 1e-3), (4.0, 1e8, 1.0), (50.0, 1e6, 3.0), (1e4, 2.0, 1.0), (1e8, 2.0, 1.0)],
+    )
+    def test_switch_time_keeps_its_digits_far_below_the_half_length(self, l, q, hbar):
+        # Ts read as l/2 minus the half-width lost them: 1.1e-5 relative at
+        # (1e3, 1e9, 1e-3), where Ts is 1e-9, and 9.1e-10 at l = 1e8
+        want = oracles.switch_hit_x(oracles.lambda_bar(l, q, hbar), l, q, hbar)
+        ts = optimal_policy(ScaledParams(l=l, q=q, hbar=hbar)).Ts
+        assert ts == pytest.approx(float(want), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize(
         "l, q, hbar",
@@ -280,40 +289,52 @@ class TestUnscaledMinLength:
 
 
 class TestHalfLengthFunction:
+    """F, the distance from the coast end to the reserve edge as a function
+    of lam, is transcribed in float only in unscaled_reserve_boundary's
+    residual, so these checks read it through the boundary that inverts it:
+    lam = hypot(lo, tanh(B/s2)/c) at F(lam) = L/2."""
+
     P = UnscaledParams(D=1.0, R=1.0, mu=1.0, Hbar=1.0, Q=2.0, L=4.0)
 
     def test_value_at_the_lower_domain_edge(self):
-        lo, _ = half_length_domain(self.P)
-        s1 = math.sqrt(self.P.D / (self.P.Hbar + self.P.mu))
-        assert half_length_function(lo, self.P) == pytest.approx(
-            s1 * math.atanh(lo), rel=1e-12
-        )
-        # the edge value is half the threshold length
-        assert half_length_function(lo, self.P) == pytest.approx(
-            unscaled_min_length(self.P) / 2.0, rel=1e-12
-        )
+        p = self.P
+        lo, _ = oracles.half_length_domain(p.D, p.mu, p.Hbar, p.Q)
+        # lam^2 - lo^2 rounds a hair below 0 in the oracle's arctanh term,
+        # whose value there is 0: keep the real part
+        edge = float(mpmath.re(oracles.half_length(lo, p.D, p.mu, p.Hbar, p.Q)))
+        s1 = math.sqrt(p.D / (p.Hbar + p.mu))
+        assert edge == pytest.approx(s1 * math.atanh(float(lo)), rel=1e-12)
+        # the edge value is half the threshold length, where the reserve
+        # has not yet opened
+        assert unscaled_min_length(p) == pytest.approx(2.0 * edge, rel=1e-12)
+        at_edge = UnscaledParams(D=p.D, R=p.R, mu=p.mu, Hbar=p.Hbar, Q=p.Q, L=unscaled_min_length(p))
+        assert unscaled_reserve_boundary(at_edge) is None
 
     def test_strictly_increasing(self):
-        lo, hi = half_length_domain(self.P)
-        lams = np.linspace(lo, hi - 1e-9 * (hi - lo), 100)
-        vals = [half_length_function(v, self.P) for v in lams]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
+        # B increases with L exactly when F increases with lam
+        p = self.P
+        lmin = unscaled_min_length(p)
+        lengths = np.linspace(lmin * (1.0 + 1e-9), 40.0, 100)
+        bs = [
+            unscaled_reserve_boundary(
+                UnscaledParams(D=p.D, R=p.R, mu=p.mu, Hbar=p.Hbar, Q=p.Q, L=float(L))
+            )
+            for L in lengths
+        ]
+        assert all(0.0 < a < b for a, b in zip(bs, bs[1:]))
 
     def test_matches_the_literal_branch_evaluator(self):
-        p = UnscaledParams(D=2.0, R=1.0, mu=1.0, Hbar=1.0, Q=2.0, L=8.0)
-        lo, hi = half_length_domain(p)
-        # stay away from hi, where the function blows up and float64
-        # evaluation of any formula loses absolute accuracy
-        for lam in (lo, 0.5 * (lo + 1.0), 1.0, 0.5 * (1.0 + hi), lo + 0.9 * (hi - lo)):
-            want = float(oracles.half_length(lam, 2, 1, 1, 2))
-            assert half_length_function(lam, p) == pytest.approx(want, abs=1e-10)
-
-    def test_domain_errors(self):
-        lo, hi = half_length_domain(self.P)
-        with pytest.raises(ParameterError):
-            half_length_function(lo - 1e-6, self.P)
-        with pytest.raises(ParameterError):
-            half_length_function(hi, self.P)
+        D, mu, Hbar, Q = 2, 1, 1, 2
+        lo, hi = oracles.half_length_domain(D, mu, Hbar, Q)
+        s2 = mpmath.sqrt(mpmath.mpf(D) / mu)
+        c = (mpmath.mpf(Hbar + Q) / (Q - mu)) * mpmath.sqrt(mpmath.mpf(mu) / (Hbar + mu))
+        # one lam on each branch of the oracle (arccosh, log, arcsinh), away
+        # from hi, where F blows up and no float evaluation keeps its digits
+        for lam in (0.5 * (lo + 1), mpmath.mpf(1), 0.5 * (1 + hi), lo + 0.9 * (hi - lo)):
+            L = float(2 * oracles.half_length(lam, D, mu, Hbar, Q))
+            want = float(s2 * mpmath.atanh(c * mpmath.sqrt(lam**2 - lo**2)))
+            p = UnscaledParams(D=D, R=1.0, mu=mu, Hbar=Hbar, Q=Q, L=L)
+            assert unscaled_reserve_boundary(p) == pytest.approx(want, rel=1e-12)
 
 
 class TestUnscaledReserveBoundary:
