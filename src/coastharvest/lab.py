@@ -5,14 +5,17 @@ by exhaustive search over bang-bang cell policies and over a grid of
 reserve blocks.  Both searches are scored by one batched sweep that
 carries the flux map of the steady state and the objective from a coast
 end across the pieces: the cell search meets in the middle, and the
-block search sweeps once per block shape.  The hitting time is
-measured by bisecting the horizon of the hybrid adjoint flow with its
-exact flow maps, all starts at once: no event undoes itself, so whether
-a start has stopped by time t is monotone in t.  Each phase is affine
-with three distinct eigenvalues, so in its eigen-coordinates every flow
-map is an elementwise exponential scaling.  Linearized stability is
-checked through the spectrum of the discretized operator.  Of scipy,
-only scipy.linalg is needed.
+block search computes the factors of every block shape's pieces in one
+pass and sweeps once per shape.  The hitting time is measured by
+searching the horizon of the hybrid adjoint flow with its exact flow
+maps, all starts at once: no event undoes itself, so whether a start
+has stopped by time t is monotone in t.  Each round of the search cuts
+every start's bracket into 32 steps, probes their inner ends in one
+matrix product, and keeps the step that ends at the first stopped
+probe.  Each phase is affine with three distinct eigenvalues, so in its
+eigen-coordinates every flow map is an elementwise exponential scaling.
+Linearized stability is checked through the spectrum of the discretized
+operator.  Of scipy, only scipy.linalg is needed.
 
 The steady state is checked in two parts.  The time stepper shows that
 the parabolic flow settles on its grid's own steady state u_h: it
@@ -36,6 +39,7 @@ and an asymmetric one on the full grid.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -68,14 +72,19 @@ SETTLED = 2.0**-55
 # 2^17/sqrt(1+h) long in all, and its bisection doubles it
 MAX_CELLS_PER_GRID = 2**20
 
-# the event bisection searches this many of the flow's time scales,
+# the event search covers this many of the flow's time scales,
 # max(l, 1/sqrt(a)); a later event reads as none
 _HORIZON_FACTOR = 10.0
 
-# event bisection levels past s = min(max(l, 1/sqrt(a))/16, 1/sqrt(a)):
-# the last bracket, at most s*2^-60, is at most one ulp of any event
-# time from s/256 on
+# event search levels past s = min(max(l, 1/sqrt(a))/16, 1/sqrt(a)),
+# each a halving of the bracket: the last bracket, at most s*2^-60, is
+# at most one ulp of any event time from s/256 on
 _REFINE_LEVELS = 60
+
+# a round of the event search splits every bracket into 2^5 steps, the
+# work of five halvings, and probes all of them in one batched pass
+_PROBE_BITS = 5
+_PROBES = 2**_PROBE_BITS
 
 
 class SweepResult(NamedTuple):
@@ -100,6 +109,12 @@ class SweepResult(NamedTuple):
     def candidates(self) -> tuple[tuple[dict, float], ...]:
         """(descriptor, objective) of every candidate, built on each read."""
         return tuple((self.describe(i), obj) for i, obj in enumerate(self.objectives.tolist()))
+
+
+def _require_size(name: str, value: int) -> None:
+    # a bool is an int to Python, but no count
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an int, got {value!r}")
 
 
 def _excess(kw: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -201,6 +216,7 @@ def brute_force_bangbang(sp: ScaledParams, cells: int) -> SweepResult:
     the leftmost cell first; all 2^cells objectives come from one batched
     sweep that meets in the middle.
     """
+    _require_size("cells", cells)
     if not 1 <= cells <= MAX_CELLS:
         raise ParameterError(f"cells must lie in [1, {MAX_CELLS}], got {cells!r}")
     return SweepResult(
@@ -209,15 +225,26 @@ def brute_force_bangbang(sp: ScaledParams, cells: int) -> SweepResult:
     )
 
 
-def _piece_objectives(sp: ScaledParams, edges: np.ndarray, rates: Sequence[float]) -> np.ndarray:
-    """Objective j of every policy with the given rates on its pieces.
+def _piece_objectives(
+    sp: ScaledParams, groups: Sequence[tuple[np.ndarray, Sequence[float]]]
+) -> list[np.ndarray]:
+    """Objective j of every policy of each group, one array per group.
 
-    edges has one row per piece edge and one column per policy, from
-    -l/2 to l/2.  One sweep from the left coast end crosses every piece
-    of every column at once, and j = alpha/l at the right end, where
-    u = 0.
+    A group is (edges, rates): edges has one row per piece edge and one
+    column per policy, from -l/2 to l/2, and rates one entry per piece.
+    The factors of every group's pieces come from one _factors pass over
+    them all; then one sweep per group from the left coast end crosses
+    every piece of every column at once, and j = alpha/l at the right
+    end, where u = 0.
     """
-    return _sweep(_factors(sp, np.array(rates)[:, None], np.diff(edges, axis=0)))[2] / sp.l
+    widths = [np.diff(edges, axis=0) for edges, _ in groups]
+    h = np.concatenate([np.repeat(rates, d.shape[1]) for (_, rates), d in zip(groups, widths)])
+    factors = np.array(_factors(sp, h, np.concatenate([d.ravel() for d in widths])))
+    objectives, at = [], 0
+    for d in widths:
+        objectives.append(_sweep(factors[:, at : at + d.size].reshape(-1, *d.shape))[2] / sp.l)
+        at += d.size
+    return objectives
 
 
 def reserve_sweep(sp: ScaledParams, centers: int, widths: int) -> SweepResult:
@@ -227,8 +254,11 @@ def reserve_sweep(sp: ScaledParams, centers: int, widths: int) -> SweepResult:
     constant policy) to the whole domain; blocks are clipped to the coast.
     Candidates come center-major.  They are grouped by shape (no block,
     a block touching neither end, the left end only, the right end only,
-    or the whole coast), and each group is scored in one batched pass.
+    or the whole coast); the factors of all groups' pieces come from one
+    batched pass, and each group is swept in one batched pass.
     """
+    _require_size("centers", centers)
+    _require_size("widths", widths)
     if centers < 2 or widths < 2:
         raise ParameterError(f"need grids >= 2, got {(centers, widths)!r}")
     if centers * widths > MAX_SWEEP_CANDIDATES:
@@ -244,19 +274,26 @@ def reserve_sweep(sp: ScaledParams, centers: int, widths: int) -> SweepResult:
     hi = np.minimum(c + w / 2.0, end)
     block = lo < hi
     opens_left, opens_right = block & (lo > -end), block & (hi < end)
+    # rows: the left coast end, the block's edges, the right coast end
+    edges = np.array(np.broadcast_arrays(-end, lo, hi, end))
     hbar = sp.hbar
-    groups = (
-        (~block, (-end, end), (hbar,)),
-        (opens_left & opens_right, (-end, lo, hi, end), (hbar, 0.0, hbar)),
-        (~opens_left & opens_right, (-end, hi, end), (0.0, hbar)),
-        (opens_left & ~opens_right, (-end, lo, end), (hbar, 0.0)),
-        (block & ~(opens_left | opens_right), (-end, end), (0.0,)),
+    shapes = [
+        (members, rows, rates)
+        for members, rows, rates in (
+            (~block, [0, 3], (hbar,)),
+            (opens_left & opens_right, [0, 1, 2, 3], (hbar, 0.0, hbar)),
+            (~opens_left & opens_right, [0, 2, 3], (0.0, hbar)),
+            (opens_left & ~opens_right, [0, 1, 3], (hbar, 0.0)),
+            (block & ~(opens_left | opens_right), [0, 3], (0.0,)),
+        )
+        if members.any()
+    ]
+    scored = _piece_objectives(
+        sp, [(edges[rows][:, members], rates) for members, rows, rates in shapes]
     )
     objectives = np.empty(c.size)
-    for members, edges, rates in groups:
-        if members.any():
-            columns = np.array([np.broadcast_to(x, c.shape)[members] for x in edges])
-            objectives[members] = _piece_objectives(sp, columns, rates)
+    for (members, _, _), objective in zip(shapes, scored):
+        objectives[members] = objective
     return SweepResult(
         objectives=objectives,
         describe=lambda i: {"center": float(cs[i // widths]), "width": float(ws[i % widths])},
@@ -270,53 +307,83 @@ def _first_events(
 
     z = (lambda1, lambda2, 1) holds one start per column, and
     J = [[0, -a, -b/l], [-1, 0, 0], [0, 0, 0]] is the affine flow of a
-    phase with rate h, a = 1+h and b = h+q.  g must never turn positive
-    again once it reaches 0, so "stopped by time t" (g <= 0, or a state
-    no longer finite) is monotone in t and the whole horizon brackets
-    every event.  The horizon follows the flow's own time scale: on
-    short coasts the hitting time is 10-30 l but of order 1/sqrt(a).
-    All starts bisect [0, horizon] at once, level j with the exact map
-    exp(J*horizon*2^-j), and the last bracket is as fine as
-    _REFINE_LEVELS asks.  J = V diag(mu) V^-1 with mu = (sqrt(a),
-    -sqrt(a), 0), so the bisection runs on y = V^-1 z, where level j's
-    map scales y by exp(mu*horizon*2^-j), and g reads V y.  Returns the
+    phase with rate h, a = 1+h and b = h+q.  g reads the components
+    along its first axis and must never turn positive again once it
+    reaches 0, so "stopped by time t" (g <= 0, or a state no longer
+    finite) is monotone in t and the whole horizon brackets every event.
+    The horizon follows the flow's own time scale: on short coasts the
+    hitting time is 10-30 l but of order 1/sqrt(a).
+
+    All starts search [0, horizon] at once, in rounds.  Round r cuts
+    each start's bracket into _PROBES steps of horizon*_PROBES^-(r+1),
+    probes its _PROBES-1 inner points in one batched pass, and keeps the
+    step that ends at the first stopped probe, or at the bracket's end
+    when none has stopped.  Near a tangent hit rounding can read a probe
+    ahead after a stopped one, so the search takes the first stopped
+    probe, not the count of probes ahead.  A round does the work of
+    _PROBE_BITS halvings, and the last bracket is no wider than
+    _REFINE_LEVELS of them leave it.  J = V diag(mu) V^-1 with
+    mu = (sqrt(a), -sqrt(a), 0), so the search runs on y = V^-1 z:
+    probe k of round r scales y by exp(mu*k*step_r), and V times those
+    scalings is one (3*(_PROBES-1)) x 3 matrix per round.  Returns the
     event times (inf for none, or when the state stops being finite
-    first) and the states there (NaN for none).
+    first) and the states there, each the state its stopping probe
+    produced (NaN for none).
     """
     flow_time = 1.0 / math.sqrt(a)
     scale = max(l, flow_time)
     horizon = _HORIZON_FACTOR * scale
     levels = _REFINE_LEVELS + math.ceil(math.log2(horizon / min(scale / 16.0, flow_time)))
-    widths = horizon * 0.5 ** np.arange(levels + 1)
+    rounds = -(-levels // _PROBE_BITS)
+    steps = horizon * 0.5 ** (_PROBE_BITS * np.arange(1, rounds + 1))
     jac = np.array([[0.0, -a, -b / l], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     mu, vecs = np.linalg.eig(jac)
+    n = z.shape[1]
     # the long maps overflow on long coasts.  Once a state is not finite
-    # no later one is, and an event needs a finite hi, so an overflow
-    # never reads as an event and never moves a start that has one: the
-    # bisection skips the levels whose map overflows, after the widest
+    # no later one is, and an event needs a finite state, so a probe
+    # whose map overflows reads as stopped and never as an event: its
+    # map is NaN, and so is its state
     with np.errstate(over="ignore", invalid="ignore"):
-        growth = np.exp(np.outer(widths, mu))[:, :, None]
-        first = max(1, int(np.isfinite(growth).all(axis=(1, 2)).argmax()))
+        # maps[r, k] = exp(mu*k*step_r), k = 0 .. _PROBES-1
+        maps = np.exp(mu * (np.arange(_PROBES)[:, None] * steps[:, None, None]))
+        maps[~np.isfinite(maps).all(axis=2)] = math.nan
+        # folds[r] (component-major rows) reads V y at probes 1 .. _PROBES-1
+        folds = (vecs[:, None, :] * maps[:, None, 1:, :]).reshape(rounds, -1, 3)
         lo = np.linalg.solve(vecs, z)
-        hi, ahead = growth[0] * lo, []
-        for half in growth[first:]:
-            mid = half * lo
-            ahead.append(g(vecs @ mid) > 0.0)
-            np.copyto(lo, mid, where=ahead[-1])
-            np.copyto(hi, mid, where=~ahead[-1])
-        hi = vecs @ hi
+        end = vecs @ (np.exp(mu * horizon)[:, None] * lo)
+        # row _PROBES-1, never ahead, stands for the bracket's end
+        ahead = np.zeros((_PROBES, n), dtype=bool)
+        moved = np.empty((rounds, n), dtype=np.intp)
+        states = np.empty((rounds, 3, _PROBES - 1, n))
+        for fold, scaling, passed, probes in zip(folds, maps, moved, states):
+            np.matmul(fold, lo, out=probes.reshape(-1, n))
+            np.greater(g(probes), 0.0, out=ahead[:-1])
+            # the steps passed before the first stopped probe
+            ahead.argmin(axis=0, out=passed)
+            lo *= scaling[passed].T
+        # a start's event state is its first stopped probe in the last
+        # round that stopped one, or the horizon's state if none did
+        inside = moved < _PROBES - 1
+        last = rounds - 1 - inside[::-1].argmax(axis=0)
+        column = np.arange(n)
+        probe = np.minimum(moved[last, column], _PROBES - 2)
+        hi = np.where(
+            inside.any(axis=0),
+            states.transpose(1, 0, 2, 3)[:, last, probe, column],
+            end,
+        )
         found = np.isfinite(hi).all(axis=0) & (g(hi) <= 0.0)
-    # lo moved ahead by the widths of the levels where g stayed positive,
-    # summed in level order, and each event lies within one last width
-    t_lo = (widths[first:, None] * np.array(ahead)).sum(axis=0)
-    times = np.where(found, t_lo + widths[-1], math.inf)
+    # lo moved ahead by the steps passed in each round, summed in round
+    # order, and each event lies within one last step
+    t_lo = (steps[:, None] * moved).sum(axis=0)
+    times = np.where(found, t_lo + steps[-1], math.inf)
     return times, np.where(found, hi, math.nan)
 
 
 def integrate_adjoint_with_events(
     lambda0s: Sequence[float], sp: ScaledParams
 ) -> tuple[tuple[float, int], ...]:
-    """Hitting times of the lambda2-axis by bisecting the hybrid adjoint flow.
+    """Hitting times of the lambda2-axis by searching the hybrid adjoint flow.
 
     Each start (lambda0, 0) runs in the maximal-harvest phase until its
     first lambda1 = 0 event.  lambda2 falls while lambda1 > 0, so the
@@ -327,7 +394,7 @@ def integrate_adjoint_with_events(
     clock, without the start's event, or when the start's state stops
     being finite first.
 
-    Both phases are affine and autonomous, so each is bisected with its
+    Both phases are affine and autonomous, so each is searched with its
     exact flow maps (see _first_events), all starts at once, and each
     no-take run starts at s = 0 from its own crossing state.  In the
     harvest phase a start's event is g = min(lambda1, lambda2 + 1/l),
@@ -338,15 +405,15 @@ def integrate_adjoint_with_events(
     -1/l when q > 1, and lambda2 falls while lambda1 > 0, so the flow
     leaves neither lambda1 <= 0 nor lambda2 <= -1/l towards the quadrant
     where both are above.  Whether g has reached 0 by time t is
-    therefore monotone in t, and bisecting the whole horizon on it finds
+    therefore monotone in t, and searching the whole horizon on it finds
     the first zero, even where a crossing and a hit fall within one
     bracket.  In the no-take phase the event is lambda1, which falls
     while lambda2 > -q/l, and lambda2 rises while lambda1 < 0, so it too
     stays <= 0 once it gets there.
     """
     starts = [float(x) for x in lambda0s]
-    if not starts or not all(x > 0.0 for x in starts):
-        raise ParameterError(f"every lambda0 must be positive, got {lambda0s!r}")
+    if not starts or not all(0.0 < x < math.inf for x in starts):
+        raise ParameterError(f"every lambda0 must be positive and finite, got {lambda0s!r}")
     if not sp.q > 1.0:
         raise ParameterError(f"event oracle applies to q > 1, got q={sp.q!r}")
     l, q, hbar = sp.l, sp.q, sp.hbar
@@ -591,6 +658,7 @@ def stability_eigenvalues(policy: HarvestPolicy, n: int) -> tuple[float, bool]:
     the tridiagonal spectrum.  The energy identity pushes every
     eigenvalue below -1 for any admissible policy.
     """
+    _require_size("n", n)
     if n < 16:
         raise ParameterError(f"need at least 16 interior points, got {n!r}")
     l = policy.l

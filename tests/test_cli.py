@@ -223,8 +223,8 @@ class TestVerify:
             (9.811278000808583, 3.297466230318146, 2.052804579830935),
             (16.764199905276822, 1.858223827549165, 1.5225018921202387),
             # start 24 is 1e-5 above lam_star: the crossing and the hit
-            # fall 0.011 apart, closer than the brackets of the
-            # bisection's first 14 levels are wide
+            # fall 0.011 apart, closer than the steps of the event
+            # search's first two rounds are wide (6.25 and 0.195)
             (20.0, 2.0, 2.7592213493803284),
         ],
     )

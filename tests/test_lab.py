@@ -153,6 +153,16 @@ class TestBruteForce:
         with pytest.raises(ParameterError):
             brute_force_bangbang(OPTIMAL_SP, cells=cells)
 
+    @pytest.mark.parametrize("cells", [12.0, True, "12", None])
+    def test_cell_count_must_be_an_int(self, cells):
+        # 12.0 failed in a shift with a TypeError, and True ran as one cell
+        with pytest.raises(ParameterError, match="^cells must be an int"):
+            brute_force_bangbang(OPTIMAL_SP, cells=cells)
+
+    def test_numpy_int_cell_count(self):
+        got = brute_force_bangbang(OPTIMAL_SP, cells=np.int64(6)).objectives
+        assert np.array_equal(got, brute_force_bangbang(OPTIMAL_SP, cells=6).objectives)
+
 
 class TestReserveSweep:
     def test_grid_optimum_brackets_the_analytic_reserve(self):
@@ -223,7 +233,7 @@ class TestReserveSweep:
             near = math.nextafter(near, 0.0)
         blocks = [(-near, 0.5), (-0.5, near), (-near, near)]
         edges = np.array([[-end, lo, hi, end] for lo, hi in blocks]).T
-        got = lab._piece_objectives(sp, edges, (sp.hbar, 0.0, sp.hbar))
+        (got,) = lab._piece_objectives(sp, [(edges, (sp.hbar, 0.0, sp.hbar))])
         assert np.all(np.isfinite(got))
         for (lo, hi), obj in zip(blocks, got):
             assert obj == pytest.approx(self._block_objective(sp, lo, hi), rel=1e-12, abs=0.0)
@@ -253,6 +263,42 @@ class TestReserveSweep:
             reserve_sweep(OPTIMAL_SP, centers=1, widths=21)
         with pytest.raises(ParameterError):
             reserve_sweep(OPTIMAL_SP, centers=11, widths=1)
+
+    @pytest.mark.parametrize(
+        "centers, widths, name",
+        [(11.0, 21, "centers"), (11, 21.0, "widths"), (True, 21, "centers"), (11, False, "widths")],
+    )
+    def test_grid_sizes_must_be_ints(self, centers, widths, name):
+        # a float failed inside numpy with a TypeError
+        with pytest.raises(ParameterError, match=f"^{name} must be an int"):
+            reserve_sweep(OPTIMAL_SP, centers=centers, widths=widths)
+
+    @pytest.mark.parametrize(
+        "sp", [OPTIMAL_SP, ScaledParams(l=20.0, q=0.5, hbar=3.0), ScaledParams(*SHORT_COASTS[0])]
+    )
+    def test_every_candidate_equals_its_own_piece_objective(self, sp):
+        # all five shape groups share one factor pass; each candidate
+        # scored alone, on a one-column group, gives the same bits
+        res = reserve_sweep(sp, centers=11, widths=21)
+        end = sp.l / 2.0
+        shapes = set()
+        for desc, obj in res.candidates:
+            c, w = desc["center"], desc["width"]
+            lo, hi = max(c - w / 2.0, -end), min(c + w / 2.0, end)
+            if not lo < hi:
+                edges, rates = [-end, end], (sp.hbar,)
+            else:
+                edges, rates = [-end], ()
+                if lo > -end:
+                    edges, rates = edges + [lo], (sp.hbar,)
+                edges, rates = edges + [hi], rates + (0.0,)
+                if hi < end:
+                    edges, rates = edges + [end], rates + (sp.hbar,)
+            shapes.add(rates)
+            (alone,) = lab._piece_objectives(sp, [(np.array(edges)[:, None], rates)])
+            assert alone.tolist() == [obj], desc
+        # no block, an inner block, one at either end, and the whole coast
+        assert len(shapes) == 5
 
     def test_grid_size_is_capped(self):
         assert lab.MAX_SWEEP_CANDIDATES == 256 * 256
@@ -404,9 +450,33 @@ class TestEventIntegration:
             assert abs(got - t) <= 1e-9, lam0
         assert results[-1] == (math.inf, 1)
 
+    @pytest.mark.parametrize(
+        "l, q, hbar",
+        [
+            (4.0, 2.0, 1.0),
+            (20.0, 3.5, 2.5),
+            (1e4, 2.0, 1.0),
+            (0.3, 2.0, 1.0),
+            (20.0, 2.0, 2.7592213493803284),
+            (9.811278000808583, 3.297466230318146, 2.052804579830935),
+        ],
+    )
+    def test_verify_starts_match_the_oracle_to_a_few_ulps(self, l, q, hbar):
+        # verify's 25 starts against the 40-digit hitting time: the probe
+        # search's worst here is 41 ulps (at l = 0.3), and the one-level
+        # bisection it replaced reached 61
+        sp = ScaledParams(l=l, q=q, hbar=hbar)
+        starts = [derive_constants(sp).lam_starstar * i / 26.0 for i in range(1, 26)]
+        results = integrate_adjoint_with_events(starts, sp)
+        for lam0, (got, _) in zip(starts, results):
+            want = float(oracles.hitting_time(lam0, l, q, hbar))
+            assert math.isinf(got) == math.isinf(want), lam0
+            if math.isfinite(want):
+                assert abs(got - want) <= 64 * math.ulp(want), lam0
+
     def test_validation(self):
-        # a non-positive (or NaN) start anywhere in the batch, or no start
-        for starts in ([0.0], [0.3, 0.52, -0.1], [0.3, math.nan], []):
+        # a non-positive, infinite or NaN start anywhere in the batch, or no start
+        for starts in ([0.0], [0.3, 0.52, -0.1], [0.3, math.nan], [], [math.inf], [0.3, math.inf]):
             with pytest.raises(ParameterError):
                 integrate_adjoint_with_events(starts, OPTIMAL_SP)
         for q in (0.5, 1.0):
@@ -974,6 +1044,12 @@ class TestStabilityEigenvalues:
     def test_validation(self):
         with pytest.raises(ParameterError):
             stability_eigenvalues(constant_policy(2.0, 1.0), n=15)
+
+    @pytest.mark.parametrize("n", [512.0, True])
+    def test_point_count_must_be_an_int(self, n):
+        # 512.0 failed inside numpy with a TypeError
+        with pytest.raises(ParameterError, match="^n must be an int"):
+            stability_eigenvalues(constant_policy(2.0, 1.0), n=n)
 
     @pytest.mark.parametrize("l", [1e-74, 9e-75])
     def test_very_short_coasts_keep_the_discrete_spectrum(self, l):
