@@ -4,9 +4,10 @@ The package decides, from closed-form optimality conditions, whether a
 finite coastline supports a centered no-take reserve, places it, and
 cross-checks the answer with independent numerics: an exact edge-value
 two-point solve for the steady state and adjoint, brute-force policy
-enumeration, an event oracle that bisects the adjoint's horizon with
-its exact flow maps through the switching structure, an implicit
-parabolic solver, and a spectral stability check.  The checks live in
+enumeration, an event oracle that searches the adjoint's horizon in
+rounds of 32 probes with its exact flow maps through the switching
+structure, an implicit parabolic solver, and a spectral stability
+check.  The checks live in
 `coastharvest.lab`, the one module that needs numpy and scipy.linalg;
 import them from there.
 """

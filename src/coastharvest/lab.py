@@ -2,20 +2,23 @@
 
 Nothing here reuses the closed forms under test.  Policies are ranked
 by exhaustive search over bang-bang cell policies and over a grid of
-reserve blocks.  Both searches are scored by one batched sweep that
+reserve blocks.  Each search is scored by one batched sweep that
 carries the flux map of the steady state and the objective from a coast
-end across the pieces: the cell search meets in the middle, and the
-block search computes the factors of every block shape's pieces in one
-pass and sweeps once per shape.  The hitting time is measured by
-searching the horizon of the hybrid adjoint flow with its exact flow
-maps, all starts at once: no event undoes itself, so whether a start
-has stopped by time t is monotone in t.  Each round of the search cuts
+end across the pieces, every candidate in its own column.  A piece of
+rate 0 and width 0 maps the sweep to itself bit for bit, so columns with
+fewer pieces are padded with it: the cell search sweeps both halves
+towards the middle in one batch and meets there, and the block search
+sweeps every block, whatever its shape, as three pieces.  The hitting
+time is measured by searching the horizon of the hybrid adjoint flow
+with its exact flow maps, all starts at once: no event undoes itself, so
+whether a start has stopped by time t is monotone in t.  Each round of the search cuts
 every start's bracket into 32 steps, probes their inner ends in one
 matrix product, and keeps the step that ends at the first stopped
 probe.  Each phase is affine with three distinct eigenvalues, so in its
 eigen-coordinates every flow map is an elementwise exponential scaling.
-Linearized stability is checked through the spectrum of the discretized
-operator.  Of scipy, only scipy.linalg is needed.
+Linearized stability is checked through the top of the spectrum of the
+discretized operator, on the half grid for a mirror-symmetric policy.
+Of scipy, only scipy.linalg is needed.
 
 The steady state is checked in two parts.  The time stepper shows that
 the parabolic flow settles on its grid's own steady state u_h: it
@@ -43,8 +46,7 @@ import numbers
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dpttrf, dpttrs, dstebz
 
 from .bvp import shoot_steady_state
 from .params import ParameterError, ScaledParams
@@ -55,7 +57,7 @@ from .policy import HarvestPolicy
 MAX_CELLS = 16
 
 # reserve-sweep cap: 2^16 candidates, for which the batched pass holds
-# float arrays of at most 3 x 2^16 entries (1.5 MB)
+# float arrays of 3 x 2^16 entries (1.5 MB)
 MAX_SWEEP_CANDIDATES = 2**16
 
 # parabolic run cap, far above the 629 steps of 1/16 from which run_steps
@@ -134,13 +136,13 @@ def _factors(sp: ScaledParams, h: np.ndarray, d) -> tuple[np.ndarray, ...]:
     """Sweep factors of pieces of rate h and width d, one array per factor.
 
     With k = sqrt(1+h), off = 1/(1+h), t = tanh(kd) and c = sech(kd),
-    they are k, t, k*c, g = k*off*(1-c), k^2*t, -k*c/t, -g/t (which
-    is -tanh(kd/2)/k), and the piece's objective terms
-    kappa = (q+h)*off*(d - 2*tanh(kd/2)/k), from _excess below kd = 1,
-    and omega = (q+h)*tanh(kd/2)/k: the piece integrates (q+h)*u to
-    kappa + omega*(u0 + u1) with edge values u0, u1.  k*off is 1/k, and
-    1 - c = (1 - e^(-kd))^2/(1 + e^(-2kd)), which keeps its digits on a
-    thin piece.
+    they are k, t, k*c, g = k*off*(1-c), k^2*t, g/t = tanh(kd/2)/k,
+    and the piece's objective terms kappa = (q+h)*off*(d - 2*tanh(kd/2)/k),
+    from _excess below kd = 1, and omega = (q+h)*tanh(kd/2)/k: the piece
+    integrates (q+h)*u to kappa + omega*(u0 + u1) with edge values u0,
+    u1.  k*off is 1/k, and 1 - c = (1 - e^(-kd))^2/(1 + e^(-2kd)), which
+    keeps its digits on a thin piece.  No factor divides by t, so a piece
+    of width 0 has finite factors: with h = 0 they are 1, 0, 1 and zeros.
     """
     k = np.sqrt(1.0 + h)
     kd = k * d
@@ -152,32 +154,38 @@ def _factors(sp: ScaledParams, h: np.ndarray, d) -> tuple[np.ndarray, ...]:
     half_t = np.tanh(0.5 * kd) / k
     gap = np.where(kd < 1.0, _excess(kd, k), d - 2.0 * half_t)
     w = sp.q + h
-    return k, t, kc, g, (1.0 + h) * t, -kc / t, -half_t, w / (1.0 + h) * gap, w * half_t
+    return k, t, kc, g, (1.0 + h) * t, half_t, w / (1.0 + h) * gap, w * half_t
 
 
 def _sweep(factors: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
     """(S, F, alpha, beta) after every piece, swept in order from a coast end.
 
     factors come from _factors, each with one row per piece, in sweep
-    order, and one column per policy.  With value w at the far edge of
-    the last piece, S*w + F is the outward flux there and alpha + beta*w
-    the integral of (q+h)*u over the swept pieces.  A piece's near edge
-    value is v = p*w + r, with p = k*c/(k + S*t) and
-    r = (g - F*t)/(k + S*t), and it maps
-        S' = (k*S + k^2*t)/(k + S*t),   F' = -(k*c*r + g)/t,
+    order, and one column per policy; the first piece of a column must
+    have width > 0.  With value w at the far edge of the last piece,
+    S*w + F is the outward flux there and alpha + beta*w the integral of
+    (q+h)*u over the swept pieces.  A piece's near edge value is
+    v = p*w + r, with p = k*c/(k + S*t) and r = (g - F*t)/(k + S*t), and
+    it maps
+        S' = (k*S + k^2*t)/(k + S*t),
+        F' = (k*c*F - (g/t)*(k*c + k + S*t))/(k + S*t),
         alpha' = alpha + (beta + omega)*r + kappa,
-        beta' = (beta + omega)*p + omega.
-    F <= 0, so r >= 0 and 0 < p <= 1: every term keeps its sign, and
-    nothing is amplified by e^(k*l), so a piece of a few ulps or a long
-    coast stays exact.
+        beta' = (beta + omega)*p + omega,
+    where F' is -(k*c*r + g)/t without the division by t.  F <= 0, so
+    r >= 0 and 0 < p <= 1: every term keeps its sign, and nothing is
+    amplified by e^(k*l), so a piece of a few ulps or a long coast stays
+    exact.  A piece of rate 0 and width 0 (p = 1, r = 0, g/t = 0) maps
+    (S, F, alpha, beta) to itself bit for bit, so it pads a column that
+    has fewer pieces than the others.
     """
     pieces = zip(*factors)
-    k, t, _, _, _, _, f, alpha, beta = next(pieces)
-    s = k / t
-    for k, t, kc, g, k2t, kc_t, g_t, kappa, omega in pieces:
-        inv = 1.0 / (k + s * t)
+    k, t, _, _, _, half_t, alpha, beta = next(pieces)
+    s, f = k / t, -half_t
+    for k, t, kc, g, k2t, half_t, kappa, omega in pieces:
+        den = k + s * t
+        inv = 1.0 / den
         r = (g - f * t) * inv
-        s, f = (k * s + k2t) * inv, kc_t * r + g_t
+        s, f = (k * s + k2t) * inv, (kc * f - half_t * (kc + den)) * inv
         share = beta + omega
         alpha, beta = alpha + share * r + kappa, share * (kc * inv) + omega
     return s, f, alpha, beta
@@ -187,23 +195,28 @@ def _cell_objectives(sp: ScaledParams, cells: int) -> np.ndarray:
     """Objective j of every {0, hbar} policy on equal cells, indexed by mask.
 
     Bit cells-1-i of a mask sets the rate of cell i (counted from the
-    left).  The search meets in the middle: each half of the coast is
-    swept from its own end to the middle edge over all of its
-    2^(cells/2) half-masks at once, so the right half's bits come
-    reversed, and each of the 2^cells pairs costs O(1) there: the
-    fluxes balance at u_m = -(F_l + F_r)/(S_l + S_r), and
-    j = (alpha_l + alpha_r + (beta_l + beta_r)*u_m)/l.
+    left).  The search meets in the middle: both halves of the coast are
+    swept in one batch, each from its own end to the middle edge and over
+    all of its half-masks, so the right half's bits come reversed, and
+    each of the 2^cells pairs costs O(1) there: the fluxes balance at
+    u_m = -(F_l + F_r)/(S_l + S_r), and
+    j = (alpha_l + alpha_r + (beta_l + beta_r)*u_m)/l.  On an odd count
+    the left half is a cell short, and its columns end with the identity
+    piece.
     """
-    factors = _factors(sp, np.array([0.0, sp.hbar]), sp.l / cells)
+    # factor columns: a cell of rate 0, a cell of rate hbar, the identity piece
+    width = sp.l / cells
+    factors = np.array(_factors(sp, np.array([0.0, sp.hbar, 0.0]), np.array([width, width, 0.0])))
     if cells == 1:
         # one piece, one column per rate
-        return _sweep([x[None] for x in factors])[2] / sp.l
-    m = cells // 2
+        return _sweep(factors[:, None, :2])[2] / sp.l
+    m, n = cells // 2, cells - cells // 2
     # row i: the bit of the i-th cell from the half's coast end, per half-mask
     left = (np.arange(1 << m) >> np.arange(m - 1, -1, -1)[:, None]) & 1
-    right = (np.arange(1 << (cells - m)) >> np.arange(cells - m)[:, None]) & 1
-    s_l, f_l, a_l, b_l = _sweep([x[left] for x in factors])
-    s_r, f_r, a_r, b_r = _sweep([x[right] for x in factors])
+    right = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
+    rows = np.hstack([np.vstack([left, np.full((n - m, 1 << m), 2)]), right])
+    swept = np.array(_sweep(factors[:, rows]))
+    (s_l, f_l, a_l, b_l), (s_r, f_r, a_r, b_r) = swept[:, : 1 << m], swept[:, 1 << m :]
     u_mid = -(f_l[:, None] + f_r) / (s_l[:, None] + s_r)
     total = a_l[:, None] + a_r + (b_l[:, None] + b_r) * u_mid
     return total.ravel() / sp.l
@@ -225,37 +238,18 @@ def brute_force_bangbang(sp: ScaledParams, cells: int) -> SweepResult:
     )
 
 
-def _piece_objectives(
-    sp: ScaledParams, groups: Sequence[tuple[np.ndarray, Sequence[float]]]
-) -> list[np.ndarray]:
-    """Objective j of every policy of each group, one array per group.
-
-    A group is (edges, rates): edges has one row per piece edge and one
-    column per policy, from -l/2 to l/2, and rates one entry per piece.
-    The factors of every group's pieces come from one _factors pass over
-    them all; then one sweep per group from the left coast end crosses
-    every piece of every column at once, and j = alpha/l at the right
-    end, where u = 0.
-    """
-    widths = [np.diff(edges, axis=0) for edges, _ in groups]
-    h = np.concatenate([np.repeat(rates, d.shape[1]) for (_, rates), d in zip(groups, widths)])
-    factors = np.array(_factors(sp, h, np.concatenate([d.ravel() for d in widths])))
-    objectives, at = [], 0
-    for d in widths:
-        objectives.append(_sweep(factors[:, at : at + d.size].reshape(-1, *d.shape))[2] / sp.l)
-        at += d.size
-    return objectives
-
-
 def reserve_sweep(sp: ScaledParams, centers: int, widths: int) -> SweepResult:
     """Rank single no-take-block policies over a center x width grid.
 
     Centers span the middle half of the coast, widths go from zero (the
     constant policy) to the whole domain; blocks are clipped to the coast.
-    Candidates come center-major.  They are grouped by shape (no block,
-    a block touching neither end, the left end only, the right end only,
-    or the whole coast); the factors of all groups' pieces come from one
-    batched pass, and each group is swept in one batched pass.
+    Candidates come center-major.  Every candidate is three pieces, swept
+    in one batched pass from the left coast end to the right, where
+    u = 0 and j = alpha/l: the harvested strip left of the block, the
+    block, and the harvested strip right of it.  A strip the block leaves
+    no room for is the identity piece, moved after the others, and a
+    candidate without a block is one harvested piece over the whole
+    coast, so every constant candidate has the same bits.
     """
     _require_size("centers", centers)
     _require_size("widths", widths)
@@ -272,30 +266,17 @@ def reserve_sweep(sp: ScaledParams, centers: int, widths: int) -> SweepResult:
     end = sp.l / 2.0
     lo = np.maximum(c - w / 2.0, -end)
     hi = np.minimum(c + w / 2.0, end)
-    block = lo < hi
-    opens_left, opens_right = block & (lo > -end), block & (hi < end)
-    # rows: the left coast end, the block's edges, the right coast end
-    edges = np.array(np.broadcast_arrays(-end, lo, hi, end))
-    hbar = sp.hbar
-    shapes = [
-        (members, rows, rates)
-        for members, rows, rates in (
-            (~block, [0, 3], (hbar,)),
-            (opens_left & opens_right, [0, 1, 2, 3], (hbar, 0.0, hbar)),
-            (~opens_left & opens_right, [0, 2, 3], (0.0, hbar)),
-            (opens_left & ~opens_right, [0, 1, 3], (hbar, 0.0)),
-            (block & ~(opens_left | opens_right), [0, 3], (0.0,)),
-        )
-        if members.any()
-    ]
-    scored = _piece_objectives(
-        sp, [(edges[rows][:, members], rates) for members, rows, rates in shapes]
-    )
-    objectives = np.empty(c.size)
-    for (members, _, _), objective in zip(shapes, scored):
-        objectives[members] = objective
+    # rows: the strip left of the block, the block, the strip right of it
+    lengths = np.where(lo < hi, [lo + end, hi - lo, end - hi], [[2.0 * end], [0.0], [0.0]])
+    rates = np.array([[sp.hbar], [0.0], [sp.hbar]])
+    # a block at the left coast end leaves no strip left of it: its pieces
+    # move up a row, and the empty strip goes last
+    open_left = lengths[0] > 0.0
+    lengths = np.where(open_left, lengths, np.roll(lengths, -1, axis=0))
+    rates = np.where(lengths > 0.0, np.where(open_left, rates, np.roll(rates, -1, axis=0)), 0.0)
+    scored = _sweep(_factors(sp, rates, lengths))[2] / sp.l
     return SweepResult(
-        objectives=objectives,
+        objectives=scored,
         describe=lambda i: {"center": float(cs[i // widths]), "width": float(ws[i % widths])},
     )
 
@@ -465,16 +446,25 @@ def _aligned_grid(
     return np.concatenate(nodes), np.concatenate(rates)
 
 
+def _mirrored(policy: HarvestPolicy) -> bool:
+    """Whether the policy is its own mirror image about x = 0.
+
+    Breakpoints and rates are compared exactly.
+    """
+    return policy.breakpoints == tuple(-b for b in reversed(policy.breakpoints)) and (
+        policy.rates == policy.rates[::-1]
+    )
+
+
 def _steady_solve(policy: HarvestPolicy, nodes: np.ndarray, rate: np.ndarray):
     """The discrete steady state u_h on a grid, with its system.
 
     A (diagonal, off-diagonal) is the symmetric second-order operator of
     -u'' + (1+h)u with u = 0 at both ends, and u_h solves A u = lumped,
     factored as LDL^T.  When the policy is its own mirror image about
-    x = 0 (breakpoints and rates compared exactly) so is u, and only the
-    unknowns from the centre on are kept: a centre node keeps half its
-    row, and a centre inside a cell folds its coupling onto the
-    diagonal.  Returns (u_h, diag, off, lumped, first kept unknown,
+    x = 0 (see _mirrored) so is u, and only the unknowns from the centre
+    on are kept: a centre node keeps half its row, and a centre inside a
+    cell folds its coupling onto the diagonal.  Returns (u_h, diag, off, lumped, first kept unknown,
     mirror).
     """
     steps_dx = np.diff(nodes)
@@ -488,9 +478,7 @@ def _steady_solve(policy: HarvestPolicy, nodes: np.ndarray, rate: np.ndarray):
         + 0.5 * ((1.0 + rate[:-1]) * steps_dx[:-1] + (1.0 + rate[1:]) * steps_dx[1:])
     )
     off = -1.0 / steps_dx[1:-1]
-    mirror = policy.breakpoints == tuple(-b for b in reversed(policy.breakpoints)) and (
-        policy.rates == policy.rates[::-1]
-    )
+    mirror = _mirrored(policy)
     c = n // 2 if mirror else 0
     if mirror:
         if n % 2:
@@ -654,9 +642,19 @@ def stability_eigenvalues(policy: HarvestPolicy, n: int) -> tuple[float, bool]:
     """Largest eigenvalue of w -> w'' - (1+h)w with absorbing boundaries.
 
     Symmetric second-difference discretization on n interior points with
-    the rate cell-averaged around each node; LAPACK computes the top of
-    the tridiagonal spectrum.  The energy identity pushes every
-    eigenvalue below -1 for any admissible policy.
+    the rate cell-averaged around each node; LAPACK's bisection (?stebz)
+    computes the top of the tridiagonal spectrum.  The energy identity
+    pushes every eigenvalue below -1 for any admissible policy.
+
+    The top eigenvector is positive, and the only one that is, so when
+    the policy is its own mirror image (see _mirrored; every optimum is)
+    it is mirror-symmetric too, and the top eigenvalue is that of the
+    operator on mirror-symmetric vectors: the ceil(n/2) unknowns from the
+    left end to the centre.  For even n the last of them couples to its
+    own mirror image, which adds the coupling to its diagonal entry; for
+    odd n it is the centre node, coupled twice to its neighbour, and
+    dividing its unknown by sqrt(2) makes the matrix symmetric again,
+    with the last off-diagonal entry sqrt(2) times the others.
     """
     _require_size("n", n)
     if n < 16:
@@ -671,9 +669,23 @@ def stability_eigenvalues(policy: HarvestPolicy, n: int) -> tuple[float, bool]:
             f"the {n}-point spectrum at l = {l!r} (dx = {dx!r}) has entries near "
             "4/dx^2, too large for LAPACK's bisection to square"
         )
-    xs = -l / 2.0 + dx * np.arange(1, n + 1)
+    mirror = _mirrored(policy)
+    size = (n + 1) // 2 if mirror else n
+    xs = -l / 2.0 + dx * np.arange(1, size + 1)
     pot = 1.0 + _average_rates(policy, xs - dx / 2.0, xs + dx / 2.0)
     diag = -2.0 / dx**2 - pot
-    off = np.full(n - 1, 1.0 / dx**2)
-    top = float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(n - 1, n - 1))[0])
+    off = np.full(size - 1, 1.0 / dx**2)
+    if mirror and n % 2:
+        off[-1] *= math.sqrt(2.0)
+    elif mirror:
+        diag[-1] += off[-1]
+    # the call scipy's eigvalsh_tridiagonal makes: eigenvalues by index
+    # (range 2) from il = iu = size, the largest, to LAPACK's own
+    # tolerance (abstol 0), in order of value ("E")
+    _, w, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, size, size, 0.0, "E")
+    if info:
+        raise ParameterError(
+            f"LAPACK's bisection failed on the {n}-point spectrum at l = {l!r} (info = {info})"
+        )
+    top = float(w[0])
     return top, top < 0.0

@@ -63,9 +63,9 @@ print(sorted(m for m in ("scipy.integrate", "scipy.optimize", "scipy.linalg") if
 
 
 def test_simulate_and_verify_load_only_scipy_linalg(tmp_path):
-    # the event oracle bisects with exact flow maps in the eigen-coordinates
-    # of numpy's eig, so a q > 1 verify loads neither scipy.integrate nor
-    # scipy.optimize
+    # the event oracle searches in rounds of 32 probes with exact flow maps
+    # in the eigen-coordinates of numpy's eig, so a q > 1 verify loads
+    # neither scipy.integrate nor scipy.optimize
     proc = subprocess.run(
         [sys.executable, "-c", LAB_CHILD, str(tmp_path / "state.csv")],
         capture_output=True,

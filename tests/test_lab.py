@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dstebz
 
 import oracles
 from coastharvest import (
@@ -36,6 +38,12 @@ from coastharvest.policy import single_reserve_policy
 OPTIMAL_SP = ScaledParams(l=4.0, q=2.0, hbar=1.0)
 
 
+def swept_objective(sp, edges, rates):
+    """j of one policy, pieces from the left coast end, scored by a one-column sweep."""
+    h, d = np.array(rates)[:, None], np.diff(edges)[:, None]
+    return float(lab._sweep(lab._factors(sp, h, d))[2][0] / sp.l)
+
+
 def equal_cells(l, rates):
     """Equal-width cells with the given rates, equal neighbours left unmerged."""
     n = len(rates)
@@ -52,6 +60,29 @@ SHORT_COASTS = [
     (1.3e-6, 0.0153, 0.00562),
     (1e-6, 2.0, 1.0),
 ]
+
+
+class TestSweep:
+    @pytest.mark.parametrize(
+        "sp", [OPTIMAL_SP, ScaledParams(1e4, 2.0, 1.0), ScaledParams(50.0, 1e6, 3.0),
+               ScaledParams(*SHORT_COASTS[3])]
+    )
+    def test_a_rate_0_piece_of_width_0_is_the_identity(self, sp):
+        # five pieces per column, 64 columns of random widths and rates;
+        # the identity piece after any of them, mid-sweep or at the end,
+        # leaves (S, F, alpha, beta) bit-identical
+        rng = np.random.default_rng(33)
+        widths = rng.uniform(0.01, 0.4, (5, 64)) * sp.l
+        rates = np.where(rng.random((5, 64)) < 0.5, 0.0, sp.hbar)
+        want = lab._sweep(lab._factors(sp, rates, widths))
+        for cut in range(1, 6):
+            h = np.insert(rates, cut, 0.0, axis=0)
+            d = np.insert(widths, cut, 0.0, axis=0)
+            mid = lab._sweep(lab._factors(sp, h[: cut + 1], d[: cut + 1]))
+            for got, plain in zip(mid, lab._sweep(lab._factors(sp, rates[:cut], widths[:cut]))):
+                assert np.array_equal(got, plain), cut
+            for got, plain in zip(lab._sweep(lab._factors(sp, h, d)), want):
+                assert np.array_equal(got, plain), cut
 
 
 class TestBruteForce:
@@ -93,7 +124,7 @@ class TestBruteForce:
         res = brute_force_bangbang(ScaledParams(l=2.0, q=0.5, hbar=1.0), cells=5)
         assert len(res.candidates) == 32
 
-    @pytest.mark.parametrize("cells", [1, 5, 7, 12])
+    @pytest.mark.parametrize("cells", [1, 5, 7, 12, 15, 16])
     @pytest.mark.parametrize("l", [2.0, 4.0, 8.0])
     def test_batched_objectives_match_the_shooting_solver(self, l, cells):
         sp = ScaledParams(l=l, q=2.0, hbar=1.0)
@@ -231,11 +262,9 @@ class TestReserveSweep:
         near = end
         for _ in range(ulps):
             near = math.nextafter(near, 0.0)
-        blocks = [(-near, 0.5), (-0.5, near), (-near, near)]
-        edges = np.array([[-end, lo, hi, end] for lo, hi in blocks]).T
-        (got,) = lab._piece_objectives(sp, [(edges, (sp.hbar, 0.0, sp.hbar))])
-        assert np.all(np.isfinite(got))
-        for (lo, hi), obj in zip(blocks, got):
+        for lo, hi in [(-near, 0.5), (-0.5, near), (-near, near)]:
+            obj = swept_objective(sp, [-end, lo, hi, end], (sp.hbar, 0.0, sp.hbar))
+            assert math.isfinite(obj)
             assert obj == pytest.approx(self._block_objective(sp, lo, hi), rel=1e-12, abs=0.0)
 
     def test_scores_without_the_shooting_solver(self, monkeypatch):
@@ -277,8 +306,9 @@ class TestReserveSweep:
         "sp", [OPTIMAL_SP, ScaledParams(l=20.0, q=0.5, hbar=3.0), ScaledParams(*SHORT_COASTS[0])]
     )
     def test_every_candidate_equals_its_own_piece_objective(self, sp):
-        # all five shape groups share one factor pass; each candidate
-        # scored alone, on a one-column group, gives the same bits
+        # every shape is swept as three pieces in one batch, padded with
+        # the identity piece; each candidate scored alone, on its own
+        # pieces in a one-column sweep, gives the same bits
         res = reserve_sweep(sp, centers=11, widths=21)
         end = sp.l / 2.0
         shapes = set()
@@ -295,8 +325,7 @@ class TestReserveSweep:
                 if hi < end:
                     edges, rates = edges + [end], rates + (sp.hbar,)
             shapes.add(rates)
-            (alone,) = lab._piece_objectives(sp, [(np.array(edges)[:, None], rates)])
-            assert alone.tolist() == [obj], desc
+            assert swept_objective(sp, edges, rates) == obj, desc
         # no block, an inner block, one at either end, and the whole coast
         assert len(shapes) == 5
 
@@ -1040,6 +1069,58 @@ class TestStabilityEigenvalues:
         a, b = xs - dx / 2.0, xs + dx / 2.0
         want = [oracles.average_rate(pol, lo, hi) for lo, hi in zip(a, b)]
         assert lab._average_rates(pol, a, b).tolist() == want
+
+    @staticmethod
+    def _full_matrix_top(pol, n):
+        # the whole n-point operator, through scipy's validating wrapper
+        dx = pol.l / (n + 1)
+        xs = -pol.l / 2.0 + dx * np.arange(1, n + 1)
+        diag = -2.0 / dx**2 - 1.0 - lab._average_rates(pol, xs - dx / 2.0, xs + dx / 2.0)
+        off = np.full(n - 1, 1.0 / dx**2)
+        return float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(n - 1, n - 1))[0])
+
+    @staticmethod
+    def _bisected_sizes(monkeypatch):
+        sizes = []
+
+        def spy(diag, *args):
+            sizes.append(diag.size)
+            return dstebz(diag, *args)
+
+        monkeypatch.setattr(lab, "dstebz", spy)
+        return sizes
+
+    @pytest.mark.parametrize("n", [16, 17, 511, 512])
+    @pytest.mark.parametrize(
+        "pol",
+        [
+            optimal_policy(OPTIMAL_SP).policy,
+            optimal_policy(ScaledParams(20.0, 3.5, 2.5)).policy,
+            optimal_policy(ScaledParams(0.3, 2.0, 1.0)).policy,
+            constant_policy(math.pi, 0.0),
+            HarvestPolicy([-1.5, -0.7, -0.2, 0.2, 0.7, 1.5], [1.0, 0.0, 2.5, 0.0, 1.0]),
+        ],
+    )
+    def test_symmetric_policies_fold_onto_the_half_grid(self, monkeypatch, pol, n):
+        # the top eigenvector is mirror-symmetric, so ceil(n/2) unknowns
+        # keep the top eigenvalue, within the bisection's eps*|T|
+        sizes = self._bisected_sizes(monkeypatch)
+        top, _ = stability_eigenvalues(pol, n)
+        assert sizes == [(n + 1) // 2]
+        assert top == pytest.approx(self._full_matrix_top(pol, n), rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("n", [16, 17, 511, 512])
+    def test_an_off_centre_reserve_keeps_the_full_matrix(self, monkeypatch, n):
+        pol = single_reserve_policy(4.0, -1.5, 0.5, 1.0)
+        sizes = self._bisected_sizes(monkeypatch)
+        top, _ = stability_eigenvalues(pol, n)
+        assert sizes == [n]
+        assert top == self._full_matrix_top(pol, n)
+
+    def test_a_failed_bisection_is_a_parameter_error(self, monkeypatch):
+        monkeypatch.setattr(lab, "dstebz", lambda *args: (*dstebz(*args)[:4], 3))
+        with pytest.raises(ParameterError, match=r"bisection failed .* \(info = 3\)"):
+            stability_eigenvalues(optimal_policy(OPTIMAL_SP).policy, n=512)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
