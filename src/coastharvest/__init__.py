@@ -34,9 +34,6 @@ from .switching import (
     derive_constants,
     hitting_time,
     min_length,
-    post_switch_time,
-    solve_lambda_bar,
-    switch_line_intercept,
 )
 from .synthesis import (
     OptimalSolution,
@@ -65,12 +62,9 @@ __all__ = [
     "hitting_time",
     "min_length",
     "optimal_policy",
-    "post_switch_time",
     "shoot_steady_state",
     "single_reserve_policy",
     "solve_adjoint",
-    "solve_lambda_bar",
-    "switch_line_intercept",
     "to_scaled",
     "to_unscaled_length",
     "unscale_objective",

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+from .params import ParameterError
+
 # Arguments are pulled this far inside the open interval (-1, 1).
 _ATANH_CLAMP = 1.0 - 1e-15
 
@@ -26,6 +28,9 @@ def bisect_root(fn: Callable[[float], float], lo: float, hi: float) -> float:
     Returns lo when fn(lo) >= 0.  Otherwise fn(hi) must be positive, and
     the endpoint of the final bracket with the smaller |fn| is returned.
     """
+    # a NaN end would never close the bracket
+    if not lo < hi:
+        raise ParameterError(f"bisection needs lo < hi, got [{lo!r}, {hi!r}]")
     flo = fn(lo)
     if flo >= 0.0:
         return lo

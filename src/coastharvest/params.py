@@ -90,7 +90,10 @@ def to_scaled(p: UnscaledParams) -> ScaledParams:
 
     l = L / sqrt(D/mu), q = Q / mu, hbar = Hbar / mu.
     """
-    return ScaledParams(l=p.L / p.length_unit, q=p.Q / p.mu, hbar=p.Hbar / p.mu)
+    unit = p.length_unit
+    if not unit > 0.0:
+        raise ParameterError(f"sqrt(D/mu) underflows at (D, mu) = ({p.D!r}, {p.mu!r})")
+    return ScaledParams(l=p.L / unit, q=p.Q / p.mu, hbar=p.Hbar / p.mu)
 
 
 def to_unscaled_length(x: float, p: UnscaledParams) -> float:

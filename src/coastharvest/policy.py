@@ -90,6 +90,8 @@ def single_reserve_policy(l: float, left: float, right: float, hbar: float) -> H
     """
     if not l > 0.0:
         raise ParameterError(f"l must be positive, got {l!r}")
+    if math.isnan(left) or math.isnan(right):
+        raise ParameterError(f"reserve edges must not be NaN, got [{left!r}, {right!r}]")
     lo, hi = max(left, -l / 2.0), min(right, l / 2.0)
     if not lo < hi:
         return constant_policy(l, hbar)

@@ -3,10 +3,10 @@
 For q > 1 the adjoint shooting problem is piecewise linear with one
 possible crossing of the switching line.  This module carries the
 derived constants of that analysis, the hitting time of the lambda2-axis
-as a function of the shooting parameter, the crossing location, the
-threshold length above which a crossing occurs, and the one root solve,
-for the reserve half-width, that pins the transversality-consistent
-shooting value.
+(both legs, to the crossing and on from it) as a function of the
+shooting parameter, the threshold length above which a crossing occurs,
+and the one root solve, for the reserve half-width, that pins the
+transversality-consistent shooting value.
 
 Naming: lam_star and lam_starstar are the two critical shooting values
 (orbit tangent to the switching line, and orbit asymptotic to the second
@@ -67,52 +67,17 @@ def derive_constants(sp: ScaledParams) -> DerivedConstants:
     )
 
 
-def switch_line_intercept(lambda0: float, dc: DerivedConstants) -> float:
-    """lambda1-coordinate where the ray from (lambda0, 0) meets the switch line."""
-    if lambda0 < dc.lam_star:
-        raise ParameterError(
-            f"no switch-line contact below lam_star={dc.lam_star!r}, got {lambda0!r}"
-        )
-    # squared with lambda0's binary exponent taken out, exactly, so that a
-    # level near 1/l cannot overflow on a very short coast; tiny negative
-    # radicands at lambda0 == lam_star are roundoff
-    e = math.frexp(lambda0)[1]
-    a, b = math.ldexp(lambda0, -e), math.ldexp(dc.lam_star, -e)
-    return math.ldexp(math.sqrt(max(a * a - b * b, 0.0)), e)
-
-
-def _switch_time(lambda0: float, tilde: float, dc: DerivedConstants) -> float:
-    """Travel distance to the switch line for a shooting value >= lam_star.
-
-    The three textbook cases (arccosh below i1, a bare logarithm at i1,
-    arcsinh above) are algebraically one expression,
-        (1/sqrt(a1)) * log((i1 + lambda0) / (is1 + tilde)),
-    via the identity i1^2 - lam_star^2 = is1^2.  The merged form stays
-    accurate through both joins, where the separate branches cancel
-    catastrophically.  The caller passes the intercept tilde it built:
-    re-deriving it from lambda0 as sqrt(lambda0^2 - lam_star^2) cancels
-    near lam_star.
-    """
-    return math.log((dc.i1 + lambda0) / (dc.is1 + tilde)) / math.sqrt(dc.a1)
-
-
-def post_switch_time(tilde_lambda0: float, dc: DerivedConstants) -> float:
-    """Travel distance from the switch line to the lambda2-axis."""
-    if not 0.0 < tilde_lambda0 <= dc.is2:
-        raise ParameterError(
-            f"intercept must lie in (0, {dc.is2!r}], got {tilde_lambda0!r}"
-        )
-    if tilde_lambda0 == dc.is2:
-        return math.inf
-    return arctanh(tilde_lambda0 / dc.is2)
-
-
 def hitting_time(lambda0: float, dc: DerivedConstants) -> float:
     """First arrival of the adjoint ray at the lambda2-axis; inf if never.
 
-    Below lam_star the ray reaches the axis directly; between lam_star
-    and lam_starstar it crosses the switching line once and finishes in
-    the zero-control flow; at lam_starstar and beyond it escapes.
+    Below lam_star the ray reaches the axis directly.  Up to lam_starstar
+    it meets the switch line at lambda1 = tilde after the switch leg
+    log((i1 + lambda0)/(is1 + tilde))/sqrt(a1), and finishes in the
+    zero-control flow after arctanh(tilde/is2).  The switch leg's three
+    textbook cases (arccosh below i1, a bare logarithm at i1, arcsinh
+    above) are that one expression by the identity i1^2 - lam_star^2 =
+    is1^2; it stays accurate through both joins, where the separate
+    branches cancel catastrophically.  From lam_starstar on it escapes.
     """
     if not lambda0 > 0.0:
         raise ParameterError(f"lambda0 must be positive, got {lambda0!r}")
@@ -120,12 +85,16 @@ def hitting_time(lambda0: float, dc: DerivedConstants) -> float:
         return math.inf
     if lambda0 < dc.lam_star:
         return arctanh(lambda0 / dc.i1) / math.sqrt(dc.a1)
-    tilde = switch_line_intercept(lambda0, dc)
+    # tilde = sqrt(lambda0^2 - lam_star^2), squared with lambda0's binary
+    # exponent taken out, exactly, so that a level near 1/l cannot overflow
+    # on a very short coast; tiny negative radicands at lam_star are roundoff
+    e = math.frexp(lambda0)[1]
+    a, b = math.ldexp(lambda0, -e), math.ldexp(dc.lam_star, -e)
+    tilde = math.ldexp(math.sqrt(max(a * a - b * b, 0.0)), e)
     if tilde >= dc.is2:
         return math.inf
-    if tilde == 0.0:
-        return _switch_time(lambda0, tilde, dc)
-    return _switch_time(lambda0, tilde, dc) + post_switch_time(tilde, dc)
+    switch = math.log((dc.i1 + lambda0) / (dc.is1 + tilde)) / math.sqrt(dc.a1)
+    return switch + arctanh(tilde / dc.is2)
 
 
 def min_length(sp: ScaledParams) -> float:
@@ -154,17 +123,17 @@ def solve_halfwidth(dc: DerivedConstants, l: float) -> tuple[float, float, float
 
     The orbit that meets the switch line at tilde = is2*tanh(tau) starts
     from hypot(lam_star, tilde) and reaches the lambda2-axis tau later,
-    so tau solves _switch_time + tau = l/2.  That residual is increasing
-    and finite on [0, l/2] and is bisected there; it is already >= 0 at
-    tau = 0 up to l_min, where tau is 0.
+    so tau solves (hitting_time's switch leg) + tau = l/2.  That residual
+    is increasing and finite on [0, l/2] and is bisected there; it is
+    already >= 0 at tau = 0 up to l_min, where tau is 0.
 
     Ts is the switch time at that tau (l/2 - tau loses its digits when
     Ts << l), read by log1p through the exact i1 - is1 = sqrt(a1)/l and
     lambda_bar - tilde = lam_star^2/(lambda_bar + tilde), never squaring.
     """
     half = l / 2.0
-    # _switch_time with the constants read once: the residual runs about
-    # 55 times per root
+    # hitting_time's switch leg with the constants read once: the residual
+    # runs about 55 times per root
     i1, is1, is2, lam_star, sqrt_a1 = dc.i1, dc.is1, dc.is2, dc.lam_star, math.sqrt(dc.a1)
 
     def residual(tau: float) -> float:
@@ -177,15 +146,3 @@ def solve_halfwidth(dc: DerivedConstants, l: float) -> tuple[float, float, float
     lam_bar = math.hypot(lam_star, tilde)
     gap = sqrt_a1 / l + lam_star * (lam_star / (lam_bar + tilde))
     return tau, lam_bar, math.log1p(gap / (is1 + tilde)) / sqrt_a1
-
-
-def solve_lambda_bar(dc: DerivedConstants, l: float) -> float:
-    """The unique shooting value whose hitting time equals l/2.
-
-    Closed form i1*tanh(sqrt(a1)*l/2) up to l_min, where the orbit never
-    meets the switch line; above it, it comes with the reserve half-width.
-    """
-    if l <= dc.l_min:
-        return dc.i1 * math.tanh(math.sqrt(dc.a1) * l / 2.0)
-    return solve_halfwidth(dc, l)[1]
-

@@ -24,7 +24,7 @@ from .bvp import (
 )
 from .params import ParameterError, ScaledParams, UnscaledParams
 from .policy import HarvestPolicy, constant_policy, single_reserve_policy
-from .switching import derive_constants, solve_halfwidth, solve_lambda_bar
+from .switching import derive_constants, solve_halfwidth
 
 
 class SolutionDiagnostics(NamedTuple):
@@ -105,7 +105,8 @@ def optimal_policy(sp: ScaledParams) -> OptimalSolution:
             halfwidth, lam_bar, ts = solve_halfwidth(dc, l)
             pol = single_reserve_policy(l, -halfwidth, halfwidth, hbar)
         else:
-            lam_bar = solve_lambda_bar(dc, l)
+            # hitting_time's direct branch, arctanh(lam/i1)/sqrt(a1), at l/2
+            lam_bar = dc.i1 * math.tanh(math.sqrt(dc.a1) * l / 2.0)
     j, diag = _diagnose(pol, q)
     # the integral of (q + h) u, before its division by l, overflows when
     # q * l is above about 1e308
@@ -143,7 +144,11 @@ def unscaled_min_length(p: UnscaledParams) -> float:
         raise ParameterError(
             f"the threshold length overflows at (mu, Hbar, Q) = ({mu!r}, {Hbar!r}, {Q!r})"
         )
-    return 2.0 * math.sqrt(D / (Hbar + mu)) * math.log1p((Hbar + mu + s) / (Q - mu))
+    # sqrt(D/(Hbar+mu)) or the log1p argument can overflow on its own
+    lmin = 2.0 * math.sqrt(D / (Hbar + mu)) * math.log1p((Hbar + mu + s) / (Q - mu))
+    if not math.isfinite(lmin):
+        raise ParameterError(f"l_min overflows at (D, mu, Hbar, Q) = {(D, mu, Hbar, Q)}")
+    return lmin
 
 
 def unscaled_reserve_boundary(p: UnscaledParams) -> Optional[float]:
@@ -166,6 +171,9 @@ def unscaled_reserve_boundary(p: UnscaledParams) -> Optional[float]:
     s1 = math.sqrt(D / (Hbar + mu))
     s2 = math.sqrt(D / mu)
     c = ((Hbar + Q) / (Q - mu)) * math.sqrt(mu / (Hbar + mu))
+    # the residual divides by both
+    if not (c > 0.0 and s2 > 0.0):
+        raise ParameterError(f"reserve scales underflow at (D, mu, Hbar, Q) = {(D, mu, Hbar, Q)}")
 
     def residual(b: float) -> float:
         w = math.tanh(b / s2) / c

@@ -143,6 +143,19 @@ class TestSolve:
         assert out == ""
         assert err.startswith("error: the physical objective R*j overflows at R = 1.7e+308")
 
+    def test_underflowing_length_unit_exits_2(self, capsys):
+        # sqrt(D/mu) underflows to 0; this printed a ZeroDivisionError traceback
+        code, out, err = run(
+            capsys, "solve", "--D", "5.762297935717866e-120", "--R", "1",
+            "--mu", "2.0717730880632276e+219", "--Hbar", "1", "--Q", "1", "--L", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: sqrt(D/mu) underflows at (D, mu) = "
+            "(5.762297935717866e-120, 2.0717730880632276e+219)\n"
+        )
+
     def test_profile_csv(self, capsys, tmp_path):
         path = tmp_path / "profile.csv"
         doc = run_json(

@@ -60,6 +60,13 @@ class TestToScaled:
             up(Q=-0.1)
         assert to_scaled(up(Q=0.0)).q == 0.0
 
+    def test_underflowing_length_unit_is_a_parameter_error(self):
+        # sqrt(D/mu) underflows to 0, and L was divided by it
+        p = up(D=5.762297935717866e-120, mu=2.0717730880632276e219, Q=1.0, L=1.0)
+        want = r"^sqrt\(D/mu\) underflows at \(D, mu\) = \(5.762297935717866e-120, 2.07"
+        with pytest.raises(ParameterError, match=want):
+            to_scaled(p)
+
 
 class TestScaledParams:
     def test_validation(self):

@@ -101,6 +101,18 @@ class TestConstructors:
         pol = single_reserve_policy(4.0, -2.0, 2.0, 1.0)
         assert pol.rates == (0.0,)
 
+    @pytest.mark.parametrize("left, right", [(math.nan, 1.0), (-1.0, math.nan)])
+    def test_nan_reserve_edge_is_rejected(self, left, right):
+        # max(nan, -l/2) is nan, and the reserve silently vanished
+        with pytest.raises(ParameterError, match="reserve edges must not be NaN"):
+            single_reserve_policy(4.0, left, right, 1.0)
+
+    def test_infinite_reserve_edges_clip_to_the_coast(self):
+        pol = single_reserve_policy(4.0, -math.inf, 1.0, 1.0)
+        assert pol.breakpoints == (-2.0, 1.0, 2.0)
+        assert pol.rates == (0.0, 1.0)
+        assert single_reserve_policy(4.0, -math.inf, math.inf, 1.0).rates == (0.0,)
+
 
 @given(
     l=st.floats(0.5, 20.0),

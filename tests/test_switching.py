@@ -14,9 +14,6 @@ from coastharvest import (
     hitting_time,
     min_length,
     optimal_policy,
-    post_switch_time,
-    solve_lambda_bar,
-    switch_line_intercept,
 )
 
 GRID = [
@@ -25,6 +22,15 @@ GRID = [
     for hbar in (0.5, 1.0, 4.0)
     for l in (2.0, 4.0, 10.0)
 ]
+
+
+def post_switch_leg(lam0, dc):
+    """The zero-control leg that hitting_time adds past the switch line, in
+    floats: arctanh of the plain Pythagorean intercept over is2.  Near
+    lam_starstar that arctanh is ill-conditioned, and hitting_time's own
+    leg carries the same rounding, so subtracting this one isolates the
+    switch leg."""
+    return math.atanh(math.sqrt(lam0 * lam0 - dc.lam_star * dc.lam_star) / dc.is2)
 
 
 class TestDeriveConstants:
@@ -145,7 +151,7 @@ class TestHittingTime:
         assert isinstance(switch, mpmath.mpf)
         assert hitting_time(dc.lam_star, dc) == pytest.approx(float(switch), abs=1e-12)
         for lam0 in (0.5 * (dc.lam_star + dc.lam_starstar), dc.lam_starstar * (1.0 - 1e-6)):
-            tail = post_switch_time(switch_line_intercept(lam0, dc), dc)
+            tail = post_switch_leg(lam0, dc)
             want = float(oracles.switch_hit_x(lam0, *args))
             assert math.isfinite(tail)
             assert hitting_time(lam0, dc) - tail == pytest.approx(want, abs=1e-12)
@@ -178,67 +184,75 @@ class TestSwitchTime:
         dc = derive_constants(ScaledParams(l=4.0, q=2.0, hbar=1.0))
         levels = (0.51, 0.5 * (dc.lam_star + dc.i1), dc.i1, 0.54, dc.lam_starstar * (1.0 - 1e-9))
         for lam0 in levels:
-            tail = post_switch_time(switch_line_intercept(lam0, dc), dc)
+            tail = post_switch_leg(lam0, dc)
             want = float(oracles.switch_hit_x(lam0, 4, 2, 1))
             assert hitting_time(lam0, dc) - tail == pytest.approx(want, abs=1e-12)
 
 
 class TestSwitchLineIntercept:
+    # the ray from (lambda0, 0) meets the switch line at lambda1 =
+    # sqrt(lambda0^2 - lam_star^2), which hitting_time computes inline
     def test_zero_at_tangency(self):
+        # no post-switch leg: the whole hitting time is the switch leg
         dc = derive_constants(ScaledParams(l=4.0, q=2.0, hbar=1.0))
-        assert switch_line_intercept(dc.lam_star, dc) == 0.0
+        want = float(oracles.switch_hit_x(dc.lam_star, 4, 2, 1))
+        assert hitting_time(dc.lam_star, dc) == pytest.approx(want, abs=1e-14)
 
     def test_escape_level_maps_to_the_manifold_intercept(self):
         dc = derive_constants(ScaledParams(l=4.0, q=2.0, hbar=1.0))
-        assert switch_line_intercept(dc.lam_starstar, dc) == pytest.approx(0.25, rel=1e-12)
+        assert hitting_time(dc.lam_starstar, dc) == math.inf
+        below = math.nextafter(dc.lam_starstar, 0.0)
+        assert math.isfinite(hitting_time(below, dc))
 
     def test_pythagorean_form(self):
         dc = derive_constants(ScaledParams(l=4.0, q=2.0, hbar=1.0))
         lam0 = math.sqrt(dc.lam_star**2 + 0.01)
-        assert switch_line_intercept(lam0, dc) == pytest.approx(0.1, rel=1e-12)
-
-    def test_rejects_levels_below_tangency(self):
-        dc = derive_constants(ScaledParams(l=4.0, q=2.0, hbar=1.0))
-        with pytest.raises(ParameterError):
-            switch_line_intercept(0.99 * dc.lam_star, dc)
+        want = oracles.switch_hit_x(lam0, 4, 2, 1) + oracles.after_switch_x(0.1, 4, 2, 1)
+        assert hitting_time(lam0, dc) == pytest.approx(float(want), abs=1e-14)
 
     @pytest.mark.parametrize("sp", GRID, ids=lambda s: f"l{s.l}-q{s.q}-h{s.hbar}")
     def test_is_the_plain_form_bit_for_bit_where_its_squares_are_in_range(self, sp):
         # the binary exponent taken out before squaring is exact
         dc = derive_constants(sp)
-        for lam0 in np.linspace(dc.lam_star, dc.lam_starstar, 101).tolist():
+        for lam0 in np.linspace(dc.lam_star, dc.lam_starstar, 101).tolist()[:-1]:
             plain = math.sqrt(max(lam0 * lam0 - dc.lam_star * dc.lam_star, 0.0))
-            assert switch_line_intercept(lam0, dc) == plain
+            switch = math.log((dc.i1 + lam0) / (dc.is1 + plain)) / math.sqrt(dc.a1)
+            assert hitting_time(lam0, dc) == switch + math.atanh(plain / dc.is2)
 
     @pytest.mark.parametrize("l", [1e-155, 1e-200, 1e-300])
     def test_squares_do_not_overflow_on_very_short_coasts(self, l):
         dc = derive_constants(ScaledParams(l=l, q=2.0, hbar=1.0))
         lam_star = oracles.constants(l, 2.0, 1.0)["lam_star"]
-        assert switch_line_intercept(dc.lam_star, dc) == 0.0
-        for lam0 in (0.5 * (dc.lam_star + dc.lam_starstar), dc.lam_starstar):
-            want = float(mpmath.sqrt(mpmath.mpf(lam0) ** 2 - lam_star**2))
-            assert switch_line_intercept(lam0, dc) == pytest.approx(want, rel=1e-14)
+        args = (l, 2.0, 1.0)
+        for lam0 in (dc.lam_star, 0.5 * (dc.lam_star + dc.lam_starstar)):
+            tilde = mpmath.sqrt(max(mpmath.mpf(lam0) ** 2 - lam_star**2, 0))
+            want = oracles.switch_hit_x(lam0, *args) + oracles.after_switch_x(tilde, *args)
+            assert hitting_time(lam0, dc) == pytest.approx(float(want), rel=1e-14)
+        assert hitting_time(dc.lam_starstar, dc) == math.inf
 
 
 class TestPostSwitchTime:
+    # the zero-control leg from the switch line to the lambda2-axis,
+    # arctanh(tilde/is2), read as hitting_time minus the oracle's switch leg
     def test_small_intercept_limit(self):
+        # one ulp above tangency the intercept is about 1e-8, the smallest
+        # above 0 at this level; the leg vanishes with it
         dc = derive_constants(ScaledParams(l=4.0, q=2.0, hbar=1.0))
-        assert post_switch_time(1e-14, dc) == pytest.approx(0.0, abs=1e-13)
+        lam0 = math.nextafter(dc.lam_star, math.inf)
+        tilde = mpmath.sqrt(mpmath.mpf(lam0) ** 2 - oracles.constants(4, 2, 1)["lam_star"] ** 2)
+        leg = hitting_time(lam0, dc) - float(oracles.switch_hit_x(lam0, 4, 2, 1))
+        assert 0.0 < leg < 1e-7
+        assert leg == pytest.approx(float(oracles.after_switch_x(tilde, 4, 2, 1)), abs=1e-13)
 
     def test_manifold_intercept_never_returns(self):
         dc = derive_constants(ScaledParams(l=4.0, q=2.0, hbar=1.0))
-        assert post_switch_time(dc.is2, dc) == math.inf
+        assert hitting_time(math.hypot(dc.lam_star, dc.is2), dc) == math.inf
 
     def test_analytic_inversion(self):
         dc = derive_constants(ScaledParams(l=4.0, q=2.0, hbar=1.0))
-        assert post_switch_time(dc.is2 * math.tanh(1.0), dc) == pytest.approx(1.0, rel=1e-13)
-
-    def test_domain_errors(self):
-        dc = derive_constants(ScaledParams(l=4.0, q=2.0, hbar=1.0))
-        with pytest.raises(ParameterError):
-            post_switch_time(0.0, dc)
-        with pytest.raises(ParameterError):
-            post_switch_time(dc.is2 * 1.001, dc)
+        lam0 = math.hypot(dc.lam_star, dc.is2 * math.tanh(1.0))
+        leg = hitting_time(lam0, dc) - float(oracles.switch_hit_x(lam0, 4, 2, 1))
+        assert leg == pytest.approx(1.0, rel=1e-13)
 
 
 class TestMinLength:
@@ -281,24 +295,27 @@ class TestMinLength:
             min_length(ScaledParams(l=1e8, q=1.5, hbar=1e300))
 
 
-class TestSolveLambdaBar:
+class TestLambdaBar:
+    # optimal_policy's lambda_bar: closed form up to l_min, the root of the
+    # half-width bisection above it
     def test_short_coast_root_stays_below_tangency(self):
         sp = ScaledParams(l=2.0, q=2.0, hbar=1.0)  # l < threshold 2.49291
         dc = derive_constants(sp)
-        lam_bar = solve_lambda_bar(dc, sp.l)
+        lam_bar = optimal_policy(sp).lambda_bar
         assert lam_bar < dc.lam_star
+        assert lam_bar == pytest.approx(float(oracles.lambda_bar(2, 2, 1)), rel=1e-14)
 
     def test_long_coast_root_lands_between_the_critical_levels(self):
         sp = ScaledParams(l=4.0, q=2.0, hbar=1.0)
         dc = derive_constants(sp)
-        lam_bar = solve_lambda_bar(dc, sp.l)
+        lam_bar = optimal_policy(sp).lambda_bar
         assert dc.lam_star < lam_bar < dc.lam_starstar
         assert lam_bar == pytest.approx(float(oracles.lambda_bar(4, 2, 1)), abs=1e-12)
 
     @pytest.mark.parametrize("sp", GRID, ids=lambda s: f"l{s.l}-q{s.q}-h{s.hbar}")
     def test_residual(self, sp):
         dc = derive_constants(sp)
-        lam_bar = solve_lambda_bar(dc, sp.l)
+        lam_bar = optimal_policy(sp).lambda_bar
         # near lam_starstar the hitting time is steep enough that one ulp
         # of root motion moves the residual by ~1e-12
         assert abs(hitting_time(lam_bar, dc) - sp.l / 2.0) <= 1e-11
@@ -326,11 +343,10 @@ class TestSwitchLocation:
         ids=lambda s: f"l{s.l}-q{s.q}-h{s.hbar}",
     )
     def test_decomposition_of_the_hitting_time(self, sp):
-        dc = derive_constants(sp)
-        lam_bar = solve_lambda_bar(dc, sp.l)
-        ts = optimal_policy(sp).Ts
-        tail = post_switch_time(switch_line_intercept(lam_bar, dc), dc)
-        assert ts + tail == pytest.approx(sp.l / 2.0, abs=1e-10)
+        sol = optimal_policy(sp)
+        args = (sol.lambda_bar, sp.l, sp.q, sp.hbar)
+        tail = float(oracles.hitting_time(*args) - oracles.switch_hit_x(*args))
+        assert sol.Ts + tail == pytest.approx(sp.l / 2.0, abs=1e-10)
 
     def test_no_switch_at_or_below_the_threshold(self):
         lmin = min_length(ScaledParams(l=1.0, q=2.0, hbar=1.0))

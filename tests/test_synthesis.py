@@ -493,6 +493,27 @@ class TestOverflow:
         with pytest.raises(ParameterError, match=r"threshold length overflows at \(mu, Hbar, Q\)"):
             unscaled_reserve_boundary(p)
 
+    def test_overflowing_physical_length_scale_is_a_parameter_error(self):
+        # sqrt(D/(Hbar+mu)) overflows, and the threshold length read inf
+        p = UnscaledParams(
+            2.0892778635522588e227, 2.9688334769314146e-242, 3.813432999418936e-219,
+            1.556555964267463e-170, 1.9412583595460325e279, 4.9787460683114636e-39,
+        )
+        want = r"^l_min overflows at \(D, mu, Hbar, Q\) = \(2.0892778635522588e\+227, 3.81"
+        with pytest.raises(ParameterError, match=want):
+            unscaled_min_length(p)
+
+    def test_underflowing_physical_reserve_scale_is_a_parameter_error(self):
+        # c underflows to 0 through sqrt(mu/(Hbar+mu)), and the residual
+        # divided by it
+        p = UnscaledParams(
+            3.0503944873923335e102, 4.120432032865802e65, 2.859968514166423e-195,
+            4.296152566535546e150, 3.470950024504452e-64, 5.260852120236185e23,
+        )
+        want = r"^reserve scales underflow at \(D, mu, Hbar, Q\) = \(3.0503944873923335e\+102, 2.85"
+        with pytest.raises(ParameterError, match=want):
+            unscaled_reserve_boundary(p)
+
 
 class TestAdjointParity:
     @pytest.mark.parametrize(
